@@ -13,7 +13,7 @@ from .kernel import (
     StateVector,
     layout,
 )
-from .linalg import HERMITIAN_TOL, embed_unitary, is_unitary, proj, tensor
+from .linalg import HERMITIAN_TOL, apply_local, is_unitary, proj, tensor
 
 
 def bell_basis(names: tuple[str, str] = ("S", "S'")) -> list[StateVector]:
@@ -65,12 +65,8 @@ def apply_pinch(dm: DensityOperator, pair: tuple[str, str]) -> DensityOperator:
     """Pinch one named register pair inside a larger density operator."""
     n = dm.layout.total_qubits
     positions = dm.layout.positions(list(pair))
-    if len(positions) != 2:
-        raise ValueError(f"pinch pair {pair} must cover exactly 2 qubits")
-    out = np.zeros_like(dm.matrix)
-    for small in (_SUBSPACES.pi_plus, _SUBSPACES.pi_minus):
-        big = embed_unitary(small, n, positions)
-        out += big @ dm.matrix @ big
+    pp, pm = _SUBSPACES.pi_plus, _SUBSPACES.pi_minus
+    out = apply_local(dm.matrix, pp, n, positions) + apply_local(dm.matrix, pm, n, positions)
     return DensityOperator(dm.layout, out, validate=False)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -55,6 +56,30 @@ DEFAULT_TOLERANCES = {
     "swap": 1e-12,
 }
 
+# Completeness and soundness configs whose estimated arrays exceed this are
+# rejected before anything is allocated.
+MEMORY_BUDGET_BYTES = 2**30
+
+
+def memory_estimate(p_qubits: int, a_qubits: int, l: int) -> float:
+    """Bytes of the largest complex arrays a protocol run allocates, each counted once.
+
+    The proof vector and its transposed copy (2 x 2^(p+2l) entries), the marginal
+    of the primed pair halves (4^l), the toy verifier V (4^(p+a)) and a pair
+    tree's state once the ancilla joins it (4^(p+a+3)), at 16 bytes an entry.
+    Sizes too large for a float give inf.
+    """
+    def entries(log2: int) -> float:
+        return 2.0**log2 if log2 < 1000 else math.inf
+
+    p, a = p_qubits, a_qubits
+    total = 2 * entries(p + 2 * l) + entries(2 * l) + entries(2 * (p + a)) + entries(2 * (p + a + 3))
+    return 16 * total
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
 
 class ConfigError(ValueError):
     """The experiment configuration is invalid."""
@@ -84,8 +109,6 @@ class ExperimentConfig:
             raise ConfigError(f"l must be >= 2, got {self.l}")
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"mode must be exact or sampled, got {self.mode!r}")
-        if self.mode == "sampled" and self.trials < 1:
-            raise ConfigError(f"sampled mode needs trials >= 1, got {self.trials}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         kind = self.strategy.get("kind")
@@ -93,13 +116,25 @@ class ExperimentConfig:
             raise ConfigError(f"strategy kind must be one of {STRATEGY_KINDS}, got {kind!r}")
         if kind == "choi_product":
             q = self.strategy.get("q")
-            if q is None or not 0.0 <= float(q) <= 1.0:
-                raise ConfigError(f"choi_product strategy needs q in [0, 1], got {q}")
-        if kind == "local_unitaries" and "unitary_seed" not in self.strategy:
-            raise ConfigError("local_unitaries strategy needs unitary_seed")
+            if not _is_number(q) or not 0.0 <= q <= 1.0:
+                raise ConfigError(f"choi_product strategy needs q in [0, 1], got {q!r}")
+        if kind == "local_unitaries":
+            seed = self.strategy.get("unitary_seed")
+            if isinstance(seed, bool) or not isinstance(seed, int):
+                raise ConfigError(f"local_unitaries strategy needs an integer unitary_seed, got {seed!r}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
+        for name, value in self.tolerances.items():
+            if not _is_number(value) or not math.isfinite(value) or value < 0:
+                raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
+        if self.experiment in ("completeness", "soundness"):
+            need = memory_estimate(self.p_qubits, self.a_qubits, self.l)
+            if need > MEMORY_BUDGET_BYTES:
+                raise ConfigError(
+                    f"l={self.l}, p_qubits={self.p_qubits}, a_qubits={self.a_qubits} needs an "
+                    f"estimated {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
+                )
 
     def tolerance(self, name: str) -> float:
         return float(self.tolerances.get(name, DEFAULT_TOLERANCES[name]))

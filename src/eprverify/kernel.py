@@ -13,13 +13,11 @@ import numpy as np
 
 from .linalg import (
     HERMITIAN_TOL,
-    dagger,
-    embed_unitary,
+    apply_local,
     is_hermitian,
     is_unitary,
     partial_trace as _partial_trace_positions,
-    permute_matrix,
-    permute_vector,
+    permute_qubits,
     proj,
     tensor,
 )
@@ -135,6 +133,11 @@ def to_density(state: State) -> DensityOperator:
     return state if isinstance(state, DensityOperator) else state.density()
 
 
+def _array(state: State) -> np.ndarray:
+    """Amplitudes of a pure state, matrix of a density operator."""
+    return state.amplitudes if isinstance(state, StateVector) else state.matrix
+
+
 def basis_state(lay: RegisterLayout, bits: str) -> StateVector:
     """Computational basis state from a bit string over the whole layout."""
     if len(bits) != lay.total_qubits or any(b not in "01" for b in bits):
@@ -159,23 +162,26 @@ def tensor_product(a: State, b: State) -> State:
     return DensityOperator(lay, tensor(to_density(a).matrix, to_density(b).matrix), validate=False)
 
 
-def partial_trace(dm: DensityOperator, keep: set[str] | list[str]) -> DensityOperator:
+def partial_trace(state: State, keep: set[str] | list[str]) -> DensityOperator:
     """Reduce to the named registers, preserved in layout order."""
     if not keep:
         raise ValueError("partial_trace requires a nonempty keep set")
     keep_set = set(keep)
-    names = [name for name in dm.layout.names if name in keep_set]
-    unknown = keep_set - set(dm.layout.names)
+    names = [name for name in state.layout.names if name in keep_set]
+    unknown = keep_set - set(state.layout.names)
     if unknown:
-        raise ValueError(f"unknown registers {sorted(unknown)}; layout has {dm.layout.names}")
-    return partial_trace_ordered(dm, names)
+        raise ValueError(f"unknown registers {sorted(unknown)}; layout has {state.layout.names}")
+    return partial_trace_ordered(state, names)
 
 
-def partial_trace_ordered(dm: DensityOperator, keep_names: list[str]) -> DensityOperator:
-    """Reduce to the named registers, arranged in the order given."""
-    positions = dm.layout.positions(keep_names)
-    reduced = _partial_trace_positions(dm.matrix, dm.layout.total_qubits, positions)
-    lay = RegisterLayout(tuple((n, dm.layout.size(n)) for n in keep_names))
+def partial_trace_ordered(state: State, keep_names: list[str]) -> DensityOperator:
+    """Reduce to the named registers, arranged in the order given.
+
+    A pure state is reduced from its amplitudes; its full density is never formed.
+    """
+    positions = state.layout.positions(keep_names)
+    reduced = _partial_trace_positions(_array(state), state.layout.total_qubits, positions)
+    lay = RegisterLayout(tuple((n, state.layout.size(n)) for n in keep_names))
     return DensityOperator(lay, reduced, validate=False)
 
 
@@ -269,14 +275,10 @@ def apply_unitary(state: State, u: np.ndarray, targets: list[str], check: bool =
     if check and not is_unitary(u, HERMITIAN_TOL):
         raise ValueError("operator is not unitary within tolerance")
     positions = state.layout.positions(targets)
-    if u.shape[0] != 2 ** len(positions):
-        raise ValueError(
-            f"unitary dim {u.shape[0]} does not match {len(positions)} target qubits"
-        )
-    big = embed_unitary(u, state.layout.total_qubits, positions)
+    out = apply_local(_array(state), u, state.layout.total_qubits, positions)
     if isinstance(state, StateVector):
-        return StateVector(state.layout, big @ state.amplitudes)
-    return DensityOperator(state.layout, big @ state.matrix @ dagger(big), validate=False)
+        return StateVector(state.layout, out)
+    return DensityOperator(state.layout, out, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +355,11 @@ def measure(
     records = []
     probs = []
     for label, small in pm.outcomes:
-        big = embed_unitary(small, n, positions)
+        branch = apply_local(_array(state), small, n, positions)
         if isinstance(state, StateVector):
-            branch = big @ state.amplitudes
             p = float(np.vdot(branch, branch).real)
             post = StateVector(state.layout, branch / np.sqrt(p)) if p >= PROB_FLOOR else None
         else:
-            branch = big @ state.matrix @ dagger(big)
             p = float(np.trace(branch).real)
             post = (
                 DensityOperator(state.layout, branch / p, validate=False)
@@ -391,7 +391,7 @@ def _check_pairs(state: State, pairs: list[tuple[str, str]]) -> list[tuple[str, 
 
 
 def select_ordered_pair(
-    dm: DensityOperator, pairs: list[tuple[str, str]], i: int, j: int
+    state: State, pairs: list[tuple[str, str]], i: int, j: int
 ) -> DensityOperator:
     """Move pair i into slot 1 and pair j into slot 2, tracing out all other pairs.
 
@@ -399,9 +399,9 @@ def select_ordered_pair(
     the first two pairs' register names carrying the selected contents.
     """
     pair_regs = {r for p in pairs for r in p}
-    untouched = [n for n in dm.layout.names if n not in pair_regs]
+    untouched = [n for n in state.layout.names if n not in pair_regs]
     keep = untouched + list(pairs[i]) + list(pairs[j])
-    reduced = partial_trace_ordered(dm, keep)
+    reduced = partial_trace_ordered(state, keep)
     slot_names = untouched + list(pairs[0]) + list(pairs[1])
     lay = RegisterLayout(tuple((n, reduced.layout.size(o)) for n, o in zip(slot_names, keep)))
     return DensityOperator(lay, reduced.matrix, validate=False)
@@ -429,17 +429,8 @@ def symmetrize_pairs(
             for d, s in zip(dst_pos, src_pos):
                 order[d] = s
         if isinstance(state, StateVector):
-            return StateVector(state.layout, permute_vector(state.amplitudes, n, order))
-        return DensityOperator(state.layout, permute_matrix(state.matrix, n, order), validate=False)
-    dm = to_density(state)
+            return StateVector(state.layout, permute_qubits(state.amplitudes, n, order))
+        return DensityOperator(state.layout, permute_qubits(state.matrix, n, order), validate=False)
     count = len(pairs)
-    acc = None
-    for i in range(count):
-        for j in range(count):
-            if i == j:
-                continue
-            term = select_ordered_pair(dm, pairs, i, j)
-            acc = term if acc is None else DensityOperator(
-                acc.layout, acc.matrix + term.matrix, validate=False
-            )
-    return DensityOperator(acc.layout, acc.matrix / (count * (count - 1)), validate=False)
+    terms = [select_ordered_pair(state, pairs, i, j) for i in range(count) for j in range(count) if i != j]
+    return DensityOperator(terms[0].layout, sum(t.matrix for t in terms) / len(terms), validate=False)

@@ -127,48 +127,63 @@ def hermitian_sqrt(a: np.ndarray, clip: float = HERMITIAN_TOL) -> np.ndarray:
     return (spec.eigenvectors * root) @ dagger(spec.eigenvectors)
 
 
-def permute_vector(vec: np.ndarray, n_qubits: int, order: list[int]) -> np.ndarray:
-    """Reorder tensor factors of a 2^n vector: new axis k holds old axis order[k]."""
-    vec = np.asarray(vec, dtype=complex).reshape([2] * n_qubits)
-    return vec.transpose(order).reshape(-1)
+def permute_qubits(t: np.ndarray, n_qubits: int, order: list[int]) -> np.ndarray:
+    """Reorder the tensor factors of a 2^n vector, or of a 2^n x 2^n matrix on both
+    index groups: new axis k holds old axis order[k]."""
+    t = np.asarray(t, dtype=complex)
+    axes = list(order) if t.ndim == 1 else list(order) + [n_qubits + k for k in order]
+    return t.reshape([2] * len(axes)).transpose(axes).reshape(t.shape)
 
 
-def permute_matrix(mat: np.ndarray, n_qubits: int, order: list[int]) -> np.ndarray:
-    """Reorder tensor factors of a 2^n x 2^n matrix on both index groups."""
-    mat = np.asarray(mat, dtype=complex).reshape([2] * (2 * n_qubits))
-    axes = list(order) + [n_qubits + k for k in order]
-    d = 2**n_qubits
-    return mat.transpose(axes).reshape(d, d)
+def _on_axes(t: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Contract op's input indices with the listed axes of a [2]*m tensor, in place of them."""
+    k = len(axes)
+    out = np.tensordot(op.reshape([2] * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
 
 
-def embed_unitary(u: np.ndarray, n_qubits: int, targets: list[int]) -> np.ndarray:
-    """Extend an operator on the listed qubits (in that order) to the full space.
+def apply_local(t: np.ndarray, op: np.ndarray, n_qubits: int, targets: list[int]) -> np.ndarray:
+    """Apply an operator on the listed qubits (in that order), identity elsewhere.
 
-    Works for any square operator on the target subspace, not only unitaries.
+    A 2^n vector psi gives op psi; a 2^n x 2^n matrix rho gives op rho op†.  Any
+    square operator on the target subspace is accepted, not only unitaries.
     """
-    u = np.asarray(u, dtype=complex)
-    t = list(targets)
-    if len(set(t)) != len(t):
-        raise ValueError(f"duplicate target qubits: {t}")
-    if u.shape != (2 ** len(t), 2 ** len(t)):
-        raise ValueError(f"operator shape {u.shape} does not match {len(t)} target qubits")
-    rest = [k for k in range(n_qubits) if k not in t]
-    big = tensor(u, np.eye(2 ** len(rest))) if rest else u
-    # big acts on qubit order t + rest; move axes back to global order.
-    inv = np.argsort(t + rest)
-    return permute_matrix(big, n_qubits, list(inv))
+    op = np.asarray(op, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    targets = list(targets)
+    if len(set(targets)) != len(targets) or any(q < 0 or q >= n_qubits for q in targets):
+        raise ValueError(f"invalid target qubits {targets} for {n_qubits} qubits")
+    if op.shape != (2 ** len(targets), 2 ** len(targets)):
+        raise ValueError(f"operator shape {op.shape} does not match {len(targets)} target qubits")
+    if targets == list(range(n_qubits)):
+        # Whole-register operators (swap-bench's CSWAP on 3-5 qubits): a matmul is 3-5x faster there.
+        return op @ t if t.ndim == 1 else op @ t @ dagger(op)
+    if t.ndim == 1:
+        return _on_axes(t.reshape([2] * n_qubits), op, targets).reshape(-1)
+    d = 2**n_qubits
+    out = _on_axes(t.reshape([2] * (2 * n_qubits)), op, targets)
+    out = _on_axes(out, op.conj(), [n_qubits + q for q in targets])
+    return out.reshape(d, d)
 
 
-def partial_trace(mat: np.ndarray, n_qubits: int, keep: list[int]) -> np.ndarray:
-    """Trace out all qubits not in ``keep``; kept factors appear in the listed order."""
+def partial_trace(t: np.ndarray, n_qubits: int, keep: list[int]) -> np.ndarray:
+    """Trace out all qubits not in ``keep``; kept factors appear in the listed order.
+
+    ``t`` is a 2^n x 2^n matrix, or a 2^n vector psi standing for |psi><psi|,
+    which is reduced without forming that matrix.
+    """
     keep = list(keep)
     if not keep:
         raise ValueError("partial_trace requires a nonempty keep list")
     if len(set(keep)) != len(keep) or any(k < 0 or k >= n_qubits for k in keep):
         raise ValueError(f"invalid keep positions {keep} for {n_qubits} qubits")
     drop = [k for k in range(n_qubits) if k not in keep]
-    t = np.asarray(mat, dtype=complex).reshape([2] * (2 * n_qubits))
-    axes = keep + drop + [n_qubits + k for k in keep] + [n_qubits + k for k in drop]
     dk, dd = 2 ** len(keep), 2 ** len(drop)
+    t = np.asarray(t, dtype=complex)
+    if t.ndim == 1:
+        m = t.reshape([2] * n_qubits).transpose(keep + drop).reshape(dk, dd)
+        return m @ dagger(m)
+    t = t.reshape([2] * (2 * n_qubits))
+    axes = keep + drop + [n_qubits + k for k in keep] + [n_qubits + k for k in drop]
     t = t.transpose(axes).reshape(dk, dd, dk, dd)
     return np.einsum("ikjk->ij", t)

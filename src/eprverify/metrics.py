@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger, hermitian_sqrt, proj, trace_norm, operator_norm
+from .linalg import dagger, hermitian_sqrt, trace_norm, operator_norm
 
 
 def _mat(x) -> np.ndarray:
@@ -128,8 +128,3 @@ def pure_fidelity_form(phi, sigma) -> float:
     phi, sigma = _vec(phi), _mat(sigma)
     val = float(np.real(np.vdot(phi, sigma @ phi)))
     return float(np.sqrt(max(val, 0.0)))
-
-
-def projector_overlap(phi) -> np.ndarray:
-    """Projector onto a pure state, for feeding vectors into matrix-form metrics."""
-    return proj(_vec(phi))

@@ -16,6 +16,7 @@ import numpy as np
 from . import rng as rngmod
 from .channels import apply_pinch, bell_subspaces, choi_state
 from .kernel import (
+    PROB_FLOOR,
     RegisterLayout,
     State,
     StateVector,
@@ -25,19 +26,18 @@ from .kernel import (
     layout,
     measure,
     partial_trace,
+    partial_trace_ordered,
     rx_prob,
     select_ordered_pair,
     standard_basis_measurement,
     symmetrize_pairs,
     tensor_product,
-    to_density,
     zero_state,
     HADAMARD,
     PAULI_X,
 )
 from .linalg import (
     dagger,
-    embed_unitary,
     is_projector,
     max_eigpair,
     proj,
@@ -103,7 +103,7 @@ def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVeri
     for x in range(dp):
         block = rotate_acc if x == dp - 1 else np.eye(da)
         v[x * da:(x + 1) * da, x * da:(x + 1) * da] = block
-    acc = embed_unitary(proj(np.array([0.0, 1.0])), p_qubits + a_qubits, [p_qubits])
+    acc = tensor(np.eye(dp), proj(np.array([0.0, 1.0])), np.eye(da // 2))
     toy = ToyVerifier(v, p_qubits, a_qubits, acc, float(p))
     top, _ = max_eigpair(accept_operator(toy))
     if abs(top - p) > 1e-9:
@@ -164,7 +164,7 @@ class ProtocolState:
 def verifier_marginal_distance(proof: ProtocolState) -> float:
     """Trace distance of the (S1', ..., Sl') marginal from the maximally mixed state."""
     primed = [pair_names(i)[1] for i in range(1, proof.l + 1)]
-    marg = partial_trace(to_density(proof.state), primed)
+    marg = partial_trace(proof.state, primed)
     d = marg.layout.dim
     return trace_distance(marg.matrix, np.eye(d) / d)
 
@@ -176,10 +176,9 @@ def symmetrize_and_pinch_fixed_point_distance(proof: ProtocolState) -> float:
     subspaces (the honest case), symmetrizing and pinching leave its two-pair
     restriction untouched and this distance is ~0.
     """
-    dm = to_density(proof.state)
-    sym = symmetrize_pairs(dm, proof.pairs)
+    sym = symmetrize_pairs(proof.state, proof.pairs)
     pinched = apply_pinch(apply_pinch(sym, pair_names(1)), pair_names(2))
-    reference = partial_trace(dm, ["P", *pair_names(1), *pair_names(2)])
+    reference = partial_trace(proof.state, ["P", *pair_names(1), *pair_names(2)])
     return trace_distance(pinched.matrix, reference.matrix)
 
 
@@ -202,14 +201,10 @@ def honest_proof(toy: ToyVerifier, l: int = 2) -> ProtocolState:
     Only defined in the yes-instance regime (maximum acceptance >= 1/2), where
     q = 1/(2 p_x) lands in [1/2, 1].
     """
-    p_x, witness = best_witness(toy)
+    p_x, _ = best_witness(toy)
     if p_x < 0.5 - 1e-12:
         raise ValueError(f"honest proof needs max acceptance >= 1/2, got {p_x}")
-    proof = _choi_pair_proof(toy, l, _clamped_q(p_x), witness)
-    dist = verifier_marginal_distance(proof)
-    if dist > MARGINAL_TOL:
-        raise ValueError(f"shared-pair marginal is off by trace distance {dist:.3e}")
-    return proof
+    return cheating_proof(ProverStrategy.honest(), toy, l)
 
 
 @dataclass(frozen=True)
@@ -283,12 +278,7 @@ def cheating_proof(strategy: ProverStrategy, toy: ToyVerifier, l: int = 2) -> Pr
     elif strategy.kind == "local_unitaries":
         if strategy.seed is None:
             raise ValueError("local_unitaries needs a seed")
-        lay = proof_layout(toy.p_qubits, l)
-        amps = _witness_vector(strategy, toy)
-        epr = choi_state(np.eye(2)).amplitudes
-        for _ in range(l):
-            amps = tensor(amps, epr)
-        sv = StateVector(lay, amps)
+        sv = _choi_pair_proof(toy, l, 0.0, _witness_vector(strategy, toy)).state
         sv = apply_unitary(sv, random_unitary(rngmod.stream(strategy.seed, 0), 2**toy.p_qubits), ["P"])
         for i in range(1, l + 1):
             u = random_unitary(rngmod.stream(strategy.seed, i), 2)
@@ -354,12 +344,15 @@ def swap_test(
 
 
 def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
-    """Closed form (1 + Tr(rho S))/2 for the joint state and the group-swap S."""
-    dm = to_density(state)
-    positions = dm.layout.positions(list(reg1) + list(reg2))
-    d = 2 ** (len(positions) // 2)
-    s = embed_unitary(_swap_operator(d), dm.layout.total_qubits, positions)
-    return float((1.0 + np.trace(dm.matrix @ s).real) / 2.0)
+    """Closed form (1 + Tr(rho S))/2 for the joint state and the group-swap S.
+
+    Tr(rho S) only needs the reduced state of the two groups: the sum of its
+    entries <ab|rho|ba>.
+    """
+    reduced = partial_trace_ordered(state, list(reg1) + list(reg2))
+    d = 2 ** (reduced.layout.total_qubits // 2)
+    overlap = np.einsum("abba->", reduced.matrix.reshape(d, d, d, d)).real
+    return float((1.0 + overlap) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +398,8 @@ def post_selection(
 
 def postsel_success_prob(state: State, regs: tuple[str, str, str] = ("S2", "S2'", "S1")) -> float:
     """Probability mass of the two kept Bell outcomes on (regs[1], regs[2])."""
-    dm = to_density(state)
-    positions = dm.layout.positions([regs[1], regs[2]])
-    big = embed_unitary(bell_subspaces().pi_plus, dm.layout.total_qubits, positions)
-    return float(np.trace(dm.matrix @ big).real)
+    reduced = partial_trace_ordered(state, [regs[1], regs[2]])
+    return float(np.trace(reduced.matrix @ bell_subspaces().pi_plus).real)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +511,6 @@ class ProtocolRun:
             raise ValueError("proof P register does not match the verifier")
         self.proof = proof
         self.toy = toy
-        self._dm = to_density(proof.state)
         self._trees: dict[tuple[int, int], _PairTree] = {}
 
     def _tree(self, i: int, j: int) -> _PairTree:
@@ -528,10 +518,10 @@ class ProtocolRun:
         if key in self._trees:
             return self._trees[key]
         toy = self.toy
-        dm = select_ordered_pair(self._dm, self.proof.pairs, i, j)
+        dm = select_ordered_pair(self.proof.state, self.proof.pairs, i, j)
         dm = apply_pinch(dm, ("S1", "S1'"))
         dm = apply_pinch(dm, ("S2", "S2'"))
-        swap_pass = swap_test(dm, ["S1", "S1'"], ["S2", "S2'"])
+        swap_pass = swap_test_formula(dm, ["S1", "S1'"], ["S2", "S2'"])
 
         w = apply_unitary(dm, bell_to_computational(), ["S1", "S1'"])
         w = partial_trace(w, ["P", "S1", "S2", "S2'"])
@@ -550,11 +540,11 @@ class ProtocolRun:
         for branch in post_selection(w, ("S2", "S2'", "S1")):
             bell_probs[branch.label] = branch.probability
             if branch.success and branch.state is not None:
-                pm = standard_basis_measurement(branch.state.layout, ["A", "S2"])
-                records = measure(branch.state, pm)
+                # Standard-basis outcome probabilities of (A, S2): the reduced diagonal.
+                diag = partial_trace_ordered(branch.state, ["A", "S2"]).matrix.diagonal().real
                 bit_dists[branch.label] = (
-                    [r.label for r in records],
-                    [r.probability for r in records],
+                    [format(idx, f"0{toy.a_qubits + 1}b") for idx in range(diag.size)],
+                    [float(p) if p >= PROB_FLOOR else 0.0 for p in diag],
                 )
         tree = _PairTree(bell_probs, bit_dists, swap_pass)
         self._trees[key] = tree

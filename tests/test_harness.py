@@ -7,10 +7,12 @@ import pytest
 
 from eprverify.cli import main
 from eprverify.harness import (
+    MEMORY_BUDGET_BYTES,
     ConfigError,
     ExperimentConfig,
     emit_report,
     lemma_suite,
+    memory_estimate,
     run_experiment,
 )
 
@@ -255,13 +257,47 @@ def test_cli_env_seed_default_and_flag_override(tmp_path, monkeypatch):
 
 
 def test_cli_validation_failure_exit_two(tmp_path):
-    # an impossible margin tolerance forces the lemmas gate to trip
+    # a zero swap tolerance forces the swap-bench gate to trip on rounding error
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"experiment": "lemmas", "trials": 5, "tolerances": {"margin": -1.0}})
+        json.dumps({"experiment": "swap-bench", "trials": 20, "tolerances": {"swap": 0.0}})
     )
     out = tmp_path / "r.json"
-    assert main(["lemmas", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["swap-bench", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "lemmas", "tolerances": {"margin": "abc"}},
+        {"experiment": "completeness", "tolerances": {"branch_sum": "nan"}},
+        {"experiment": "lemmas", "tolerances": {"margin": float("nan")}},
+        {"experiment": "swap-bench", "tolerances": {"swap": float("inf")}},
+        {"experiment": "lemmas", "tolerances": {"margin": -1.0}},
+        {"experiment": "soundness", "strategy": {"kind": "local_unitaries", "unitary_seed": "x"}},
+        {"experiment": "soundness", "strategy": {"kind": "local_unitaries", "unitary_seed": 1.5}},
+        {"experiment": "soundness", "strategy": {"kind": "choi_product", "q": "abc"}},
+    ],
+)
+def test_cli_bad_config_value_exit_one(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main([config["experiment"], "--config", str(cfg)]) == 1
+    assert "invalid config" in capsys.readouterr().err
+
+
+def test_cli_over_memory_budget_exit_one(tmp_path, capsys):
+    # rejected from the estimate alone: l = 40 would need 2^81 amplitudes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "completeness", "l": 40}))
+    assert main(["completeness", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "estimated 9.01e+16 GiB" in err and "1 GiB budget" in err
+
+
+def test_benchmark_sized_configs_are_well_under_memory_budget():
+    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 1000
+    assert memory_estimate(p_qubits=1, a_qubits=1, l=10) < MEMORY_BUDGET_BYTES
 
 
 def test_cli_usage_error_exit_one(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eprverify.kernel import (
     BELL_STATES,
@@ -20,6 +21,7 @@ from eprverify.kernel import (
     make_gate,
     measure,
     partial_trace,
+    partial_trace_ordered,
     rx_prob,
     standard_basis_measurement,
     symmetrize_pairs,
@@ -174,7 +176,7 @@ def test_bell_measure_of_epr():
 
 
 def test_measure_probabilities_sum_and_reconstruction():
-    from eprverify.linalg import embed_unitary
+    from dense_reference import embed_unitary
 
     lay = layout(("a", 1), ("b", 1), ("c", 1))
     pm = standard_basis_measurement(lay, ["a", "c"])
@@ -323,6 +325,20 @@ def test_symmetrize_rejects_fewer_than_two_pairs():
     sv = StateVector(_pair_layout(2), random_pure(RNG, 16))
     with pytest.raises(ValueError):
         symmetrize_pairs(sv, [_pairs(2)[0]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.permutations(range(n)), st.integers(1, n))),
+       st.integers(0, 2**32 - 1))
+def test_state_vector_reduction_equals_density_reduction(keep_case, seed):
+    order, k = keep_case
+    lay = RegisterLayout(tuple((f"q{i}", 1) for i in range(len(order))))
+    sv = StateVector(lay, random_pure(np.random.default_rng(seed), lay.dim))
+    keep = [f"q{i}" for i in order[:k]]
+    from_vector = partial_trace_ordered(sv, keep)
+    from_density = partial_trace_ordered(sv.density(), keep)
+    assert from_vector.layout == from_density.layout
+    np.testing.assert_allclose(from_vector.matrix, from_density.matrix, rtol=0, atol=1e-12)
 
 
 def test_tensor_product_name_clash():

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eprverify.linalg import (
+    apply_local,
     dagger,
-    embed_unitary,
     is_hermitian,
     is_projector,
     is_unitary,
@@ -19,6 +20,8 @@ from eprverify.linalg import (
 )
 from eprverify.kernel import HADAMARD
 from eprverify.sampling import random_complex_matrix, random_density, random_hermitian
+
+from dense_reference import embed_unitary
 
 RNG = np.random.default_rng(20240811)
 
@@ -227,3 +230,40 @@ def test_embed_unitary_reorders_targets():
     flipped = embed_unitary(cnot, 2, [1, 0])
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
     assert np.allclose(flipped, swap @ cnot @ swap)
+
+
+@st.composite
+def local_operator_cases(draw):
+    """(n, targets, seed): a random target subset of n <= 6 qubits in random order,
+    or the same subset reversed, or all qubits in order."""
+    n = draw(st.integers(1, 6))
+    targets = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    shape = draw(st.sampled_from(("as drawn", "reversed", "all in order")))
+    if shape == "reversed":
+        targets = sorted(targets, reverse=True)
+    elif shape == "all in order":
+        targets = list(range(n))
+    return n, targets, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_operator_cases())
+def test_apply_local_matches_dense_embedding(case):
+    n, targets, seed = case
+    rng = np.random.default_rng(seed)
+    op = random_complex_matrix(rng, 2 ** len(targets))
+    big = embed_unitary(op, n, targets)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    rho = random_complex_matrix(rng, 2**n)
+    np.testing.assert_allclose(apply_local(psi, op, n, targets), big @ psi, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(apply_local(rho, op, n, targets), big @ rho @ dagger(big), rtol=0, atol=1e-9)
+
+
+def test_apply_local_rejects_bad_targets():
+    psi = np.ones(4, dtype=complex)
+    with pytest.raises(ValueError):
+        apply_local(psi, np.eye(4), 2, [0, 0])
+    with pytest.raises(ValueError):
+        apply_local(psi, np.eye(2), 2, [2])
+    with pytest.raises(ValueError):
+        apply_local(psi, np.eye(4), 2, [0])

@@ -504,3 +504,19 @@ def test_four_pair_runs():
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
     cheat = verifier_w(cheating_proof(ProverStrategy.local_unitaries(3), toy, l=4), toy)
     assert sum(cheat.branches.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_protocol_run_never_forms_the_proof_density(monkeypatch):
+    toy = make_toy_verifier(0.75)
+    n = proof_layout(toy.p_qubits, 3).total_qubits
+    original = StateVector.density
+
+    def guarded(self):
+        assert self.layout.total_qubits < n, "formed the density of the whole proof"
+        return original(self)
+
+    monkeypatch.setattr(StateVector, "density", guarded)
+    for proof in (honest_proof(toy, 3), cheating_proof(ProverStrategy.local_unitaries(2), toy, l=3)):
+        run = ProtocolRun(proof, toy)
+        assert sum(run.exact().branches.values()) == pytest.approx(1.0, abs=1e-9)
+        run.sample(stream(1, 0))

@@ -12,7 +12,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -440,16 +440,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     else:
         report = _run_swap_bench(config)
     wall = (time.perf_counter() - start) * 1000.0
-    return ExperimentReport(
-        config=report.config,
-        accept_probability=report.accept_probability,
-        reject_probability=report.reject_probability,
-        branches=report.branches,
-        lemma_margins=report.lemma_margins,
-        details=report.details,
-        trial_rows=report.trial_rows,
-        wall_time_ms=wall,
-    )
+    return replace(report, wall_time_ms=wall)
 
 
 def emit_report(report: ExperimentReport, fmt: str = "json", include_timing: bool = False) -> bytes:

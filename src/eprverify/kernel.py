@@ -17,7 +17,6 @@ from .linalg import (
     is_hermitian,
     is_unitary,
     partial_trace as _partial_trace_positions,
-    permute_qubits,
     proj,
     tensor,
 )
@@ -340,12 +339,8 @@ def bell_measurement(targets: tuple[str, str]) -> ProjectiveMeasurement:
     return ProjectiveMeasurement(outcomes, tuple(targets))
 
 
-def measure(
-    state: State,
-    pm: ProjectiveMeasurement,
-    rng: np.random.Generator | None = None,
-) -> list[MeasurementRecord] | MeasurementRecord:
-    """Measure the state: all outcomes exactly (rng=None) or one sampled outcome.
+def measure(state: State, pm: ProjectiveMeasurement) -> list[MeasurementRecord]:
+    """Measure the state exactly: every outcome with its probability and post state.
 
     Outcomes with probability below 1e-14 are reported with probability 0 and
     no post state.
@@ -353,7 +348,6 @@ def measure(
     n = state.layout.total_qubits
     positions = state.layout.positions(list(pm.targets))
     records = []
-    probs = []
     for label, small in pm.outcomes:
         branch = apply_local(_array(state), small, n, positions)
         if isinstance(state, StateVector):
@@ -366,14 +360,8 @@ def measure(
                 if p >= PROB_FLOOR
                 else None
             )
-        p = p if p >= PROB_FLOOR else 0.0
-        probs.append(p)
-        records.append(MeasurementRecord(label, p, post))
-    if rng is None:
-        return records
-    total = sum(probs)
-    pick = int(rng.choice(len(records), p=np.asarray(probs) / total))
-    return records[pick]
+        records.append(MeasurementRecord(label, p if p >= PROB_FLOOR else 0.0, post))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -407,30 +395,13 @@ def select_ordered_pair(
     return DensityOperator(lay, reduced.matrix, validate=False)
 
 
-def symmetrize_pairs(
-    state: State,
-    pairs: list[tuple[str, str]],
-    rng: np.random.Generator | None = None,
-) -> State:
+def symmetrize_pairs(state: State, pairs: list[tuple[str, str]]) -> DensityOperator:
     """Uniformly permute structurally identical register pairs.
 
-    Exact mode (rng=None) returns the permutation average restricted to the
-    first two pair slots, as a density operator; sample mode applies one
-    uniformly drawn permutation to the full state.
+    Returns the permutation average restricted to the first two pair slots:
+    the mean of the l(l-1) ordered-pair reductions, as a density operator.
     """
     pairs = _check_pairs(state, pairs)
-    n = state.layout.total_qubits
-    if rng is not None:
-        perm = rng.permutation(len(pairs))
-        order = list(range(n))
-        for slot, src in enumerate(perm):
-            dst_pos = state.layout.positions(list(pairs[slot]))
-            src_pos = state.layout.positions(list(pairs[src]))
-            for d, s in zip(dst_pos, src_pos):
-                order[d] = s
-        if isinstance(state, StateVector):
-            return StateVector(state.layout, permute_qubits(state.amplitudes, n, order))
-        return DensityOperator(state.layout, permute_qubits(state.matrix, n, order), validate=False)
     count = len(pairs)
     terms = [select_ordered_pair(state, pairs, i, j) for i in range(count) for j in range(count) if i != j]
     return DensityOperator(terms[0].layout, sum(t.matrix for t in terms) / len(terms), validate=False)

@@ -16,7 +16,10 @@ import numpy as np
 from . import rng as rngmod
 from .channels import apply_pinch, bell_subspaces, choi_state
 from .kernel import (
+    BELL_LABELS,
+    BELL_STATES,
     PROB_FLOOR,
+    DensityOperator,
     RegisterLayout,
     State,
     StateVector,
@@ -304,18 +307,12 @@ def _swap_operator(dim: int) -> np.ndarray:
     return s
 
 
-def swap_test(
-    state: State,
-    reg1: list[str],
-    reg2: list[str],
-    rng: np.random.Generator | None = None,
-) -> float | bool:
+def swap_test(state: State, reg1: list[str], reg2: list[str]) -> float:
     """Run the SWAP test circuit between two equally sized register groups.
 
-    Exact mode (rng=None) returns the acceptance probability from the full
-    circuit: ancilla Hadamard, controlled swap of the two groups, Hadamard,
-    standard-basis measurement, accepting on 0.  Sampled mode returns one
-    accept/reject draw.
+    Returns the acceptance probability from the full circuit: ancilla
+    Hadamard, controlled swap of the two groups, Hadamard, standard-basis
+    measurement, accepting on 0.
     """
     reg1, reg2 = list(reg1), list(reg2)
     d1 = 2 ** sum(state.layout.size(r) for r in reg1)
@@ -335,12 +332,7 @@ def swap_test(
     ).astype(complex)
     joint = apply_unitary(joint, cswap, [anc] + reg1 + reg2, check=False)
     joint = apply_unitary(joint, HADAMARD, [anc])
-    pm = standard_basis_measurement(joint.layout, [anc])
-    if rng is None:
-        records = measure(joint, pm)
-        return records[0].probability
-    record = measure(joint, pm, rng)
-    return record.label == "0"
+    return measure(joint, standard_basis_measurement(joint.layout, [anc]))[0].probability
 
 
 def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
@@ -368,32 +360,26 @@ class PostSelectionBranch:
 
 
 def post_selection(
-    state: State,
-    regs: tuple[str, str, str] = ("S2", "S2'", "S1"),
-    rng: np.random.Generator | None = None,
-) -> list[PostSelectionBranch] | PostSelectionBranch:
+    state: State, regs: tuple[str, str, str] = ("S2", "S2'", "S1")
+) -> list[PostSelectionBranch]:
     """Teleport the third register's content into the first through a shared pair.
 
     Bell-measures (regs[1], regs[2]); phi+ succeeds as is, psi+ succeeds after
-    an X correction on regs[0], and the minus outcomes are failures.  Exact
-    mode returns all four branches with probabilities and post states.
+    an X correction on regs[0], and the minus outcomes are failures.  Returns
+    all four branches with probabilities and post states.
     """
     out_reg, bridge, source = regs
     for r in regs:
         if state.layout.size(r) != 1:
             raise ValueError(f"post_selection registers must be single qubits, {r} is not")
-    pm = bell_measurement((bridge, source))
-
-    def mk(record) -> PostSelectionBranch:
-        success = record.label in ("phi+", "psi+")
+    branches = []
+    for record in measure(state, bell_measurement((bridge, source))):
         post = record.post_state
         if post is not None and record.label == "psi+":
             post = apply_unitary(post, PAULI_X, [out_reg])
-        return PostSelectionBranch(record.label, record.probability, success, post)
-
-    if rng is None:
-        return [mk(record) for record in measure(state, pm)]
-    return mk(measure(state, pm, rng))
+        success = record.label in ("phi+", "psi+")
+        branches.append(PostSelectionBranch(record.label, record.probability, success, post))
+    return branches
 
 
 def postsel_success_prob(state: State, regs: tuple[str, str, str] = ("S2", "S2'", "S1")) -> float:
@@ -484,6 +470,44 @@ class _PairTree:
     swap_pass: float
 
 
+def _pair_tree(dm: DensityOperator, toy: ToyVerifier) -> _PairTree:
+    """Outcome distributions of both coins' branches on a (P, S1, S1', S2, S2') state."""
+    dm = apply_pinch(dm, ("S1", "S1'"))
+    dm = apply_pinch(dm, ("S2", "S2'"))
+    swap_pass = swap_test_formula(dm, ["S1", "S1'"], ["S2", "S2'"])
+
+    w = apply_unitary(dm, bell_to_computational(), ["S1", "S1'"])
+    w = partial_trace(w, ["P", "S1", "S2", "S2'"])
+    ancilla = zero_state(layout(("A", toy.a_qubits)))
+    w = tensor_product(w, ancilla.density())
+    w = apply_unitary(w, toy.v, ["P", "A"], check=False)
+    da = 2**toy.a_qubits
+    flip = np.eye(2**toy.p_qubits * da * 2) - 2.0 * tensor(
+        toy.acc_projector, proj(np.array([0.0, 1.0]))
+    )
+    w = apply_unitary(w, flip, ["P", "A", "S1"], check=False)
+    w = apply_unitary(w, dagger(toy.v), ["P", "A"], check=False)
+
+    # Rotate Bell outcome k of (S2', S1) onto basis state k: the reduced
+    # diagonal is then the joint distribution of (outcome, A bits, S2 bit).
+    w = apply_unitary(w, BELL_STATES.conj(), ["S2'", "S1"], check=False)
+    joint = partial_trace_ordered(w, ["S2'", "S1", "A", "S2"]).matrix.diagonal().real
+    bit_labels = [format(idx, f"0{toy.a_qubits + 1}b") for idx in range(2 * da)]
+    bell_probs: dict[str, float] = {}
+    bit_dists: dict[str, tuple[list[str], list[float]]] = {}
+    for label, outcome in zip(BELL_LABELS, joint.reshape(4, da, 2)):
+        p_bell = float(outcome.sum())
+        bell_probs[label] = p_bell if p_bell >= PROB_FLOOR else 0.0
+        if label in ("phi+", "psi+") and p_bell >= PROB_FLOOR:
+            if label == "psi+":
+                outcome = outcome[:, ::-1]  # the X correction on S2
+            bit_dists[label] = (
+                bit_labels,
+                [float(p) if p >= PROB_FLOOR else 0.0 for p in (outcome / p_bell).ravel()],
+            )
+    return _PairTree(bell_probs, bit_dists, swap_pass)
+
+
 def _draw(rng: np.random.Generator, labels: list[str], probs: list[float]) -> str:
     edge = rng.random() * sum(probs)
     acc = 0.0
@@ -501,9 +525,10 @@ def _draw(rng: np.random.Generator, labels: list[str], probs: list[float]) -> st
 class ProtocolRun:
     """Verifier evaluation against a fixed proof, exact or sampled.
 
-    Outcome distributions for each (ordered pair, coin) choice are computed
-    once and cached, so large sampled suites pay the circuit cost only
-    l(l-1) times.
+    Exact mode evaluates one tree, on the pair-symmetrized state.  Sampled
+    mode draws the ordered pair (i, j) itself, because each trial reports the
+    pair beside its verdict; each pair's tree is computed once and cached, so
+    large sampled suites pay the circuit cost at most l(l-1) times.
     """
 
     def __init__(self, proof: ProtocolState, toy: ToyVerifier):
@@ -513,69 +538,30 @@ class ProtocolRun:
         self.toy = toy
         self._trees: dict[tuple[int, int], _PairTree] = {}
 
-    def _tree(self, i: int, j: int) -> _PairTree:
-        key = (i, j)
-        if key in self._trees:
-            return self._trees[key]
-        toy = self.toy
-        dm = select_ordered_pair(self.proof.state, self.proof.pairs, i, j)
-        dm = apply_pinch(dm, ("S1", "S1'"))
-        dm = apply_pinch(dm, ("S2", "S2'"))
-        swap_pass = swap_test_formula(dm, ["S1", "S1'"], ["S2", "S2'"])
-
-        w = apply_unitary(dm, bell_to_computational(), ["S1", "S1'"])
-        w = partial_trace(w, ["P", "S1", "S2", "S2'"])
-        ancilla = zero_state(layout(("A", toy.a_qubits)))
-        w = tensor_product(w, ancilla.density())
-        w = apply_unitary(w, toy.v, ["P", "A"], check=False)
-        da = 2**toy.a_qubits
-        flip = np.eye(2**toy.p_qubits * da * 2) - 2.0 * tensor(
-            toy.acc_projector, proj(np.array([0.0, 1.0]))
-        )
-        w = apply_unitary(w, flip, ["P", "A", "S1"], check=False)
-        w = apply_unitary(w, dagger(toy.v), ["P", "A"], check=False)
-
-        bell_probs: dict[str, float] = {}
-        bit_dists: dict[str, tuple[list[str], list[float]]] = {}
-        for branch in post_selection(w, ("S2", "S2'", "S1")):
-            bell_probs[branch.label] = branch.probability
-            if branch.success and branch.state is not None:
-                # Standard-basis outcome probabilities of (A, S2): the reduced diagonal.
-                diag = partial_trace_ordered(branch.state, ["A", "S2"]).matrix.diagonal().real
-                bit_dists[branch.label] = (
-                    [format(idx, f"0{toy.a_qubits + 1}b") for idx in range(diag.size)],
-                    [float(p) if p >= PROB_FLOOR else 0.0 for p in diag],
-                )
-        tree = _PairTree(bell_probs, bit_dists, swap_pass)
-        self._trees[key] = tree
-        return tree
-
-    def _ordered_pairs(self) -> list[tuple[int, int]]:
-        l = self.proof.l
-        return [(i, j) for i in range(l) for j in range(l) if i != j]
-
     def exact(self) -> BranchBreakdown:
+        """Branch masses from one tree on the pair-symmetrized state.
+
+        The verifier draws the ordered pair uniformly, and every later step
+        (pinch, decode, V, flip, V†, post-selection and the Born rule) is
+        linear in the two-slot state.  So the mean of the l(l-1) pair trees'
+        masses is the masses of one tree on the mean of the ordered-pair
+        reductions.  This holds for any proof: the reductions need not be
+        equal, and nothing assumes they are.
+        """
+        tree = _pair_tree(symmetrize_pairs(self.proof.state, self.proof.pairs), self.toy)
         masses = {k: 0.0 for k in BRANCH_KEYS}
-        pairs = self._ordered_pairs()
-        weight = 0.5 / len(pairs)
+        masses["b1_swap_accept"] = 0.5 * tree.swap_pass
+        masses["b1_swap_reject"] = 0.5 * (1.0 - tree.swap_pass)
         zero_label = "0" * (self.toy.a_qubits + 1)
-        for i, j in pairs:
-            tree = self._tree(i, j)
-            masses["b1_swap_accept"] += weight * tree.swap_pass
-            masses["b1_swap_reject"] += weight * (1.0 - tree.swap_pass)
-            for label, p_bell in tree.bell_probs.items():
-                if label in ("phi-", "psi-"):
-                    masses["b0_postsel_fail"] += weight * p_bell
-                    continue
-                if label not in tree.bit_dists:
-                    continue
-                labels, probs = tree.bit_dists[label]
-                for bits, p_bits in zip(labels, probs):
-                    mass = weight * p_bell * p_bits
-                    if bits == zero_label:
-                        masses["b0_allzero_reject"] += mass
-                    else:
-                        masses["b0_measured_accept"] += mass
+        for label, p_bell in tree.bell_probs.items():
+            if label in ("phi-", "psi-"):
+                masses["b0_postsel_fail"] += 0.5 * p_bell
+                continue
+            if label not in tree.bit_dists:
+                continue
+            for bits, p_bits in zip(*tree.bit_dists[label]):
+                key = "b0_allzero_reject" if bits == zero_label else "b0_measured_accept"
+                masses[key] += 0.5 * p_bell * p_bits
         reject = masses["b0_allzero_reject"] + masses["b1_swap_reject"]
         return BranchBreakdown(1.0 - reject, reject, masses)
 
@@ -586,7 +572,10 @@ class ProtocolRun:
         if j >= i:
             j += 1
         coin = int(rng.integers(2))
-        tree = self._tree(i, j)
+        if (i, j) not in self._trees:
+            dm = select_ordered_pair(self.proof.state, self.proof.pairs, i, j)
+            self._trees[i, j] = _pair_tree(dm, self.toy)
+        tree = self._trees[i, j]
         pair = (i + 1, j + 1)
         if coin == 1:
             passed = bool(rng.random() < tree.swap_pass)

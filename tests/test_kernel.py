@@ -31,7 +31,6 @@ from eprverify.kernel import (
 )
 from eprverify.linalg import dagger, is_unitary, tensor
 from eprverify.metrics import trace_distance
-from eprverify.rng import stream
 from eprverify.sampling import random_density, random_pure, random_unitary
 
 RNG = np.random.default_rng(911)
@@ -233,15 +232,6 @@ def test_tiny_probabilities_are_zeroed():
     assert records[1].post_state is None
 
 
-def test_sampled_measurement_frequencies():
-    sv = apply_unitary(zero_state(layout(("R", 1))), HADAMARD, ["R"])
-    pm = standard_basis_measurement(sv.layout, ["R"])
-    n = 4000
-    ones = sum(measure(sv, pm, stream(5, t)).label == "1" for t in range(n))
-    bound = 5 * np.sqrt(0.25 / n)
-    assert abs(ones / n - 0.5) <= bound
-
-
 def test_measurement_validation():
     good = standard_basis_measurement(layout(("R", 1)), ["R"])
     assert good.labels == ("0", "1")
@@ -304,21 +294,6 @@ def test_symmetrize_exact_output_swap_invariant():
     )
     # swapping the retained slots permutes names only; content must agree
     assert trace_distance(out.matrix, swapped.matrix) <= 1e-10
-
-
-def test_symmetrize_sample_mode_applies_one_permutation():
-    sigma = random_pure(RNG, 4)
-    tau = random_pure(RNG, 4)
-    sv = StateVector(_pair_layout(2), tensor(sigma, tau))
-    seen = set()
-    for t in range(40):
-        out = symmetrize_pairs(sv, _pairs(2), rng=stream(3, t))
-        assert isinstance(out, StateVector)
-        hit_id = np.allclose(out.amplitudes, tensor(sigma, tau))
-        hit_swap = np.allclose(out.amplitudes, tensor(tau, sigma))
-        assert hit_id or hit_swap
-        seen.add("id" if hit_id else "swap")
-    assert seen == {"id", "swap"}
 
 
 def test_symmetrize_rejects_fewer_than_two_pairs():

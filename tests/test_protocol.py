@@ -2,21 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from eprverify.channels import choi_state, pinch_phi
+from eprverify.channels import apply_pinch, choi_state, pinch_phi
 from eprverify.kernel import (
     BELL_STATES,
+    PROB_FLOOR,
     DensityOperator,
     StateVector,
+    apply_unitary,
+    bell_to_computational,
     layout,
     partial_trace,
+    partial_trace_ordered,
     rx_prob,
+    select_ordered_pair,
     tensor_product,
     to_density,
+    zero_state,
 )
 from eprverify.linalg import dagger, is_unitary, max_eigpair, operator_norm, proj, tensor
 from eprverify.metrics import pure_fidelity_form, trace_distance
 from eprverify.protocol import (
+    BRANCH_KEYS,
     HalfEigenpairError,
     ProtocolRun,
     ProtocolState,
@@ -35,9 +43,12 @@ from eprverify.protocol import (
     symmetrize_and_pinch_fixed_point_distance,
     verifier_marginal_distance,
     verifier_w,
+    _pair_tree,
 )
 from eprverify.rng import stream
 from eprverify.sampling import random_density, random_pure, random_unitary
+
+from monolithic_oracle import verifier_branch_masses
 
 RNG = np.random.default_rng(424242)
 
@@ -198,12 +209,6 @@ def test_swap_test_on_correlated_joint_state():
         )
 
 
-def test_swap_test_sampled_mode():
-    psi = random_pure(RNG, 2)
-    state = _product_state(proj(psi), proj(psi), 1)
-    assert all(swap_test(state, ["L"], ["R"], rng=stream(1, t)) for t in range(50))
-
-
 def test_swap_test_dim_mismatch():
     state = tensor_product(
         DensityOperator(layout(("L", 2)), np.eye(4) / 4),
@@ -272,13 +277,6 @@ def test_post_selection_phi_minus_pair_brute_force():
             corrected = corrected / np.linalg.norm(corrected)
             got = partial_trace(to_density(branches[label].state), ["S2"])
             assert trace_distance(got.matrix, proj(corrected)) <= 1e-12
-
-
-def test_post_selection_sampled_mode():
-    q, phi = 0.5, random_pure(RNG, 2)
-    outcomes = [post_selection(_teleport_input(q, phi), rng=stream(2, t)) for t in range(200)]
-    freq = sum(o.success for o in outcomes) / len(outcomes)
-    assert abs(freq - 0.5) <= 5 * np.sqrt(0.25 / 200)
 
 
 def test_postsel_success_prob_choi_pair_times_anything():
@@ -504,6 +502,97 @@ def test_four_pair_runs():
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
     cheat = verifier_w(cheating_proof(ProverStrategy.local_unitaries(3), toy, l=4), toy)
     assert sum(cheat.branches.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_eight_pair_runs():
+    toy = make_toy_verifier(0.75)
+    result = verifier_w(honest_proof(toy, l=8), toy)
+    assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
+    cheat = verifier_w(cheating_proof(ProverStrategy.local_unitaries(3), toy, l=8), toy)
+    assert sum(cheat.branches.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+def _distinct_choi_pairs(l: int) -> ProtocolState:
+    rng = np.random.default_rng(100 + l)
+    amps = np.array([0.0, 1.0], dtype=complex)
+    for _ in range(l):
+        amps = tensor(amps, choi_state(random_unitary(rng, 2)).amplitudes)
+    return ProtocolState(StateVector(proof_layout(1, l), amps), l)
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_exact_matches_oracle_on_non_exchangeable_proofs(l):
+    # exact() evaluates one tree on the pair-averaged state; the oracle runs
+    # each ordered pair's reduction, and their mean must agree
+    toy = make_toy_verifier(0.3)
+    ordered = [(i, j) for i in range(l) for j in range(l) if i != j]
+    for strategy in (ProverStrategy.local_unitaries(7), ProverStrategy.custom(_distinct_choi_pairs(l))):
+        proof = cheating_proof(strategy, toy, l)
+        reductions = [select_ordered_pair(proof.state, proof.pairs, i, j).matrix for i, j in ordered]
+        assert trace_distance(reductions[0], reductions[l - 1]) > 1e-3  # (0,1) vs (1,0)
+        per_pair = [
+            verifier_branch_masses(toy.v, toy.acc_projector, toy.p_qubits, toy.a_qubits, rho)
+            for rho in reductions
+        ]
+        result = ProtocolRun(proof, toy).exact()
+        for key in BRANCH_KEYS:
+            expected = np.mean([masses[key] for masses in per_pair])
+            assert result.branches[key] == pytest.approx(expected, abs=1e-9), (strategy.kind, key)
+
+
+def _circuit_tree(dm, toy):
+    """The pair tree's coin-0 distributions by the measurement circuit: the
+    verifier steps, post_selection, then the (A, S2) diagonal of each
+    successful post state."""
+    dm = apply_pinch(apply_pinch(dm, ("S1", "S1'")), ("S2", "S2'"))
+    w = apply_unitary(dm, bell_to_computational(), ["S1", "S1'"])
+    w = partial_trace(w, ["P", "S1", "S2", "S2'"])
+    w = tensor_product(w, zero_state(layout(("A", toy.a_qubits))).density())
+    w = apply_unitary(w, toy.v, ["P", "A"])
+    flip = np.eye(2 ** (toy.p_qubits + toy.a_qubits + 1)) - 2.0 * tensor(
+        toy.acc_projector, proj(np.array([0.0, 1.0]))
+    )
+    w = apply_unitary(w, flip, ["P", "A", "S1"])
+    w = apply_unitary(w, dagger(toy.v), ["P", "A"])
+    bell_probs, bit_dists = {}, {}
+    for branch in post_selection(w, ("S2", "S2'", "S1")):
+        bell_probs[branch.label] = branch.probability
+        if branch.success and branch.state is not None:
+            diag = partial_trace_ordered(branch.state, ["A", "S2"]).matrix.diagonal().real
+            bit_dists[branch.label] = [p if p >= PROB_FLOOR else 0.0 for p in diag]
+    return bell_probs, bit_dists
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p_qubits=st.integers(1, 2),
+    a_qubits=st.integers(1, 2),
+    p=st.floats(0.05, 1.0),
+    kind=st.sampled_from(["mixed", "pure", "idle_epr"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_tree_diagonal_read_matches_post_selection(p_qubits, a_qubits, p, kind, seed):
+    toy = make_toy_verifier(p, p_qubits, a_qubits)
+    lay = proof_layout(p_qubits, 2)
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        dm = DensityOperator(lay, random_density(rng, lay.dim), validate=False)
+    elif kind == "pure":
+        dm = StateVector(lay, random_pure(rng, lay.dim)).density()
+    else:
+        # deterministic bits: most conditional probabilities sit on PROB_FLOOR
+        proof = cheating_proof(ProverStrategy.idle_epr(), toy, l=2)
+        dm = select_ordered_pair(proof.state, proof.pairs, 0, 1)
+    tree = _pair_tree(dm, toy)
+    bell_probs, bit_dists = _circuit_tree(dm, toy)
+    assert list(tree.bell_probs) == list(bell_probs)
+    for label, prob in bell_probs.items():
+        assert tree.bell_probs[label] == pytest.approx(prob, abs=1e-12)
+    assert set(tree.bit_dists) == set(bit_dists)
+    for label, probs in bit_dists.items():
+        labels, got = tree.bit_dists[label]
+        assert labels == [format(k, f"0{a_qubits + 1}b") for k in range(len(probs))]
+        assert np.max(np.abs(np.asarray(got) - probs)) <= 1e-12
 
 
 def test_protocol_run_never_forms_the_proof_density(monkeypatch):

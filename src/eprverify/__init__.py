@@ -4,18 +4,12 @@ __version__ = "0.1.0"
 
 from .kernel import (
     DensityOperator,
-    MeasurementRecord,
-    ProjectiveMeasurement,
     RegisterLayout,
     StateVector,
     apply_unitary,
     basis_state,
-    bell_measurement,
     layout,
-    make_gate,
-    measure,
     partial_trace,
-    standard_basis_measurement,
     symmetrize_pairs,
     tensor_product,
     to_density,
@@ -27,7 +21,6 @@ from .protocol import (
     ProtocolRun,
     ProtocolState,
     ProverStrategy,
-    RunOutcome,
     ToyVerifier,
     accept_operator,
     cheating_proof,
@@ -37,44 +30,35 @@ from .protocol import (
     postsel_success_prob,
     rewinding_residual,
     swap_test,
-    verifier_w,
 )
 
 __all__ = [
     "BranchBreakdown",
     "DensityOperator",
-    "MeasurementRecord",
-    "ProjectiveMeasurement",
     "ProtocolRun",
     "ProtocolState",
     "ProverStrategy",
     "RegisterLayout",
-    "RunOutcome",
     "StateVector",
     "ToyVerifier",
     "accept_operator",
     "apply_unitary",
     "basis_state",
     "bell_basis",
-    "bell_measurement",
     "bell_subspaces",
     "cheating_proof",
     "choi_state",
     "honest_proof",
     "layout",
-    "make_gate",
     "make_toy_verifier",
-    "measure",
     "partial_trace",
     "pinch_phi",
     "post_selection",
     "postsel_success_prob",
     "rewinding_residual",
-    "standard_basis_measurement",
     "swap_test",
     "symmetrize_pairs",
     "tensor_product",
     "to_density",
-    "verifier_w",
     "zero_state",
 ]

@@ -32,6 +32,7 @@ from .metrics import (
 )
 from .protocol import (
     BRANCH_KEYS,
+    REJECT_KEYS,
     ProtocolRun,
     ProverStrategy,
     cheating_proof,
@@ -56,25 +57,29 @@ DEFAULT_TOLERANCES = {
     "swap": 1e-12,
 }
 
-# Completeness and soundness configs whose estimated arrays exceed this are
+# Completeness and soundness configs whose estimated memory exceeds this are
 # rejected before anything is allocated.
 MEMORY_BUDGET_BYTES = 2**30
+# Bytes one sampled trial's row holds: the row tuple, its trial index and the
+# list slot (tracemalloc over 100 000 trials, CPython 3.11).
+TRIAL_ROW_BYTES = 128
 
 
-def memory_estimate(p_qubits: int, a_qubits: int, l: int) -> float:
-    """Bytes of the largest complex arrays a protocol run allocates, each counted once.
+def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -> float:
+    """Bytes of the largest allocations of a protocol run, each counted once.
 
     The proof vector and its transposed copy (2 x 2^(p+2l) entries), the marginal
     of the primed pair halves (4^l), the toy verifier V (4^(p+a)) and a pair
-    tree's state once the ancilla joins it (4^(p+a+3)), at 16 bytes an entry.
-    Sizes too large for a float give inf.
+    tree's state once the ancilla joins it (4^(p+a+3)), at 16 bytes an entry;
+    plus the rows of a sampled run.  Sizes too large for a float give inf.
     """
     def entries(log2: int) -> float:
         return 2.0**log2 if log2 < 1000 else math.inf
 
     p, a = p_qubits, a_qubits
     total = 2 * entries(p + 2 * l) + entries(2 * l) + entries(2 * (p + a)) + entries(2 * (p + a + 3))
-    return 16 * total
+    rows = trial_rows if trial_rows < 2**1000 else math.inf
+    return 16 * total + TRIAL_ROW_BYTES * rows
 
 
 def _is_number(x) -> bool:
@@ -129,11 +134,12 @@ class ExperimentConfig:
             if not _is_number(value) or not math.isfinite(value) or value < 0:
                 raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
         if self.experiment in ("completeness", "soundness"):
-            need = memory_estimate(self.p_qubits, self.a_qubits, self.l)
+            rows = self.trials if self.mode == "sampled" else 0
+            need = memory_estimate(self.p_qubits, self.a_qubits, self.l, rows)
             if need > MEMORY_BUDGET_BYTES:
                 raise ConfigError(
-                    f"l={self.l}, p_qubits={self.p_qubits}, a_qubits={self.a_qubits} needs an "
-                    f"estimated {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
+                    f"l={self.l}, p_qubits={self.p_qubits}, a_qubits={self.a_qubits}, {rows} trial rows "
+                    f"need an estimated {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET_BYTES / 2**30:g} GiB budget"
                 )
 
     def tolerance(self, name: str) -> float:
@@ -226,6 +232,16 @@ def _strategy_from_config(spec: dict) -> ProverStrategy:
     raise ConfigError(f"unknown strategy kind {kind!r}")
 
 
+# The CSV fields (b, postsel, verdict) of a sampled trial, by branch key.
+_ROW_FIELDS = {
+    "b0_postsel_fail": (0, "fail", "accept"),
+    "b0_allzero_reject": (0, "success", "reject"),
+    "b0_measured_accept": (0, "success", "accept"),
+    "b1_swap_accept": (1, "", "accept"),
+    "b1_swap_reject": (1, "", "reject"),
+}
+
+
 def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
     toy = make_toy_verifier(config.p, config.p_qubits, config.a_qubits)
     if config.experiment == "completeness":
@@ -246,25 +262,14 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
             wall_time_ms=0.0,
         )
     counts = {k: 0 for k in BRANCH_KEYS}
-    accepts = 0
     rows = []
     for t in range(config.trials):
-        out = run.sample(rngmod.stream(config.seed, t))
-        if out.branch == "b0_postsel_fail":
-            counts["b0_postsel_fail"] += 1
-            postsel = "fail"
-        elif out.branch == "b0_measured":
-            key = "b0_allzero_reject" if out.verdict == "reject" else "b0_measured_accept"
-            counts[key] += 1
-            postsel = "success"
-        else:
-            key = "b1_swap_accept" if out.verdict == "accept" else "b1_swap_reject"
-            counts[key] += 1
-            postsel = ""
-        if out.verdict == "accept":
-            accepts += 1
-        rows.append((t, out.coin, out.pair[0], out.pair[1], postsel, out.verdict))
+        key, (i, j) = run.sample(rngmod.stream(config.seed, t))
+        counts[key] += 1
+        coin, postsel, verdict = _ROW_FIELDS[key]
+        rows.append((t, coin, i, j, postsel, verdict))
     n = config.trials
+    accepts = n - sum(counts[k] for k in REJECT_KEYS)
     return ExperimentReport(
         config=config.to_dict(),
         accept_probability=accepts / n,

@@ -1,4 +1,4 @@
-"""Registers, states, gates, and measurements.
+"""Registers, states, gates, and pair symmetrization.
 
 Register convention: a layout lists named registers left to right; the leftmost
 qubit of the leftmost register is the most significant index bit.  All
@@ -22,7 +22,6 @@ from .linalg import (
 )
 
 NORM_TOL = 1e-10
-PROB_FLOOR = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +190,6 @@ def partial_trace_ordered(state: State, keep_names: list[str]) -> DensityOperato
 _S2 = 1 / np.sqrt(2)
 HADAMARD = np.array([[_S2, _S2], [_S2, -_S2]], dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
@@ -242,28 +239,6 @@ def bell_to_computational() -> np.ndarray:
     return out
 
 
-_FIXED_GATES = {
-    "H": HADAMARD,
-    "X": PAULI_X,
-    "Y": PAULI_Y,
-    "Z": PAULI_Z,
-    "CNOT": CNOT,
-    "CSWAP": CSWAP,
-    "BELL_TO_COMP": bell_to_computational(),
-}
-
-
-def make_gate(kind: str, q: float | None = None) -> np.ndarray:
-    """Exact unitary for a named gate; RX_PROB takes the flip probability q."""
-    if kind == "RX_PROB":
-        if q is None:
-            raise ValueError("RX_PROB requires the flip probability q")
-        return rx_prob(q)
-    if kind in _FIXED_GATES:
-        return _FIXED_GATES[kind].copy()
-    raise ValueError(f"unknown gate kind {kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Unitary application
 # ---------------------------------------------------------------------------
@@ -278,90 +253,6 @@ def apply_unitary(state: State, u: np.ndarray, targets: list[str], check: bool =
     if isinstance(state, StateVector):
         return StateVector(state.layout, out)
     return DensityOperator(state.layout, out, validate=False)
-
-
-# ---------------------------------------------------------------------------
-# Measurement
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProjectiveMeasurement:
-    """Labeled complete set of orthogonal projectors on the target registers."""
-
-    outcomes: tuple[tuple[str, np.ndarray], ...]
-    targets: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        mats = [np.asarray(m, dtype=complex) for _, m in self.outcomes]
-        if not mats:
-            raise ValueError("measurement needs at least one outcome")
-        d = mats[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for label, m in zip(self.labels, mats):
-            if m.shape != (d, d):
-                raise ValueError(f"projector {label!r} has shape {m.shape}, expected {(d, d)}")
-            if not is_hermitian(m) or np.max(np.abs(m @ m - m)) > NORM_TOL:
-                raise ValueError(f"outcome {label!r} is not an orthogonal projector")
-            total += m
-        for i, (la, ma) in enumerate(self.outcomes):
-            for lb, mb in self.outcomes[i + 1:]:
-                if np.max(np.abs(np.asarray(ma) @ np.asarray(mb))) > NORM_TOL:
-                    raise ValueError(f"projectors {la!r} and {lb!r} are not orthogonal")
-        if np.max(np.abs(total - np.eye(d))) > NORM_TOL:
-            raise ValueError("projectors do not sum to the identity")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.outcomes)
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    label: str
-    probability: float
-    post_state: State | None
-
-
-def standard_basis_measurement(lay: RegisterLayout, targets: list[str]) -> ProjectiveMeasurement:
-    """Full standard-basis measurement of the named registers, bitstring labels."""
-    k = sum(lay.size(t) for t in targets)
-    outcomes = []
-    for idx in range(2**k):
-        vec = np.zeros(2**k, dtype=complex)
-        vec[idx] = 1.0
-        outcomes.append((format(idx, f"0{k}b"), proj(vec)))
-    return ProjectiveMeasurement(tuple(outcomes), tuple(targets))
-
-
-def bell_measurement(targets: tuple[str, str]) -> ProjectiveMeasurement:
-    """Bell-basis measurement of two single-qubit registers."""
-    outcomes = tuple((label, proj(vec)) for label, vec in zip(BELL_LABELS, BELL_STATES))
-    return ProjectiveMeasurement(outcomes, tuple(targets))
-
-
-def measure(state: State, pm: ProjectiveMeasurement) -> list[MeasurementRecord]:
-    """Measure the state exactly: every outcome with its probability and post state.
-
-    Outcomes with probability below 1e-14 are reported with probability 0 and
-    no post state.
-    """
-    n = state.layout.total_qubits
-    positions = state.layout.positions(list(pm.targets))
-    records = []
-    for label, small in pm.outcomes:
-        branch = apply_local(_array(state), small, n, positions)
-        if isinstance(state, StateVector):
-            p = float(np.vdot(branch, branch).real)
-            post = StateVector(state.layout, branch / np.sqrt(p)) if p >= PROB_FLOOR else None
-        else:
-            p = float(np.trace(branch).real)
-            post = (
-                DensityOperator(state.layout, branch / p, validate=False)
-                if p >= PROB_FLOOR
-                else None
-            )
-        records.append(MeasurementRecord(label, p if p >= PROB_FLOOR else 0.0, post))
-    return records
 
 
 # ---------------------------------------------------------------------------

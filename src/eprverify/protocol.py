@@ -18,28 +18,26 @@ from .channels import apply_pinch, bell_subspaces, choi_state
 from .kernel import (
     BELL_LABELS,
     BELL_STATES,
-    PROB_FLOOR,
     DensityOperator,
     RegisterLayout,
     State,
     StateVector,
     apply_unitary,
-    bell_measurement,
     bell_to_computational,
     layout,
-    measure,
     partial_trace,
     partial_trace_ordered,
     rx_prob,
     select_ordered_pair,
-    standard_basis_measurement,
     symmetrize_pairs,
     tensor_product,
+    to_density,
     zero_state,
     HADAMARD,
     PAULI_X,
 )
 from .linalg import (
+    apply_local,
     dagger,
     is_projector,
     max_eigpair,
@@ -51,6 +49,8 @@ from .sampling import random_unitary
 
 MARGINAL_TOL = 1e-9
 HALF_EIG_TOL = 1e-9
+# Outcome probabilities below this are reported as 0, with no post state.
+PROB_FLOOR = 1e-14
 
 BRANCH_KEYS = (
     "b0_postsel_fail",
@@ -59,6 +59,11 @@ BRANCH_KEYS = (
     "b1_swap_accept",
     "b1_swap_reject",
 )
+REJECT_KEYS = ("b0_allzero_reject", "b1_swap_reject")
+
+# The kept Bell outcomes, as indices in BELL_LABELS order; psi+ needs an X correction.
+_PSI_PLUS = BELL_LABELS.index("psi+")
+_KEPT = (BELL_LABELS.index("phi+"), _PSI_PLUS)
 
 
 class HalfEigenpairError(ValueError):
@@ -332,7 +337,7 @@ def swap_test(state: State, reg1: list[str], reg2: list[str]) -> float:
     ).astype(complex)
     joint = apply_unitary(joint, cswap, [anc] + reg1 + reg2, check=False)
     joint = apply_unitary(joint, HADAMARD, [anc])
-    return measure(joint, standard_basis_measurement(joint.layout, [anc]))[0].probability
+    return float(partial_trace_ordered(joint, [anc]).matrix[0, 0].real)
 
 
 def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
@@ -366,19 +371,26 @@ def post_selection(
 
     Bell-measures (regs[1], regs[2]); phi+ succeeds as is, psi+ succeeds after
     an X correction on regs[0], and the minus outcomes are failures.  Returns
-    all four branches with probabilities and post states.
+    all four branches with probabilities and post density operators; an
+    outcome below PROB_FLOOR has probability 0 and no post state.
     """
     out_reg, bridge, source = regs
     for r in regs:
         if state.layout.size(r) != 1:
             raise ValueError(f"post_selection registers must be single qubits, {r} is not")
+    rho = to_density(state)
+    positions = rho.layout.positions([bridge, source])
     branches = []
-    for record in measure(state, bell_measurement((bridge, source))):
-        post = record.post_state
-        if post is not None and record.label == "psi+":
-            post = apply_unitary(post, PAULI_X, [out_reg])
-        success = record.label in ("phi+", "psi+")
-        branches.append(PostSelectionBranch(record.label, record.probability, success, post))
+    for k, (label, bell) in enumerate(zip(BELL_LABELS, BELL_STATES)):
+        projected = apply_local(rho.matrix, proj(bell), rho.layout.total_qubits, positions)
+        p = float(np.trace(projected).real)
+        post = None
+        if p >= PROB_FLOOR:
+            post = DensityOperator(rho.layout, projected / p, validate=False)
+            if k == _PSI_PLUS:
+                post = apply_unitary(post, PAULI_X, [out_reg])
+        success = k in _KEPT
+        branches.append(PostSelectionBranch(label, p if post is not None else 0.0, success, post))
     return branches
 
 
@@ -443,18 +455,6 @@ def honest_rewinding_instance(toy: ToyVerifier) -> tuple[np.ndarray, np.ndarray,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RunOutcome:
-    """One sampled protocol run."""
-
-    verdict: str
-    branch: str
-    pair: tuple[int, int]
-    coin: int
-    bell: str | None = None
-    bits: str | None = None
-
-
-@dataclass(frozen=True)
 class BranchBreakdown:
     """Exact-mode result: total accept probability and per-branch masses."""
 
@@ -465,8 +465,15 @@ class BranchBreakdown:
 
 @dataclass
 class _PairTree:
-    bell_probs: dict[str, float]
-    bit_dists: dict[str, tuple[list[str], list[float]]]
+    """Outcome probabilities, as lists indexed by outcome.
+
+    bell_probs is in BELL_LABELS order.  bit_dists maps each kept Bell outcome
+    with nonzero probability to the distribution of the (A, S2) bits, indexed
+    by their bit pattern (A most significant); index 0 is all-zero.
+    """
+
+    bell_probs: list[float]
+    bit_dists: dict[int, list[float]]
     swap_pass: float
 
 
@@ -492,33 +499,33 @@ def _pair_tree(dm: DensityOperator, toy: ToyVerifier) -> _PairTree:
     # diagonal is then the joint distribution of (outcome, A bits, S2 bit).
     w = apply_unitary(w, BELL_STATES.conj(), ["S2'", "S1"], check=False)
     joint = partial_trace_ordered(w, ["S2'", "S1", "A", "S2"]).matrix.diagonal().real
-    bit_labels = [format(idx, f"0{toy.a_qubits + 1}b") for idx in range(2 * da)]
-    bell_probs: dict[str, float] = {}
-    bit_dists: dict[str, tuple[list[str], list[float]]] = {}
-    for label, outcome in zip(BELL_LABELS, joint.reshape(4, da, 2)):
+    bell_probs: list[float] = []
+    bit_dists: dict[int, list[float]] = {}
+    for k, outcome in enumerate(joint.reshape(4, da, 2)):
         p_bell = float(outcome.sum())
-        bell_probs[label] = p_bell if p_bell >= PROB_FLOOR else 0.0
-        if label in ("phi+", "psi+") and p_bell >= PROB_FLOOR:
-            if label == "psi+":
+        bell_probs.append(p_bell if p_bell >= PROB_FLOOR else 0.0)
+        if k in _KEPT and p_bell >= PROB_FLOOR:
+            if k == _PSI_PLUS:
                 outcome = outcome[:, ::-1]  # the X correction on S2
-            bit_dists[label] = (
-                bit_labels,
-                [float(p) if p >= PROB_FLOOR else 0.0 for p in (outcome / p_bell).ravel()],
-            )
+            bit_dists[k] = [float(p) if p >= PROB_FLOOR else 0.0 for p in (outcome / p_bell).ravel()]
     return _PairTree(bell_probs, bit_dists, swap_pass)
 
 
-def _draw(rng: np.random.Generator, labels: list[str], probs: list[float]) -> str:
+def _draw(rng: np.random.Generator, probs: list[float]) -> int:
+    """Index of one outcome drawn from probs, skipping zero entries.
+
+    If rounding carries the draw past the last positive entry, that entry wins.
+    """
     edge = rng.random() * sum(probs)
     acc = 0.0
-    last = labels[0]
-    for label, p in zip(labels, probs):
+    last = 0
+    for k, p in enumerate(probs):
         if p <= 0.0:
             continue
         acc += p
-        last = label
+        last = k
         if edge <= acc:
-            return label
+            return k
     return last
 
 
@@ -552,20 +559,17 @@ class ProtocolRun:
         masses = {k: 0.0 for k in BRANCH_KEYS}
         masses["b1_swap_accept"] = 0.5 * tree.swap_pass
         masses["b1_swap_reject"] = 0.5 * (1.0 - tree.swap_pass)
-        zero_label = "0" * (self.toy.a_qubits + 1)
-        for label, p_bell in tree.bell_probs.items():
-            if label in ("phi-", "psi-"):
+        for k, p_bell in enumerate(tree.bell_probs):
+            if k not in _KEPT:
                 masses["b0_postsel_fail"] += 0.5 * p_bell
-                continue
-            if label not in tree.bit_dists:
-                continue
-            for bits, p_bits in zip(*tree.bit_dists[label]):
-                key = "b0_allzero_reject" if bits == zero_label else "b0_measured_accept"
+            for bits, p_bits in enumerate(tree.bit_dists.get(k, ())):
+                key = "b0_allzero_reject" if bits == 0 else "b0_measured_accept"
                 masses[key] += 0.5 * p_bell * p_bits
-        reject = masses["b0_allzero_reject"] + masses["b1_swap_reject"]
+        reject = sum(masses[key] for key in REJECT_KEYS)
         return BranchBreakdown(1.0 - reject, reject, masses)
 
-    def sample(self, rng: np.random.Generator) -> RunOutcome:
+    def sample(self, rng: np.random.Generator) -> tuple[str, tuple[int, int]]:
+        """One run: its branch key (one of BRANCH_KEYS) and its 1-based ordered pair."""
         l = self.proof.l
         i = int(rng.integers(l))
         j = int(rng.integers(l - 1))
@@ -578,43 +582,9 @@ class ProtocolRun:
         tree = self._trees[i, j]
         pair = (i + 1, j + 1)
         if coin == 1:
-            passed = bool(rng.random() < tree.swap_pass)
-            return RunOutcome(
-                verdict="accept" if passed else "reject",
-                branch="b1_swap",
-                pair=pair,
-                coin=1,
-                bits="0" if passed else "1",
-            )
-        bell = _draw(rng, list(tree.bell_probs), list(tree.bell_probs.values()))
-        if bell in ("phi-", "psi-"):
-            return RunOutcome(
-                verdict="accept", branch="b0_postsel_fail", pair=pair, coin=0, bell=bell
-            )
-        bits = _draw(rng, *tree.bit_dists[bell])
-        zero_label = "0" * (self.toy.a_qubits + 1)
-        return RunOutcome(
-            verdict="reject" if bits == zero_label else "accept",
-            branch="b0_measured",
-            pair=pair,
-            coin=0,
-            bell=bell,
-            bits=bits,
-        )
-
-
-def verifier_w(
-    proof: ProtocolState,
-    toy: ToyVerifier,
-    mode: str = "exact",
-    rng: np.random.Generator | None = None,
-) -> BranchBreakdown | RunOutcome:
-    """Evaluate the verifier on a proof: exact branch masses or one sampled run."""
-    run = ProtocolRun(proof, toy)
-    if mode == "exact":
-        return run.exact()
-    if mode == "sampled":
-        if rng is None:
-            raise ValueError("sampled mode needs an rng stream")
-        return run.sample(rng)
-    raise ValueError(f"unknown mode {mode!r}")
+            return ("b1_swap_accept" if rng.random() < tree.swap_pass else "b1_swap_reject"), pair
+        bell = _draw(rng, tree.bell_probs)
+        if bell not in _KEPT:
+            return "b0_postsel_fail", pair
+        bits = _draw(rng, tree.bit_dists[bell])
+        return ("b0_allzero_reject" if bits == 0 else "b0_measured_accept"), pair

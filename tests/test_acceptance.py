@@ -24,6 +24,7 @@ from eprverify.kernel import (
 from eprverify.linalg import dagger, proj, tensor
 from eprverify.metrics import pure_fidelity_form
 from eprverify.protocol import (
+    ProtocolRun,
     ProtocolState,
     ProverStrategy,
     cheating_proof,
@@ -34,7 +35,6 @@ from eprverify.protocol import (
     proof_layout,
     rewinding_residual,
     swap_test,
-    verifier_w,
 )
 from eprverify.sampling import random_density, random_pure, random_unitary
 
@@ -49,7 +49,7 @@ def test_criterion_1_perfect_completeness():
     for p in P_GRID:
         for l in (2, 3):
             toy = make_toy_verifier(float(p))
-            result = verifier_w(honest_proof(toy, l), toy)
+            result = ProtocolRun(honest_proof(toy, l), toy).exact()
             assert abs(result.accept_probability - 1.0) <= 1e-9, (p, l)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"completeness sweep took {elapsed:.1f} s"
@@ -159,7 +159,7 @@ def test_criterion_7_soundness_oracle_equivalence():
         toy = make_toy_verifier(p)
         for name, strategy in strategies:
             proof = cheating_proof(strategy, toy, l=2)
-            result = verifier_w(proof, toy)
+            result = ProtocolRun(proof, toy).exact()
             oracle = verifier_branch_masses(
                 toy.v, toy.acc_projector, toy.p_qubits, toy.a_qubits,
                 to_density(proof.state).matrix,
@@ -182,7 +182,7 @@ def test_criterion_7_soundness_oracle_equivalence():
             choi_state(u2).amplitudes,
         )
         proof = ProtocolState(StateVector(proof_layout(1, 2), amps), 2)
-        result = verifier_w(cheating_proof(ProverStrategy.custom(proof), toy, l=2), toy)
+        result = ProtocolRun(cheating_proof(ProverStrategy.custom(proof), toy, l=2), toy).exact()
         rho1 = pinch_phi(proj(choi_state(u1).amplitudes))
         rho2 = pinch_phi(proj(choi_state(u2).amplitudes))
         expected = (1 - np.trace(rho1 @ rho2).real) / 2

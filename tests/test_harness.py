@@ -1,5 +1,6 @@
 """Experiment runner, report emission, and CLI surface."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -196,6 +197,33 @@ def test_sampled_csv_schema():
     assert first[5] in ("accept", "reject")
 
 
+# sha256 of the JSON and CSV reports of sampled runs.  They pin the per-trial
+# stream contract (trial t draws from stream(seed, t), the order of its draws,
+# and the walk that maps them to a branch) across refactors.  Sampled reports
+# hold only counts and count ratios, so BLAS rounding cannot move them.
+STREAM_CONTRACT = [
+    ({"verifier": {"p": 0.2}, "l": 2, "strategy": {"kind": "idle_epr"}, "seed": 31},
+     "e16efc77eb34f8cdb01ac2e5ee52c62eb601b9efc0a845da8ff111452ea1580a",
+     "e94928c5a9bf1530acd0a190f277ab4a8623f8982be1b7501aab3a2d784602b0"),
+    ({"verifier": {"p": 0.3, "a_qubits": 2}, "l": 2, "strategy": {"kind": "choi_product", "q": 0.4}, "seed": 32},
+     "6150466bfda4e613c1c0f37df1af132f7b30343ff89d455e278af8d14d378924",
+     "f16f74d50f46f7638c32660aad59d7559c3c813b0d3bad9fb6fa03ddffd7921c"),
+    ({"verifier": {"p": 0.25}, "l": 3, "strategy": {"kind": "local_unitaries", "unitary_seed": 5}, "seed": 33},
+     "82c2496a7388b92b7cf57eb44fcc35618501c3dd3f4cb889023cf106d109f341",
+     "59333d065ce73fe2433444a6bc5f18af639168a13a12274b7a386b5f41b3f063"),
+]
+
+
+@pytest.mark.parametrize("fields, json_sha, csv_sha", STREAM_CONTRACT)
+def test_sampled_reports_match_recorded_digests(fields, json_sha, csv_sha):
+    config = ExperimentConfig.from_dict(
+        {"experiment": "soundness", "mode": "sampled", "trials": 400, **fields}
+    )
+    report = run_experiment(config)
+    assert hashlib.sha256(emit_report(report, "json")).hexdigest() == json_sha
+    assert hashlib.sha256(emit_report(report, "csv")).hexdigest() == csv_sha
+
+
 def test_exact_csv_schema():
     lines = emit_report(run_experiment(_config()), "csv").decode().splitlines()
     assert lines[0].startswith("experiment,mode,accept_probability,reject_probability,")
@@ -295,9 +323,23 @@ def test_cli_over_memory_budget_exit_one(tmp_path, capsys):
     assert "estimated 9.01e+16 GiB" in err and "1 GiB budget" in err
 
 
+def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkeypatch):
+    # each sampled trial keeps a row, so 10^10 trials are rejected from the estimate alone
+    def never(config):
+        raise AssertionError("the over-budget config reached run_experiment")
+
+    monkeypatch.setattr("eprverify.cli.run_experiment", never)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "soundness", "mode": "sampled", "trials": 10**10}))
+    assert main(["soundness", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "10000000000 trial rows need an estimated 1.19e+03 GiB" in err and "1 GiB budget" in err
+
+
 def test_benchmark_sized_configs_are_well_under_memory_budget():
     assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 1000
     assert memory_estimate(p_qubits=1, a_qubits=1, l=10) < MEMORY_BUDGET_BYTES
+    assert memory_estimate(p_qubits=1, a_qubits=1, l=2, trial_rows=100_000) < MEMORY_BUDGET_BYTES / 50
 
 
 def test_cli_usage_error_exit_one(capsys):

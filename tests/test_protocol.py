@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from eprverify.channels import apply_pinch, choi_state, pinch_phi
 from eprverify.kernel import (
+    BELL_LABELS,
     BELL_STATES,
-    PROB_FLOOR,
     DensityOperator,
     StateVector,
     apply_unitary,
@@ -25,6 +25,8 @@ from eprverify.linalg import dagger, is_unitary, max_eigpair, operator_norm, pro
 from eprverify.metrics import pure_fidelity_form, trace_distance
 from eprverify.protocol import (
     BRANCH_KEYS,
+    PROB_FLOOR,
+    REJECT_KEYS,
     HalfEigenpairError,
     ProtocolRun,
     ProtocolState,
@@ -42,12 +44,12 @@ from eprverify.protocol import (
     swap_test_formula,
     symmetrize_and_pinch_fixed_point_distance,
     verifier_marginal_distance,
-    verifier_w,
     _pair_tree,
 )
 from eprverify.rng import stream
 from eprverify.sampling import random_density, random_pure, random_unitary
 
+from dense_reference import embed_unitary
 from monolithic_oracle import verifier_branch_masses
 
 RNG = np.random.default_rng(424242)
@@ -253,30 +255,51 @@ def test_post_selection_identity_pair_teleports_exactly():
 
 
 def test_post_selection_phi_minus_pair_brute_force():
-    # pair phi-, input |0>: every branch 1/4; brute-force amplitude oracle per branch
-    pair = StateVector(layout(("S2", 1), ("S2'", 1)), BELL_STATES[1].copy())
+    # a brute-force oracle per branch, on four inputs over (S2, S2', S1): pair
+    # phi- with |0> on S1 (every branch 1/4); (S2', S1) an EPR pair up to a
+    # 1e-10 psi- amplitude (phi+ all but certain; psi-, at 1e-20, and the
+    # other outcomes are zeroed with no post state); a random pure and a
+    # random mixed state
+    rng = np.random.default_rng(255)
+    lay = layout(("S2", 1), ("S2'", 1), ("S1", 1))
     zero = np.array([1.0, 0.0], dtype=complex)
-    state = tensor_product(pair, StateVector(layout(("S1", 1)), zero))
-    vec = state.amplitudes  # order (S2, S2', S1)
+    near_epr = BELL_STATES[0] + 1e-10 * BELL_STATES[3]
+    inputs = [
+        StateVector(lay, tensor(BELL_STATES[1], zero)),
+        StateVector(lay, tensor(zero, near_epr / np.linalg.norm(near_epr))),
+        StateVector(lay, random_pure(rng, 8)),
+        DensityOperator(lay, random_density(rng, 8), validate=False),
+    ]
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    labels = {"phi+": BELL_STATES[0], "phi-": BELL_STATES[1],
-              "psi+": BELL_STATES[2], "psi-": BELL_STATES[3]}
-    branches = {b.label: b for b in post_selection(state)}
-    for label, bell in labels.items():
-        # project (S2', S1) on the bell vector by explicit amplitude sums
-        out = np.zeros(2, dtype=complex)
-        for s2 in range(2):
-            for s2p in range(2):
-                for s1 in range(2):
-                    out[s2] += np.conj(bell[2 * s2p + s1]) * vec[4 * s2 + 2 * s2p + s1]
-        prob = float(np.vdot(out, out).real)
-        assert branches[label].probability == pytest.approx(prob, abs=1e-12)
-        assert prob == pytest.approx(0.25, abs=1e-12)
-        if branches[label].success:
-            corrected = x @ out if label == "psi+" else out
-            corrected = corrected / np.linalg.norm(corrected)
-            got = partial_trace(to_density(branches[label].state), ["S2"])
-            assert trace_distance(got.matrix, proj(corrected)) <= 1e-12
+    for n, state in enumerate(inputs):
+        rho = to_density(state).matrix
+        branches = post_selection(state)
+        assert [b.label for b in branches] == list(BELL_LABELS)
+        mix = np.zeros((8, 8), dtype=complex)
+        for b, bell in zip(branches, BELL_STATES):
+            # project (S2', S1) on the Bell vector by explicit sums: S2's state
+            out = np.einsum("b,sbtc,c->st", bell.conj(), rho.reshape(2, 4, 2, 4), bell)
+            prob = float(np.trace(out).real)
+            if n == 0:
+                assert prob == pytest.approx(0.25, abs=1e-12)
+            if prob < PROB_FLOOR:
+                assert b.probability == 0.0 and b.state is None
+                continue
+            assert b.probability == pytest.approx(prob, abs=1e-12)
+            if b.label == "psi+":
+                out = x @ out @ x
+            post = to_density(b.state)
+            got = partial_trace(post, ["S2"])
+            assert trace_distance(got.matrix, out / prob) <= 1e-12
+            if b.label == "psi+":
+                post = apply_unitary(post, x, ["S2"])  # undo the correction
+            mix += b.probability * post.matrix
+        # mixing the post states with their probabilities reproduces what the
+        # non-selective measurement leaves behind: sum_k P_k rho P_k
+        projectors = [embed_unitary(proj(bell), 3, [1, 2]) for bell in BELL_STATES]
+        assert trace_distance(mix, sum(e @ rho @ e for e in projectors)) <= 1e-9
+        if n == 1:
+            assert trace_distance(mix, rho) <= 1e-9  # next to no coherence between outcomes
 
 
 def test_postsel_success_prob_choi_pair_times_anything():
@@ -389,7 +412,7 @@ def test_rewinding_precondition_errors():
 def test_completeness_spot_checks():
     for p in (0.5, 0.75, 1.0):
         toy = make_toy_verifier(p)
-        result = verifier_w(honest_proof(toy, l=2), toy)
+        result = ProtocolRun(honest_proof(toy, l=2), toy).exact()
         assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
         assert result.branches["b0_allzero_reject"] <= 1e-12
 
@@ -397,7 +420,7 @@ def test_completeness_spot_checks():
 def test_branch_masses_sum_to_one():
     toy = make_toy_verifier(1e-3)
     for strat in (ProverStrategy.idle_epr(), ProverStrategy.local_unitaries(3)):
-        result = verifier_w(cheating_proof(strat, toy, l=2), toy)
+        result = ProtocolRun(cheating_proof(strat, toy, l=2), toy).exact()
         assert sum(result.branches.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -405,7 +428,7 @@ def test_idle_epr_exact_accept_is_three_quarters():
     # postselection teleports |0> through an untouched pair; the all-zero
     # measurement then fires with certainty, so accept = 1/2 + 1/4 exactly
     toy = make_toy_verifier(1e-3)
-    result = verifier_w(cheating_proof(ProverStrategy.idle_epr(), toy, l=2), toy)
+    result = ProtocolRun(cheating_proof(ProverStrategy.idle_epr(), toy, l=2), toy).exact()
     assert result.accept_probability == pytest.approx(0.75, abs=1e-12)
     assert result.branches["b0_allzero_reject"] == pytest.approx(0.25, abs=1e-12)
 
@@ -416,7 +439,7 @@ def test_choi_product_matches_hand_closed_form():
     toy = make_toy_verifier(p)
     for qp in (0.0, 0.3, 0.8, 1.0):
         proof = cheating_proof(ProverStrategy.choi_product(qp), toy, l=2)
-        result = verifier_w(proof, toy)
+        result = ProtocolRun(proof, toy).exact()
         expected = 0.75 + (1 - (1 - 2 * p * qp) ** 2) / 4
         assert result.accept_probability == pytest.approx(expected, abs=1e-12)
 
@@ -430,7 +453,7 @@ def test_asymmetric_custom_state_swap_branch_formula():
     witness = np.array([0.0, 1.0], dtype=complex)
     amps = tensor(witness, choi_state(u1).amplitudes, choi_state(u2).amplitudes)
     proof = ProtocolState(StateVector(lay, amps), 2)
-    result = verifier_w(cheating_proof(ProverStrategy.custom(proof), toy, l=2), toy)
+    result = ProtocolRun(cheating_proof(ProverStrategy.custom(proof), toy, l=2), toy).exact()
     rho1 = pinch_phi(proj(choi_state(u1).amplitudes))
     rho2 = pinch_phi(proj(choi_state(u2).amplitudes))
     expected = (1 - np.trace(rho1 @ rho2).real) / 2
@@ -452,63 +475,55 @@ def test_sampled_runs_deterministic_and_consistent():
     a = [run.sample(stream(9, t)) for t in range(500)]
     b = [run.sample(stream(9, t)) for t in range(500)]
     assert a == b
-    freq = sum(o.verdict == "accept" for o in a) / len(a)
+    freq = sum(key not in REJECT_KEYS for key, _ in a) / len(a)
     assert abs(freq - 0.75) <= 5 * np.sqrt(0.75 * 0.25 / 500)
 
 
 def test_run_outcome_fields_consistent():
+    # an honest proof is accepted surely, so every sampled key is an accept key
     toy = make_toy_verifier(0.5)
     proof = honest_proof(toy, l=3)
     run = ProtocolRun(proof, toy)
+    seen = set()
     for t in range(200):
-        out = run.sample(stream(11, t))
-        assert out.pair[0] != out.pair[1]
-        assert 1 <= out.pair[0] <= 3 and 1 <= out.pair[1] <= 3
-        if out.branch == "b1_swap":
-            assert out.coin == 1 and out.bell is None
-        else:
-            assert out.coin == 0 and out.bell is not None
-        if out.branch == "b0_measured":
-            assert out.bits is not None
-            assert (out.verdict == "reject") == (out.bits == "00")
-        if out.branch == "b0_postsel_fail":
-            assert out.verdict == "accept"
+        key, pair = run.sample(stream(11, t))
+        seen.add(key)
+        assert pair[0] != pair[1]
+        assert 1 <= pair[0] <= 3 and 1 <= pair[1] <= 3
+    assert seen <= set(BRANCH_KEYS) - set(REJECT_KEYS)
+    assert {"b0_postsel_fail", "b0_measured_accept", "b1_swap_accept"} <= seen
 
 
 def test_verifier_rejects_bad_inputs():
     toy = make_toy_verifier(0.75)
     proof = honest_proof(toy, l=2)
-    with pytest.raises(ValueError):
-        verifier_w(proof, toy, mode="other")
-    with pytest.raises(ValueError):
-        verifier_w(proof, toy, mode="sampled")  # missing rng
     other = make_toy_verifier(0.75, p_qubits=2)
     with pytest.raises(ValueError):
-        verifier_w(proof, other)
+        ProtocolRun(proof, other)
     with pytest.raises(ValueError):
         ProtocolState(proof.state, 1)
 
 
 def test_two_qubit_register_toys():
     toy = make_toy_verifier(0.7, p_qubits=2, a_qubits=2)
-    result = verifier_w(honest_proof(toy, l=2), toy)
+    result = ProtocolRun(honest_proof(toy, l=2), toy).exact()
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
 
 
 def test_four_pair_runs():
     # the supported upper end of the pair count
     toy = make_toy_verifier(0.75)
-    result = verifier_w(honest_proof(toy, l=4), toy)
+    result = ProtocolRun(honest_proof(toy, l=4), toy).exact()
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
-    cheat = verifier_w(cheating_proof(ProverStrategy.local_unitaries(3), toy, l=4), toy)
+    cheat = ProtocolRun(cheating_proof(ProverStrategy.local_unitaries(3), toy, l=4), toy).exact()
     assert sum(cheat.branches.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_eight_pair_runs():
     toy = make_toy_verifier(0.75)
-    result = verifier_w(honest_proof(toy, l=8), toy)
+    result = ProtocolRun(honest_proof(toy, l=8), toy).exact()
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
-    cheat = verifier_w(cheating_proof(ProverStrategy.local_unitaries(3), toy, l=8), toy)
+    cheat = ProtocolRun(cheating_proof(ProverStrategy.local_unitaries(3), toy, l=8), toy).exact()
     assert sum(cheat.branches.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -554,12 +569,12 @@ def _circuit_tree(dm, toy):
     )
     w = apply_unitary(w, flip, ["P", "A", "S1"])
     w = apply_unitary(w, dagger(toy.v), ["P", "A"])
-    bell_probs, bit_dists = {}, {}
-    for branch in post_selection(w, ("S2", "S2'", "S1")):
-        bell_probs[branch.label] = branch.probability
+    bell_probs, bit_dists = [], {}
+    for k, branch in enumerate(post_selection(w, ("S2", "S2'", "S1"))):
+        bell_probs.append(branch.probability)
         if branch.success and branch.state is not None:
             diag = partial_trace_ordered(branch.state, ["A", "S2"]).matrix.diagonal().real
-            bit_dists[branch.label] = [p if p >= PROB_FLOOR else 0.0 for p in diag]
+            bit_dists[k] = [p if p >= PROB_FLOOR else 0.0 for p in diag]
     return bell_probs, bit_dists
 
 
@@ -585,14 +600,12 @@ def test_pair_tree_diagonal_read_matches_post_selection(p_qubits, a_qubits, p, k
         dm = select_ordered_pair(proof.state, proof.pairs, 0, 1)
     tree = _pair_tree(dm, toy)
     bell_probs, bit_dists = _circuit_tree(dm, toy)
-    assert list(tree.bell_probs) == list(bell_probs)
-    for label, prob in bell_probs.items():
-        assert tree.bell_probs[label] == pytest.approx(prob, abs=1e-12)
+    assert len(tree.bell_probs) == len(bell_probs) == 4
+    assert np.max(np.abs(np.asarray(tree.bell_probs) - bell_probs)) <= 1e-12
     assert set(tree.bit_dists) == set(bit_dists)
-    for label, probs in bit_dists.items():
-        labels, got = tree.bit_dists[label]
-        assert labels == [format(k, f"0{a_qubits + 1}b") for k in range(len(probs))]
-        assert np.max(np.abs(np.asarray(got) - probs)) <= 1e-12
+    for k, probs in bit_dists.items():
+        assert len(tree.bit_dists[k]) == len(probs) == 2 ** (a_qubits + 1)
+        assert np.max(np.abs(np.asarray(tree.bit_dists[k]) - probs)) <= 1e-12
 
 
 def test_protocol_run_never_forms_the_proof_density(monkeypatch):

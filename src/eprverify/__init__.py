@@ -20,7 +20,6 @@ from .protocol import (
     BranchBreakdown,
     ProtocolRun,
     ProtocolState,
-    ProverStrategy,
     ToyVerifier,
     accept_operator,
     cheating_proof,
@@ -37,7 +36,6 @@ __all__ = [
     "DensityOperator",
     "ProtocolRun",
     "ProtocolState",
-    "ProverStrategy",
     "RegisterLayout",
     "StateVector",
     "ToyVerifier",

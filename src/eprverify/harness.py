@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, replace
 
@@ -32,9 +33,12 @@ from .metrics import (
 )
 from .protocol import (
     BRANCH_KEYS,
+    DEFAULT_STRATEGY,
     REJECT_KEYS,
     ProtocolRun,
-    ProverStrategy,
+    _is_int,
+    _is_number,
+    check_strategy,
     cheating_proof,
     honest_proof,
     make_toy_verifier,
@@ -49,7 +53,6 @@ from .sampling import (
 )
 
 EXPERIMENTS = ("completeness", "soundness", "lemmas", "swap-bench")
-STRATEGY_KINDS = ("honest", "choi_product", "idle_epr", "local_unitaries")
 
 DEFAULT_TOLERANCES = {
     "margin": 1e-9,
@@ -82,10 +85,6 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     return 16 * total + TRIAL_ROW_BYTES * rows
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 class ConfigError(ValueError):
     """The experiment configuration is invalid."""
 
@@ -97,7 +96,7 @@ class ExperimentConfig:
     p_qubits: int = 1
     a_qubits: int = 1
     l: int = 2
-    strategy: dict = field(default_factory=lambda: {"kind": "idle_epr"})
+    strategy: dict = field(default_factory=lambda: dict(DEFAULT_STRATEGY))
     trials: int = 1000
     seed: int = 0
     mode: str = "exact"
@@ -106,32 +105,27 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}")
-        if not 0.0 < self.p <= 1.0:
-            raise ConfigError(f"verifier p must be in (0, 1], got {self.p}")
-        if self.p_qubits < 1 or self.a_qubits < 1:
-            raise ConfigError("verifier register sizes must be >= 1")
-        if self.l < 2:
-            raise ConfigError(f"l must be >= 2, got {self.l}")
+        for name, least in (("p_qubits", 1), ("a_qubits", 1), ("l", 2), ("trials", 1)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_number(self.p) or not 0.0 < self.p <= 1.0:
+            raise ConfigError(f"verifier p must be a number in (0, 1], got {self.p!r}")
+        if self.experiment == "completeness" and self.p < 0.5:
+            raise ConfigError(f"completeness needs verifier p >= 1/2, where an honest proof exists, got {self.p}")
         if self.mode not in ("exact", "sampled"):
             raise ConfigError(f"mode must be exact or sampled, got {self.mode!r}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        kind = self.strategy.get("kind")
-        if self.experiment == "soundness" and kind not in STRATEGY_KINDS:
-            raise ConfigError(f"strategy kind must be one of {STRATEGY_KINDS}, got {kind!r}")
-        if kind == "choi_product":
-            q = self.strategy.get("q")
-            if not _is_number(q) or not 0.0 <= q <= 1.0:
-                raise ConfigError(f"choi_product strategy needs q in [0, 1], got {q!r}")
-        if kind == "local_unitaries":
-            seed = self.strategy.get("unitary_seed")
-            if isinstance(seed, bool) or not isinstance(seed, int):
-                raise ConfigError(f"local_unitaries strategy needs an integer unitary_seed, got {seed!r}")
+        try:
+            check_strategy(self.strategy)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
         for name, value in self.tolerances.items():
-            if not _is_number(value) or not math.isfinite(value) or value < 0:
+            if not _is_number(value) or not 0 <= value <= sys.float_info.max:
                 raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
         if self.experiment in ("completeness", "soundness"):
             rows = self.trials if self.mode == "sampled" else 0
@@ -148,7 +142,8 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         return {
             "experiment": self.experiment,
-            "verifier": {"p": self.p, "p_qubits": self.p_qubits, "a_qubits": self.a_qubits},
+            # p echoes as a float whether the config gave 1 or 1.0
+            "verifier": {"p": float(self.p), "p_qubits": self.p_qubits, "a_qubits": self.a_qubits},
             "l": self.l,
             "strategy": dict(self.strategy),
             "trials": self.trials,
@@ -167,24 +162,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' field")
+        for name in ("verifier", "strategy", "tolerances"):
+            if not isinstance(data.get(name, {}), dict):
+                raise ConfigError(f"{name!r} must be an object, got {data[name]!r}")
         verifier = data.get("verifier", {})
-        if not isinstance(verifier, dict):
-            raise ConfigError("'verifier' must be an object")
-        try:
-            config = cls(
-                experiment=str(data["experiment"]),
-                p=float(verifier.get("p", 0.75)),
-                p_qubits=int(verifier.get("p_qubits", 1)),
-                a_qubits=int(verifier.get("a_qubits", 1)),
-                l=int(data.get("l", 2)),
-                strategy=dict(data.get("strategy", {"kind": "idle_epr"})),
-                trials=int(data.get("trials", 1000)),
-                seed=int(data.get("seed", 0)),
-                mode=str(data.get("mode", "exact")),
-                tolerances=dict(data.get("tolerances", {})),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed config value: {exc}") from exc
+        unknown = set(verifier) - {"p", "p_qubits", "a_qubits"}
+        if unknown:
+            raise ConfigError(f"unknown verifier fields: {sorted(unknown)}")
+        # Values are taken as they are, never converted: validate checks their types.
+        config = cls(**{k: v for k, v in data.items() if k != "verifier"}, **verifier)
         config.validate()
         return config
 
@@ -219,19 +205,6 @@ class ExperimentReport:
         return found
 
 
-def _strategy_from_config(spec: dict) -> ProverStrategy:
-    kind = spec.get("kind")
-    if kind == "honest":
-        return ProverStrategy.honest()
-    if kind == "idle_epr":
-        return ProverStrategy.idle_epr()
-    if kind == "choi_product":
-        return ProverStrategy.choi_product(float(spec["q"]))
-    if kind == "local_unitaries":
-        return ProverStrategy.local_unitaries(int(spec["unitary_seed"]))
-    raise ConfigError(f"unknown strategy kind {kind!r}")
-
-
 # The CSV fields (b, postsel, verdict) of a sampled trial, by branch key.
 _ROW_FIELDS = {
     "b0_postsel_fail": (0, "fail", "accept"),
@@ -247,7 +220,7 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.experiment == "completeness":
         proof = honest_proof(toy, config.l)
     else:
-        proof = cheating_proof(_strategy_from_config(config.strategy), toy, config.l)
+        proof = cheating_proof(config.strategy, toy, config.l)
     run = ProtocolRun(proof, toy)
     if config.mode == "exact":
         result = run.exact()

@@ -149,7 +149,12 @@ def proof_layout(p_qubits: int, l: int) -> RegisterLayout:
 
 @dataclass(frozen=True)
 class ProtocolState:
-    """Joint prover/verifier state over (P, S1, S1', ..., Sl, Sl')."""
+    """Joint prover/verifier state over (P, S1, S1', ..., Sl, Sl').
+
+    Construction checks the canonical layout and the shared-pair marginal, so
+    every proof, built by a strategy or by hand, is checked once, when it is
+    made.
+    """
 
     state: State
     l: int
@@ -163,6 +168,11 @@ class ProtocolState:
                 f"layout {self.state.layout.registers} does not match the canonical "
                 f"proof layout {expected.registers}"
             )
+        # Whatever the prover does to P and the Si halves, the verifier's
+        # halves (S1', ..., Sl') stay maximally mixed.
+        dist = verifier_marginal_distance(self)
+        if dist > MARGINAL_TOL:
+            raise ValueError(f"shared-pair marginal is off by trace distance {dist:.3e}")
 
     @property
     def pairs(self) -> list[tuple[str, str]]:
@@ -194,13 +204,41 @@ def _clamped_q(p_x: float) -> float:
     return float(min(max(1.0 / (2.0 * p_x), 0.5), 1.0))
 
 
-def _choi_pair_proof(toy: ToyVerifier, l: int, q: float, witness: np.ndarray) -> ProtocolState:
-    lay = proof_layout(toy.p_qubits, l)
-    amps = witness
-    pair = choi_state(dagger(rx_prob(q))).amplitudes
-    for _ in range(l):
-        amps = tensor(amps, pair)
-    return ProtocolState(StateVector(lay, amps), l)
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+# Each prover strategy kind, and for each of its parameters what the value
+# must be and the test it must pass.  A strategy is a dict such as
+# {"kind": "choi_product", "q": 0.6}.
+STRATEGY_PARAMS = {
+    "honest": {},
+    "idle_epr": {},
+    "choi_product": {"q": ("a number in [0, 1]", lambda q: _is_number(q) and 0.0 <= q <= 1.0)},
+    "local_unitaries": {"unitary_seed": ("an integer", _is_int)},
+}
+# The strategy of a config that names none.
+DEFAULT_STRATEGY = {"kind": "idle_epr"}
+
+
+def check_strategy(strategy: dict) -> None:
+    """Raise ValueError unless strategy names a known kind with exactly its parameters."""
+    if not isinstance(strategy, dict):
+        raise ValueError(f"strategy must be an object, got {strategy!r}")
+    kind = strategy.get("kind")
+    if not isinstance(kind, str) or kind not in STRATEGY_PARAMS:
+        raise ValueError(f"strategy kind must be one of {tuple(STRATEGY_PARAMS)}, got {kind!r}")
+    params = STRATEGY_PARAMS[kind]
+    keys = {"kind", *params}
+    if set(strategy) != keys:
+        raise ValueError(f"strategy {kind!r} takes the keys {sorted(keys)}, got {list(strategy)}")
+    for key, (meaning, valid) in params.items():
+        if not valid(strategy[key]):
+            raise ValueError(f"strategy {kind!r} needs {key} to be {meaning}, got {strategy[key]!r}")
 
 
 def honest_proof(toy: ToyVerifier, l: int = 2) -> ProtocolState:
@@ -212,92 +250,33 @@ def honest_proof(toy: ToyVerifier, l: int = 2) -> ProtocolState:
     p_x, _ = best_witness(toy)
     if p_x < 0.5 - 1e-12:
         raise ValueError(f"honest proof needs max acceptance >= 1/2, got {p_x}")
-    return cheating_proof(ProverStrategy.honest(), toy, l)
+    return cheating_proof({"kind": "honest"}, toy, l)
 
 
-@dataclass(frozen=True)
-class ProverStrategy:
-    """Recipe for how the proof state is produced.
+def cheating_proof(strategy: dict, toy: ToyVerifier, l: int = 2) -> ProtocolState:
+    """The proof state a prover strategy (see STRATEGY_PARAMS) produces.
 
-    Kinds: honest (best witness, matched pairs, q clamped into [1/2, 1]),
-    choi_product (honest structure with a chosen q), idle_epr (untouched
-    pairs), local_unitaries (seeded random unitaries on P and each prover
-    half), custom (explicit state).
+    Every kind puts the best witness in P and the rotated EPR pair
+    choi(rx_prob(q)†) in every slot: honest with q = 1/(2 p_x) clamped into
+    [1/2, 1], choi_product with its own q, idle_epr and local_unitaries with
+    q = 0 (untouched pairs).  local_unitaries then applies seeded random
+    unitaries to P and to each prover half Si.  ProtocolState checks that the
+    (S1', ..., Sl') marginal stayed maximally mixed.
     """
-
-    kind: str
-    q: float | None = None
-    seed: int | None = None
-    state: ProtocolState | None = None
-    witness_override: StateVector | None = None
-
-    @classmethod
-    def honest(cls) -> "ProverStrategy":
-        return cls(kind="honest")
-
-    @classmethod
-    def choi_product(cls, q: float, witness: StateVector | None = None) -> "ProverStrategy":
-        return cls(kind="choi_product", q=q, witness_override=witness)
-
-    @classmethod
-    def idle_epr(cls, witness: StateVector | None = None) -> "ProverStrategy":
-        return cls(kind="idle_epr", witness_override=witness)
-
-    @classmethod
-    def local_unitaries(cls, seed: int, witness: StateVector | None = None) -> "ProverStrategy":
-        return cls(kind="local_unitaries", seed=seed, witness_override=witness)
-
-    @classmethod
-    def custom(cls, state: ProtocolState) -> "ProverStrategy":
-        return cls(kind="custom", state=state)
-
-
-def _witness_vector(strategy: ProverStrategy, toy: ToyVerifier) -> np.ndarray:
-    if strategy.witness_override is not None:
-        override = strategy.witness_override
-        if override.layout.dim != 2**toy.p_qubits:
-            raise ValueError("witness override does not match the P register size")
-        return override.amplitudes
-    return best_witness(toy)[1]
-
-
-def cheating_proof(strategy: ProverStrategy, toy: ToyVerifier, l: int = 2) -> ProtocolState:
-    """Build a proof state from a strategy and check the shared-pair marginal.
-
-    Whatever the prover does to P and the Si halves, the (S1', ..., Sl')
-    marginal must stay maximally mixed; a custom state violating that is
-    rejected here.
-    """
-    if strategy.kind == "custom":
-        if strategy.state is None:
-            raise ValueError("custom strategy needs an explicit state")
-        proof = strategy.state
-        if proof.l != l:
-            raise ValueError(f"custom state has l={proof.l}, expected {l}")
-    elif strategy.kind == "honest":
-        p_x, _ = best_witness(toy)
-        proof = _choi_pair_proof(toy, l, _clamped_q(p_x), _witness_vector(strategy, toy))
-    elif strategy.kind == "choi_product":
-        if strategy.q is None or not 0.0 <= strategy.q <= 1.0:
-            raise ValueError(f"choi_product needs q in [0, 1], got {strategy.q}")
-        proof = _choi_pair_proof(toy, l, strategy.q, _witness_vector(strategy, toy))
-    elif strategy.kind == "idle_epr":
-        proof = _choi_pair_proof(toy, l, 0.0, _witness_vector(strategy, toy))
-    elif strategy.kind == "local_unitaries":
-        if strategy.seed is None:
-            raise ValueError("local_unitaries needs a seed")
-        sv = _choi_pair_proof(toy, l, 0.0, _witness_vector(strategy, toy)).state
-        sv = apply_unitary(sv, random_unitary(rngmod.stream(strategy.seed, 0), 2**toy.p_qubits), ["P"])
+    check_strategy(strategy)
+    kind = strategy["kind"]
+    p_x, amps = best_witness(toy)
+    q = _clamped_q(p_x) if kind == "honest" else strategy.get("q", 0.0)
+    pair = choi_state(dagger(rx_prob(q))).amplitudes
+    for _ in range(l):
+        amps = tensor(amps, pair)
+    sv = StateVector(proof_layout(toy.p_qubits, l), amps)
+    if kind == "local_unitaries":
+        seed = strategy["unitary_seed"]
+        sv = apply_unitary(sv, random_unitary(rngmod.stream(seed, 0), 2**toy.p_qubits), ["P"])
         for i in range(1, l + 1):
-            u = random_unitary(rngmod.stream(strategy.seed, i), 2)
-            sv = apply_unitary(sv, u, [pair_names(i)[0]])
-        proof = ProtocolState(sv, l)
-    else:
-        raise ValueError(f"unknown strategy kind {strategy.kind!r}")
-    dist = verifier_marginal_distance(proof)
-    if dist > MARGINAL_TOL:
-        raise ValueError(f"shared-pair marginal is off by trace distance {dist:.3e}")
-    return proof
+            sv = apply_unitary(sv, random_unitary(rngmod.stream(seed, i), 2), [pair_names(i)[0]])
+    return ProtocolState(sv, l)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from eprverify.metrics import pure_fidelity_form
 from eprverify.protocol import (
     ProtocolRun,
     ProtocolState,
-    ProverStrategy,
     cheating_proof,
     honest_proof,
     honest_rewinding_instance,
@@ -150,10 +149,10 @@ def test_criterion_6_inequality_suite():
 def test_criterion_7_soundness_oracle_equivalence():
     start = time.perf_counter()
     strategies = [
-        ("honest", ProverStrategy.honest()),
-        ("idle_epr", ProverStrategy.idle_epr()),
-        ("choi_product", ProverStrategy.choi_product(0.8)),
-        ("local_unitaries", ProverStrategy.local_unitaries(5)),
+        ("honest", {"kind": "honest"}),
+        ("idle_epr", {"kind": "idle_epr"}),
+        ("choi_product", {"kind": "choi_product", "q": 0.8}),
+        ("local_unitaries", {"kind": "local_unitaries", "unitary_seed": 5}),
     ]
     for p in (1e-3, 2e-4):
         toy = make_toy_verifier(p)
@@ -182,7 +181,7 @@ def test_criterion_7_soundness_oracle_equivalence():
             choi_state(u2).amplitudes,
         )
         proof = ProtocolState(StateVector(proof_layout(1, 2), amps), 2)
-        result = ProtocolRun(cheating_proof(ProverStrategy.custom(proof), toy, l=2), toy).exact()
+        result = ProtocolRun(proof, toy).exact()
         rho1 = pinch_phi(proj(choi_state(u1).amplitudes))
         rho2 = pinch_phi(proj(choi_state(u2).amplitudes))
         expected = (1 - np.trace(rho1 @ rho2).real) / 2

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,10 +201,14 @@ def test_sampled_csv_schema():
     assert first[5] in ("accept", "reject")
 
 
-# sha256 of the JSON and CSV reports of sampled runs.  They pin the per-trial
-# stream contract (trial t draws from stream(seed, t), the order of its draws,
-# and the walk that maps them to a branch) across refactors.  Sampled reports
-# hold only counts and count ratios, so BLAS rounding cannot move them.
+# sha256 of the JSON and CSV reports of soundness runs in sampled mode, unless
+# the fields say otherwise; each was recorded before the refactor it guards.
+# The sampled ones pin the per-trial stream contract (trial t draws from
+# stream(seed, t), the order of its draws, and the walk that maps them to a
+# branch); they hold only counts and count ratios, so BLAS rounding cannot move
+# them.  With the exact ones, every way of building a proof (completeness, and
+# each strategy kind) is pinned; exact reports hold floats, so their digests
+# also pin the rounding of numpy 2.4 with OpenBLAS on x86-64, at any thread count.
 STREAM_CONTRACT = [
     ({"verifier": {"p": 0.2}, "l": 2, "strategy": {"kind": "idle_epr"}, "seed": 31},
      "e16efc77eb34f8cdb01ac2e5ee52c62eb601b9efc0a845da8ff111452ea1580a",
@@ -211,6 +219,19 @@ STREAM_CONTRACT = [
     ({"verifier": {"p": 0.25}, "l": 3, "strategy": {"kind": "local_unitaries", "unitary_seed": 5}, "seed": 33},
      "82c2496a7388b92b7cf57eb44fcc35618501c3dd3f4cb889023cf106d109f341",
      "59333d065ce73fe2433444a6bc5f18af639168a13a12274b7a386b5f41b3f063"),
+    ({"experiment": "completeness", "mode": "exact", "verifier": {"p": 0.6}, "l": 3, "seed": 34},
+     "e07a166ea7de1feb60688f2fd4eb22cde82ad3beddf4761695520622689a55cd",
+     "f5b51fbd5b521670e9677553143eb64dd07b6d817b89e0dd7db6c6e403ef162b"),
+    ({"experiment": "completeness", "verifier": {"p": 0.8, "a_qubits": 2}, "l": 2, "seed": 35},
+     "10f124bd240af40581893aacf544cb9c98393595ebb0b831ef8486b7dd9581ff",
+     "4e0951b95eddb37acae82db451f0c01310bbf85d888517fc5cd90a0d1a640c79"),
+    ({"verifier": {"p": 0.2}, "l": 2, "strategy": {"kind": "honest"}, "seed": 36},
+     "3e54a3e074a8450c4eebef1ded4d7ab53d599b15ff16528df8568cd54f698988",
+     "98e5f51838c50f073f9f54c264d170fee59db582896bba14374c333a9f94902b"),
+    ({"mode": "exact", "verifier": {"p": 0.25, "p_qubits": 2}, "l": 3,
+      "strategy": {"kind": "local_unitaries", "unitary_seed": 6}, "seed": 37},
+     "af1e9e29a4daf2797bafa0665670f465a180dcee05d8b7923b299a69c6896726",
+     "1b67415010a50de7fe97a79c65c34b0b22d6ba5d826593c2adb0acd200bc08e3"),
 ]
 
 
@@ -305,6 +326,22 @@ def test_cli_validation_failure_exit_two(tmp_path):
         {"experiment": "soundness", "strategy": {"kind": "local_unitaries", "unitary_seed": "x"}},
         {"experiment": "soundness", "strategy": {"kind": "local_unitaries", "unitary_seed": 1.5}},
         {"experiment": "soundness", "strategy": {"kind": "choi_product", "q": "abc"}},
+        pytest.param({"experiment": "lemmas", "tolerances": {"margin": 10**400}}, id="tolerance-huge-int"),
+        pytest.param({"experiment": "completeness", "l": 2.9}, id="l-float"),
+        pytest.param({"experiment": "soundness", "mode": "sampled", "trials": 1.5}, id="trials-float"),
+        pytest.param({"experiment": "completeness", "seed": 7.8}, id="seed-float"),
+        pytest.param({"experiment": "completeness", "verifier": {"p_qubits": 1.7}}, id="p_qubits-float"),
+        pytest.param({"experiment": "completeness", "verifier": {"a_qubits": True}}, id="a_qubits-bool"),
+        pytest.param({"experiment": "soundness", "verifier": {"p": "0.5"}}, id="p-string"),
+        pytest.param({"experiment": "soundness", "verifier": {"p": 10**400}}, id="p-huge-int"),
+        pytest.param({"experiment": "completeness", "verifier": [["p", 0.75]]}, id="verifier-list"),
+        pytest.param({"experiment": "soundness", "strategy": [["kind", "idle_epr"]]}, id="strategy-list"),
+        pytest.param({"experiment": "lemmas", "tolerances": [["margin", 1e-9]]}, id="tolerances-list"),
+        pytest.param({"experiment": "completeness", "verifier": {"p": 0.5, "junk": 1}}, id="verifier-unknown-key"),
+        pytest.param({"experiment": "soundness", "strategy": {"kind": "idle_epr", "q": 5, "junk": 1}},
+                     id="strategy-unknown-keys"),
+        pytest.param({"experiment": "lemmas", "strategy": {"kind": "custom"}}, id="lemmas-strategy-kind"),
+        pytest.param({"experiment": "completeness", "verifier": {"p": 0.3}}, id="completeness-p-below-half"),
     ],
 )
 def test_cli_bad_config_value_exit_one(tmp_path, capsys, config):
@@ -312,6 +349,25 @@ def test_cli_bad_config_value_exit_one(tmp_path, capsys, config):
     cfg.write_text(json.dumps(config))
     assert main([config["experiment"], "--config", str(cfg)]) == 1
     assert "invalid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, code", [(0.3, 1), (0.5, 0)])
+def test_cli_completeness_needs_p_one_half(tmp_path, p, code):
+    # as a process, so that an uncaught error would show as a traceback on stderr
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "completeness", "verifier": {"p": p}, "l": 3}))
+    out = tmp_path / "r.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "eprverify.cli", "completeness", "--config", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        assert json.loads(out.read_text())["accept_probability"] == pytest.approx(1.0, abs=1e-9)
+    else:
+        assert "invalid config: completeness needs verifier p >= 1/2" in proc.stderr
 
 
 def test_cli_over_memory_budget_exit_one(tmp_path, capsys):

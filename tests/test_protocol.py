@@ -23,6 +23,7 @@ from eprverify.kernel import (
 )
 from eprverify.linalg import dagger, is_unitary, max_eigpair, operator_norm, proj, tensor
 from eprverify.metrics import pure_fidelity_form, trace_distance
+from eprverify import protocol
 from eprverify.protocol import (
     BRANCH_KEYS,
     PROB_FLOOR,
@@ -30,8 +31,8 @@ from eprverify.protocol import (
     HalfEigenpairError,
     ProtocolRun,
     ProtocolState,
-    ProverStrategy,
     accept_operator,
+    check_strategy,
     cheating_proof,
     honest_proof,
     honest_rewinding_instance,
@@ -127,10 +128,10 @@ def test_proof_marginal_is_maximally_mixed():
 def test_strategies_build_and_validate():
     toy = make_toy_verifier(1e-3)
     for strat in (
-        ProverStrategy.honest(),
-        ProverStrategy.idle_epr(),
-        ProverStrategy.choi_product(0.6),
-        ProverStrategy.local_unitaries(31),
+        {"kind": "honest"},
+        {"kind": "idle_epr"},
+        {"kind": "choi_product", "q": 0.6},
+        {"kind": "local_unitaries", "unitary_seed": 31},
     ):
         proof = cheating_proof(strat, toy, l=2)
         assert verifier_marginal_distance(proof) <= 1e-9
@@ -138,13 +139,12 @@ def test_strategies_build_and_validate():
 
 def test_idle_epr_pairs_are_epr():
     toy = make_toy_verifier(1e-3)
-    proof = cheating_proof(ProverStrategy.idle_epr(), toy, l=2)
+    proof = cheating_proof({"kind": "idle_epr"}, toy, l=2)
     pair = partial_trace(to_density(proof.state), ["S2", "S2'"])
     assert trace_distance(pair.matrix, proj(BELL_STATES[0])) <= 1e-12
 
 
 def test_custom_state_marginal_rejection():
-    toy = make_toy_verifier(1e-3)
     lay = proof_layout(1, 2)
     # prover halves entangled correctly but one verifier half forced to |0>
     bad = tensor(
@@ -152,17 +152,60 @@ def test_custom_state_marginal_rejection():
         np.array([1.0, 0.0, 0.0, 0.0], dtype=complex),  # pair 1 = |00>
         BELL_STATES[0],
     )
-    proof = ProtocolState(StateVector(lay, bad), 2)
-    with pytest.raises(ValueError):
-        cheating_proof(ProverStrategy.custom(proof), toy, l=2)
+    with pytest.raises(ValueError, match="marginal"):
+        ProtocolState(StateVector(lay, bad), 2)
+    with pytest.raises(ValueError, match="marginal"):
+        ProtocolState(StateVector(lay, bad).density(), 2)
 
 
-def test_witness_override_is_used():
-    toy = make_toy_verifier(1e-3)
-    override = StateVector(layout(("P", 1)), np.array([1.0, 0.0]))
-    proof = cheating_proof(ProverStrategy.idle_epr(witness=override), toy, l=2)
-    marg = partial_trace(to_density(proof.state), ["P"])
-    assert trace_distance(marg.matrix, proj(np.array([1.0, 0.0]))) <= 1e-12
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        ["kind", "idle_epr"],
+        {"q": 0.5},
+        {"kind": "custom"},
+        {"kind": ["idle_epr"]},
+        {"kind": "choi_product"},
+        {"kind": "choi_product", "q": 1.5},
+        {"kind": "choi_product", "q": float("nan")},
+        {"kind": "choi_product", "q": "0.5"},
+        {"kind": "choi_product", "q": True},
+        {"kind": "local_unitaries", "unitary_seed": 1.0},
+        {"kind": "local_unitaries", "unitary_seed": False},
+        {"kind": "idle_epr", "q": 5},
+        {"kind": "honest", "junk": 1},
+        {"kind": "local_unitaries", "unitary_seed": 3, "q": 0.5},
+    ],
+)
+def test_strategy_check_rejects(strategy):
+    with pytest.raises(ValueError, match="strategy"):
+        check_strategy(strategy)
+    with pytest.raises(ValueError, match="strategy"):
+        cheating_proof(strategy, make_toy_verifier(0.75), l=2)
+
+
+def test_marginal_check_runs_once_per_proof(monkeypatch):
+    calls = []
+    original = protocol.verifier_marginal_distance
+
+    def counted(proof):
+        calls.append(proof.l)
+        return original(proof)
+
+    monkeypatch.setattr(protocol, "verifier_marginal_distance", counted)
+    toy = make_toy_verifier(0.75)
+    for strategy in (
+        {"kind": "honest"},
+        {"kind": "idle_epr"},
+        {"kind": "choi_product", "q": 0.6},
+        {"kind": "local_unitaries", "unitary_seed": 31},
+    ):
+        calls.clear()
+        cheating_proof(strategy, toy, l=3)
+        assert calls == [3], strategy
+    calls.clear()
+    honest_proof(toy, l=2)
+    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +462,7 @@ def test_completeness_spot_checks():
 
 def test_branch_masses_sum_to_one():
     toy = make_toy_verifier(1e-3)
-    for strat in (ProverStrategy.idle_epr(), ProverStrategy.local_unitaries(3)):
+    for strat in ({"kind": "idle_epr"}, {"kind": "local_unitaries", "unitary_seed": 3}):
         result = ProtocolRun(cheating_proof(strat, toy, l=2), toy).exact()
         assert sum(result.branches.values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -428,7 +471,7 @@ def test_idle_epr_exact_accept_is_three_quarters():
     # postselection teleports |0> through an untouched pair; the all-zero
     # measurement then fires with certainty, so accept = 1/2 + 1/4 exactly
     toy = make_toy_verifier(1e-3)
-    result = ProtocolRun(cheating_proof(ProverStrategy.idle_epr(), toy, l=2), toy).exact()
+    result = ProtocolRun(cheating_proof({"kind": "idle_epr"}, toy, l=2), toy).exact()
     assert result.accept_probability == pytest.approx(0.75, abs=1e-12)
     assert result.branches["b0_allzero_reject"] == pytest.approx(0.25, abs=1e-12)
 
@@ -438,7 +481,7 @@ def test_choi_product_matches_hand_closed_form():
     p = 1e-3
     toy = make_toy_verifier(p)
     for qp in (0.0, 0.3, 0.8, 1.0):
-        proof = cheating_proof(ProverStrategy.choi_product(qp), toy, l=2)
+        proof = cheating_proof({"kind": "choi_product", "q": qp}, toy, l=2)
         result = ProtocolRun(proof, toy).exact()
         expected = 0.75 + (1 - (1 - 2 * p * qp) ** 2) / 4
         assert result.accept_probability == pytest.approx(expected, abs=1e-12)
@@ -453,7 +496,7 @@ def test_asymmetric_custom_state_swap_branch_formula():
     witness = np.array([0.0, 1.0], dtype=complex)
     amps = tensor(witness, choi_state(u1).amplitudes, choi_state(u2).amplitudes)
     proof = ProtocolState(StateVector(lay, amps), 2)
-    result = ProtocolRun(cheating_proof(ProverStrategy.custom(proof), toy, l=2), toy).exact()
+    result = ProtocolRun(proof, toy).exact()
     rho1 = pinch_phi(proj(choi_state(u1).amplitudes))
     rho2 = pinch_phi(proj(choi_state(u2).amplitudes))
     expected = (1 - np.trace(rho1 @ rho2).real) / 2
@@ -470,7 +513,7 @@ def test_step_one_two_fixed_point_for_honest_proof():
 
 def test_sampled_runs_deterministic_and_consistent():
     toy = make_toy_verifier(1e-3)
-    proof = cheating_proof(ProverStrategy.idle_epr(), toy, l=2)
+    proof = cheating_proof({"kind": "idle_epr"}, toy, l=2)
     run = ProtocolRun(proof, toy)
     a = [run.sample(stream(9, t)) for t in range(500)]
     b = [run.sample(stream(9, t)) for t in range(500)]
@@ -515,7 +558,7 @@ def test_four_pair_runs():
     toy = make_toy_verifier(0.75)
     result = ProtocolRun(honest_proof(toy, l=4), toy).exact()
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
-    cheat = ProtocolRun(cheating_proof(ProverStrategy.local_unitaries(3), toy, l=4), toy).exact()
+    cheat = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 3}, toy, l=4), toy).exact()
     assert sum(cheat.branches.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -523,7 +566,7 @@ def test_eight_pair_runs():
     toy = make_toy_verifier(0.75)
     result = ProtocolRun(honest_proof(toy, l=8), toy).exact()
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
-    cheat = ProtocolRun(cheating_proof(ProverStrategy.local_unitaries(3), toy, l=8), toy).exact()
+    cheat = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 3}, toy, l=8), toy).exact()
     assert sum(cheat.branches.values()) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -541,8 +584,10 @@ def test_exact_matches_oracle_on_non_exchangeable_proofs(l):
     # each ordered pair's reduction, and their mean must agree
     toy = make_toy_verifier(0.3)
     ordered = [(i, j) for i in range(l) for j in range(l) if i != j]
-    for strategy in (ProverStrategy.local_unitaries(7), ProverStrategy.custom(_distinct_choi_pairs(l))):
-        proof = cheating_proof(strategy, toy, l)
+    for name, proof in (
+        ("local_unitaries", cheating_proof({"kind": "local_unitaries", "unitary_seed": 7}, toy, l)),
+        ("distinct_choi_pairs", _distinct_choi_pairs(l)),
+    ):
         reductions = [select_ordered_pair(proof.state, proof.pairs, i, j).matrix for i, j in ordered]
         assert trace_distance(reductions[0], reductions[l - 1]) > 1e-3  # (0,1) vs (1,0)
         per_pair = [
@@ -552,7 +597,7 @@ def test_exact_matches_oracle_on_non_exchangeable_proofs(l):
         result = ProtocolRun(proof, toy).exact()
         for key in BRANCH_KEYS:
             expected = np.mean([masses[key] for masses in per_pair])
-            assert result.branches[key] == pytest.approx(expected, abs=1e-9), (strategy.kind, key)
+            assert result.branches[key] == pytest.approx(expected, abs=1e-9), (name, key)
 
 
 def _circuit_tree(dm, toy):
@@ -596,7 +641,7 @@ def test_pair_tree_diagonal_read_matches_post_selection(p_qubits, a_qubits, p, k
         dm = StateVector(lay, random_pure(rng, lay.dim)).density()
     else:
         # deterministic bits: most conditional probabilities sit on PROB_FLOOR
-        proof = cheating_proof(ProverStrategy.idle_epr(), toy, l=2)
+        proof = cheating_proof({"kind": "idle_epr"}, toy, l=2)
         dm = select_ordered_pair(proof.state, proof.pairs, 0, 1)
     tree = _pair_tree(dm, toy)
     bell_probs, bit_dists = _circuit_tree(dm, toy)
@@ -618,7 +663,7 @@ def test_protocol_run_never_forms_the_proof_density(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(StateVector, "density", guarded)
-    for proof in (honest_proof(toy, 3), cheating_proof(ProverStrategy.local_unitaries(2), toy, l=3)):
+    for proof in (honest_proof(toy, 3), cheating_proof({"kind": "local_unitaries", "unitary_seed": 2}, toy, l=3)):
         run = ProtocolRun(proof, toy)
         assert sum(run.exact().branches.values()) == pytest.approx(1.0, abs=1e-9)
         run.sample(stream(1, 0))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -30,31 +31,34 @@ def _build_parser() -> _Parser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", type=Path, help="JSON config file")
-        p.add_argument("--seed", type=int, help="RNG seed (overrides config and env)")
+        p.add_argument("--seed", help="RNG seed (overrides config and env)")
         p.add_argument("--mode", choices=["exact", "sampled"], help="evaluation mode")
-        p.add_argument("--trials", type=int, help="sampled trials / random instances")
+        p.add_argument("--trials", help="sampled trials / random instances")
         p.add_argument("--out", type=Path, help="report file (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"], default="json", help="report format")
     return parser
 
 
-def _default_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return None
+def _integer(text: str, what: str) -> int:
+    """An optional '-' then ASCII digits, as an int; int() alone would also take
+    '1_0', ' 10 ' and non-ASCII digits."""
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+        if re.fullmatch("-?[0-9]+", text):
+            return int(text)
+    except ValueError:  # more digits than int() converts
+        pass
+    raise ConfigError(f"{what} must be an integer, got {text!r}")
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     data: dict = {"experiment": args.experiment}
     if args.config is not None:
         try:
-            loaded = json.loads(Path(args.config).read_text())
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -65,15 +69,16 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
                 f"config is for experiment {data['experiment']!r}, "
                 f"but the {args.experiment!r} subcommand was invoked"
             )
-    env_seed = _default_seed()
+    raw_seed = os.environ.get(SEED_ENV_VAR)
+    env_seed = None if raw_seed is None else _integer(raw_seed, SEED_ENV_VAR)
     if "seed" not in data and env_seed is not None:
         data["seed"] = env_seed
     if args.seed is not None:
-        data["seed"] = args.seed
+        data["seed"] = _integer(args.seed, "--seed")
     if args.mode is not None:
         data["mode"] = args.mode
     if args.trials is not None:
-        data["trials"] = args.trials
+        data["trials"] = _integer(args.trials, "--trials")
     return ExperimentConfig.from_dict(data)
 
 

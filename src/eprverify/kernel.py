@@ -189,16 +189,6 @@ def partial_trace_ordered(state: State, keep_names: list[str]) -> DensityOperato
 
 _S2 = 1 / np.sqrt(2)
 HADAMARD = np.array([[_S2, _S2], [_S2, -_S2]], dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-CSWAP = np.block(
-    [[np.eye(4), np.zeros((4, 4))], [np.zeros((4, 4)), SWAP]]
-).astype(complex)
 
 # Bell states in the fixed order phi+, phi-, psi+, psi-; the single source of
 # truth for every sign-sensitive construction in the package.

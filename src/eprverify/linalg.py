@@ -82,10 +82,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ dagger(v)
-
 
 def spectrum(a: np.ndarray, tol: float = HERMITIAN_TOL) -> Spectrum:
     a = _require_square(a, "spectrum")
@@ -125,14 +121,6 @@ def hermitian_sqrt(a: np.ndarray, clip: float = HERMITIAN_TOL) -> np.ndarray:
     cleaned = np.where(vals < floor, 0.0, vals)
     root = np.sqrt(cleaned)
     return (spec.eigenvectors * root) @ dagger(spec.eigenvectors)
-
-
-def permute_qubits(t: np.ndarray, n_qubits: int, order: list[int]) -> np.ndarray:
-    """Reorder the tensor factors of a 2^n vector, or of a 2^n x 2^n matrix on both
-    index groups: new axis k holds old axis order[k]."""
-    t = np.asarray(t, dtype=complex)
-    axes = list(order) if t.ndim == 1 else list(order) + [n_qubits + k for k in order]
-    return t.reshape([2] * len(axes)).transpose(axes).reshape(t.shape)
 
 
 def _on_axes(t: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:

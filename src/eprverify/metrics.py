@@ -17,25 +17,12 @@ def _mat(x) -> np.ndarray:
     return np.asarray(getattr(x, "matrix", x), dtype=complex)
 
 
-def _vec(x) -> np.ndarray:
-    return np.asarray(getattr(x, "amplitudes", x), dtype=complex).reshape(-1)
-
-
 def trace_distance(a, b) -> float:
     """Half the trace norm of A - B."""
     a, b = _mat(a), _mat(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return 0.5 * trace_norm(a - b)
-
-
-def pure_trace_distance(phi, psi) -> float:
-    """Trace distance between unit vectors: sqrt(1 - |<phi|psi>|^2)."""
-    phi, psi = _vec(phi), _vec(psi)
-    if phi.shape != psi.shape:
-        raise ValueError(f"dimension mismatch: {phi.shape} vs {psi.shape}")
-    overlap_sq = min(abs(np.vdot(phi, psi)) ** 2, 1.0)
-    return float(np.sqrt(1.0 - overlap_sq))
 
 
 def fidelity(rho, sigma) -> float:
@@ -110,21 +97,3 @@ def mixture_perturbation_margin(rho, sigma, eps: float) -> float:
     mixed = (1.0 - eps) * rho + eps * sigma
     return eps - trace_distance(mixed, rho)
 
-
-def perturbation_checks(rho, sigma, eps: float, tol: float = 1e-9) -> tuple[bool, bool]:
-    """Both perturbation bounds on a density-operator pair.
-
-    The additive bound is instantiated with B = eps * sigma (PSD, trace eps);
-    the mixture bound with the convex combination at weight eps.
-    """
-    rho, sigma = _mat(rho), _mat(sigma)
-    first = additive_perturbation_margin(rho, eps * sigma, eps) >= -tol
-    second = mixture_perturbation_margin(rho, sigma, eps) >= -tol
-    return first, second
-
-
-def pure_fidelity_form(phi, sigma) -> float:
-    """Fidelity of a pure state against sigma in closed form: sqrt(<phi|sigma|phi>)."""
-    phi, sigma = _vec(phi), _mat(sigma)
-    val = float(np.real(np.vdot(phi, sigma @ phi)))
-    return float(np.sqrt(max(val, 0.0)))

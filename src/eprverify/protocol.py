@@ -1,6 +1,6 @@
 """The verification protocol: toy verifiers, prover strategies, SWAP test,
-teleportation-based post-selection, the rewinding identity, and the two-coin
-verifier circuit that ties them together.
+the teleportation read that post-selects two Bell outcomes, the rewinding
+identity, and the two-coin verifier circuit that ties them together.
 
 Proof states live on the canonical layout (P, S1, S1', ..., Sl, Sl'): P holds
 the witness, each (Si, Si') is an EPR pair the prover may have acted on through
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .channels import apply_pinch, bell_subspaces, choi_state
+from .channels import apply_pinch, choi_state
 from .kernel import (
     BELL_LABELS,
     BELL_STATES,
@@ -31,13 +31,10 @@ from .kernel import (
     select_ordered_pair,
     symmetrize_pairs,
     tensor_product,
-    to_density,
     zero_state,
     HADAMARD,
-    PAULI_X,
 )
 from .linalg import (
-    apply_local,
     dagger,
     is_projector,
     max_eigpair,
@@ -86,7 +83,6 @@ class ToyVerifier:
     p_qubits: int
     a_qubits: int
     acc_projector: np.ndarray
-    target_p: float
 
 
 def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVerifier:
@@ -112,7 +108,7 @@ def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVeri
         block = rotate_acc if x == dp - 1 else np.eye(da)
         v[x * da:(x + 1) * da, x * da:(x + 1) * da] = block
     acc = tensor(np.eye(dp), proj(np.array([0.0, 1.0])), np.eye(da // 2))
-    toy = ToyVerifier(v, p_qubits, a_qubits, acc, float(p))
+    toy = ToyVerifier(v, p_qubits, a_qubits, acc)
     top, _ = max_eigpair(accept_operator(toy))
     if abs(top - p) > 1e-9:
         raise ValueError(f"construction drifted: max acceptance {top} vs target {p}")
@@ -185,19 +181,6 @@ def verifier_marginal_distance(proof: ProtocolState) -> float:
     marg = partial_trace(proof.state, primed)
     d = marg.layout.dim
     return trace_distance(marg.matrix, np.eye(d) / d)
-
-
-def symmetrize_and_pinch_fixed_point_distance(proof: ProtocolState) -> float:
-    """How far the verifier's first two steps move the proof state.
-
-    For an exchangeable proof whose pairs already live in the kept Bell
-    subspaces (the honest case), symmetrizing and pinching leave its two-pair
-    restriction untouched and this distance is ~0.
-    """
-    sym = symmetrize_pairs(proof.state, proof.pairs)
-    pinched = apply_pinch(apply_pinch(sym, pair_names(1)), pair_names(2))
-    reference = partial_trace(proof.state, ["P", *pair_names(1), *pair_names(2)])
-    return trace_distance(pinched.matrix, reference.matrix)
 
 
 def _clamped_q(p_x: float) -> float:
@@ -332,51 +315,33 @@ def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Post-selection (teleportation with two kept Bell outcomes)
+# Teleportation through a shared pair, keeping two Bell outcomes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PostSelectionBranch:
-    label: str
-    probability: float
-    success: bool
-    state: State | None
+def teleport(
+    state: State, regs: tuple[str, str, str] = ("S2", "S2'", "S1"), rest: tuple[str, ...] = ()
+) -> list[np.ndarray]:
+    """What a Bell measurement of (regs[1], regs[2]) leaves on (*rest, regs[0]).
 
-
-def post_selection(
-    state: State, regs: tuple[str, str, str] = ("S2", "S2'", "S1")
-) -> list[PostSelectionBranch]:
-    """Teleport the third register's content into the first through a shared pair.
-
-    Bell-measures (regs[1], regs[2]); phi+ succeeds as is, psi+ succeeds after
-    an X correction on regs[0], and the minus outcomes are failures.  Returns
-    all four branches with probabilities and post density operators; an
-    outcome below PROB_FLOOR has probability 0 and no post state.
+    Returns one unnormalized density per outcome, in BELL_LABELS order; the
+    trace of each is the outcome's probability.  The psi+ state carries the X
+    correction on regs[0], so both kept outcomes (phi+ and psi+) deliver the
+    teleported regs[2].  The Bell basis of (regs[1], regs[2]) is rotated onto
+    the standard basis, so one reduction to (regs[1], regs[2], *rest, regs[0])
+    holds every outcome as a diagonal block.
     """
     out_reg, bridge, source = regs
     for r in regs:
         if state.layout.size(r) != 1:
-            raise ValueError(f"post_selection registers must be single qubits, {r} is not")
-    rho = to_density(state)
-    positions = rho.layout.positions([bridge, source])
-    branches = []
-    for k, (label, bell) in enumerate(zip(BELL_LABELS, BELL_STATES)):
-        projected = apply_local(rho.matrix, proj(bell), rho.layout.total_qubits, positions)
-        p = float(np.trace(projected).real)
-        post = None
-        if p >= PROB_FLOOR:
-            post = DensityOperator(rho.layout, projected / p, validate=False)
-            if k == _PSI_PLUS:
-                post = apply_unitary(post, PAULI_X, [out_reg])
-        success = k in _KEPT
-        branches.append(PostSelectionBranch(label, p if post is not None else 0.0, success, post))
-    return branches
-
-
-def postsel_success_prob(state: State, regs: tuple[str, str, str] = ("S2", "S2'", "S1")) -> float:
-    """Probability mass of the two kept Bell outcomes on (regs[1], regs[2])."""
-    reduced = partial_trace_ordered(state, [regs[1], regs[2]])
-    return float(np.trace(reduced.matrix @ bell_subspaces().pi_plus).real)
+            raise ValueError(f"teleport registers must be single qubits, {r} is not")
+    rotated = apply_unitary(state, BELL_STATES.conj(), [bridge, source], check=False)
+    reduced = partial_trace_ordered(rotated, [bridge, source, *rest, out_reg]).matrix
+    d = reduced.shape[0] // 4
+    blocks = [reduced[k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(4)]
+    # X on regs[0], the last qubit of the block: reverse its bit on both sides.
+    flipped = blocks[_PSI_PLUS].reshape(d // 2, 2, d // 2, 2)[:, ::-1, :, ::-1]
+    blocks[_PSI_PLUS] = flipped.reshape(d, d)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -467,26 +432,21 @@ def _pair_tree(dm: DensityOperator, toy: ToyVerifier) -> _PairTree:
     ancilla = zero_state(layout(("A", toy.a_qubits)))
     w = tensor_product(w, ancilla.density())
     w = apply_unitary(w, toy.v, ["P", "A"], check=False)
-    da = 2**toy.a_qubits
-    flip = np.eye(2**toy.p_qubits * da * 2) - 2.0 * tensor(
+    flip = np.eye(2 ** (toy.p_qubits + toy.a_qubits + 1)) - 2.0 * tensor(
         toy.acc_projector, proj(np.array([0.0, 1.0]))
     )
     w = apply_unitary(w, flip, ["P", "A", "S1"], check=False)
     w = apply_unitary(w, dagger(toy.v), ["P", "A"], check=False)
 
-    # Rotate Bell outcome k of (S2', S1) onto basis state k: the reduced
-    # diagonal is then the joint distribution of (outcome, A bits, S2 bit).
-    w = apply_unitary(w, BELL_STATES.conj(), ["S2'", "S1"], check=False)
-    joint = partial_trace_ordered(w, ["S2'", "S1", "A", "S2"]).matrix.diagonal().real
+    # Each outcome's block diagonal is the distribution of the (A, S2) bits.
     bell_probs: list[float] = []
     bit_dists: dict[int, list[float]] = {}
-    for k, outcome in enumerate(joint.reshape(4, da, 2)):
-        p_bell = float(outcome.sum())
+    for k, block in enumerate(teleport(w, rest=("A",))):
+        diag = block.diagonal().real
+        p_bell = float(diag.sum())
         bell_probs.append(p_bell if p_bell >= PROB_FLOOR else 0.0)
         if k in _KEPT and p_bell >= PROB_FLOOR:
-            if k == _PSI_PLUS:
-                outcome = outcome[:, ::-1]  # the X correction on S2
-            bit_dists[k] = [float(p) if p >= PROB_FLOOR else 0.0 for p in (outcome / p_bell).ravel()]
+            bit_dists[k] = [float(p) if p >= PROB_FLOOR else 0.0 for p in diag / p_bell]
     return _PairTree(bell_probs, bit_dists, swap_pass)
 
 

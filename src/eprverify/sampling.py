@@ -11,11 +11,6 @@ def random_complex_matrix(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = random_complex_matrix(rng, dim)
-    return (a + dagger(a)) / 2
-
-
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     q, r = np.linalg.qr(random_complex_matrix(rng, dim))

@@ -1,10 +1,17 @@
-"""Dense Kronecker embedding of a local operator: the reference that
-``linalg.apply_local`` is tested against.  It builds the full 2^n x 2^n
-operator, so it is kept out of the package."""
+"""Dense, brute-force forms that package code is tested against.  They build
+full matrices or sum explicitly, so they are kept out of the package."""
 
 import numpy as np
 
-from eprverify.linalg import permute_qubits, tensor
+from eprverify.linalg import tensor
+
+
+def permute_qubits(t: np.ndarray, n_qubits: int, order: list[int]) -> np.ndarray:
+    """Reorder the tensor factors of a 2^n vector, or of a 2^n x 2^n matrix on both
+    index groups: new axis k holds old axis order[k]."""
+    t = np.asarray(t, dtype=complex)
+    axes = list(order) if t.ndim == 1 else list(order) + [n_qubits + k for k in order]
+    return t.reshape([2] * len(axes)).transpose(axes).reshape(t.shape)
 
 
 def embed_unitary(u: np.ndarray, n_qubits: int, targets: list[int]) -> np.ndarray:
@@ -23,3 +30,35 @@ def embed_unitary(u: np.ndarray, n_qubits: int, targets: list[int]) -> np.ndarra
     # big acts on qubit order t + rest; move axes back to global order.
     inv = np.argsort(t + rest)
     return permute_qubits(big, n_qubits, list(inv))
+
+
+def choi_density(channel, dim: int) -> np.ndarray:
+    """Normalized Choi matrix (1/dim) sum_xy channel(|x><y|) (x) |x><y|.
+
+    ``channel`` maps dim x dim matrices to dim x dim matrices.  The result is a
+    density operator exactly when the channel is completely positive and trace
+    preserving.
+    """
+    out = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for x in range(dim):
+        for y in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[x, y] = 1.0
+            out += tensor(channel(unit), unit)
+    return out / dim
+
+
+def pure_fidelity(phi: np.ndarray, sigma: np.ndarray) -> float:
+    """Fidelity of a pure state against sigma in closed form: sqrt(<phi|sigma|phi>)."""
+    val = float(np.real(np.vdot(phi, sigma @ phi)))
+    return float(np.sqrt(max(val, 0.0)))
+
+
+def bell_branch(rho: np.ndarray, n_qubits: int, pair: list[int], keep: list[int], bell: np.ndarray) -> np.ndarray:
+    """Unnormalized state of the ``keep`` qubits (in that order) after projecting
+    the qubit pair onto the two-qubit vector ``bell``, every other qubit traced
+    out, by explicit sums over the full density matrix."""
+    others = [k for k in range(n_qubits) if k not in pair and k not in keep]
+    dk, do = 2 ** len(keep), 2 ** len(others)
+    t = permute_qubits(rho, n_qubits, [*pair, *keep, *others]).reshape(4, dk, do, 4, dk, do)
+    return np.einsum("b,bxocyo,c->xy", np.conj(bell), t, bell)

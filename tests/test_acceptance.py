@@ -11,18 +11,17 @@ import numpy as np
 from eprverify.channels import choi_state, pinch_phi
 from eprverify.harness import ExperimentConfig, emit_report, lemma_suite, run_experiment
 from eprverify.kernel import (
+    BELL_LABELS,
     BELL_STATES,
     DensityOperator,
     StateVector,
     bell_to_computational,
     layout,
-    partial_trace,
     rx_prob,
     tensor_product,
     to_density,
 )
 from eprverify.linalg import dagger, proj, tensor
-from eprverify.metrics import pure_fidelity_form
 from eprverify.protocol import (
     ProtocolRun,
     ProtocolState,
@@ -30,13 +29,14 @@ from eprverify.protocol import (
     honest_proof,
     honest_rewinding_instance,
     make_toy_verifier,
-    post_selection,
     proof_layout,
     rewinding_residual,
     swap_test,
+    teleport,
 )
 from eprverify.sampling import random_density, random_pure, random_unitary
 
+from dense_reference import pure_fidelity
 from monolithic_oracle import verifier_branch_masses
 
 P_GRID = np.linspace(0.5, 1.0, 11)
@@ -62,14 +62,14 @@ def test_criterion_2_post_selection_lemma():
         phi = random_pure(rng, 2)
         pair = choi_state(dagger(rx_prob(q)), names=("S2", "S2'"))
         state = tensor_product(pair, StateVector(layout(("S1", 1)), phi))
-        branches = post_selection(state)
-        success = sum(b.probability for b in branches if b.success)
+        # the verifier's own read: the phi+ and psi+ outcomes are kept
+        blocks = teleport(state)
+        kept = [blocks[BELL_LABELS.index("phi+")], blocks[BELL_LABELS.index("psi+")]]
+        success = sum(np.trace(out).real for out in kept)
         assert abs(success - 0.5) <= 1e-12
         expected = dagger(rx_prob(q)) @ phi
-        for b in branches:
-            if b.success and b.state is not None:
-                out = partial_trace(to_density(b.state), ["S2"])
-                assert pure_fidelity_form(expected, out.matrix) >= 1.0 - 1e-10
+        for out in kept:
+            assert pure_fidelity(expected, out / np.trace(out).real) >= 1.0 - 1e-10
     print("ACCEPTANCE 2 (post-selection: 50 random (q, phi), success 1/2, exact output): PASS")
 
 

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from eprverify.channels import (
-    apply_pinch,
-    bell_basis,
-    bell_subspaces,
-    choi_density,
-    choi_state,
-    pinch_phi,
-)
+from eprverify.channels import PI_MINUS, PI_PLUS, apply_pinch, choi_state, pinch_phi
 from eprverify.kernel import (
     BELL_STATES,
     DensityOperator,
@@ -24,6 +17,8 @@ from eprverify.linalg import dagger, is_projector, proj, tensor
 from eprverify.metrics import trace_distance
 from eprverify.sampling import random_complex_matrix, random_density, random_unitary
 
+from dense_reference import choi_density
+
 RNG = np.random.default_rng(77)
 
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -31,10 +26,9 @@ MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2)
 
 
 def test_bell_basis_orthonormal():
-    states = bell_basis()
-    for i, a in enumerate(states):
-        for j, b in enumerate(states):
-            overlap = np.vdot(a.amplitudes, b.amplitudes)
+    for i, a in enumerate(BELL_STATES):
+        for j, b in enumerate(BELL_STATES):
+            overlap = np.vdot(a, b)
             assert abs(overlap - (1.0 if i == j else 0.0)) <= 1e-12
 
 
@@ -47,11 +41,10 @@ def test_bell_states_in_hadamard_basis():
 
 
 def test_bell_subspaces_partition():
-    subs = bell_subspaces()
-    assert is_projector(subs.pi_plus)
-    assert is_projector(subs.pi_minus)
-    assert np.max(np.abs(subs.pi_plus @ subs.pi_minus)) <= 1e-12
-    assert np.allclose(subs.pi_plus + subs.pi_minus, np.eye(4), atol=1e-12)
+    assert is_projector(PI_PLUS)
+    assert is_projector(PI_MINUS)
+    assert np.max(np.abs(PI_PLUS @ PI_MINUS)) <= 1e-12
+    assert np.allclose(PI_PLUS + PI_MINUS, np.eye(4), atol=1e-12)
 
 
 def test_choi_state_identity_and_x():

@@ -351,23 +351,57 @@ def test_cli_bad_config_value_exit_one(tmp_path, capsys, config):
     assert "invalid config" in capsys.readouterr().err
 
 
+def _cli_process(*args: str) -> subprocess.CompletedProcess:
+    """The CLI as a process, so that an uncaught error shows as a traceback on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "eprverify.cli", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 @pytest.mark.parametrize("p, code", [(0.3, 1), (0.5, 0)])
 def test_cli_completeness_needs_p_one_half(tmp_path, p, code):
-    # as a process, so that an uncaught error would show as a traceback on stderr
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "completeness", "verifier": {"p": p}, "l": 3}))
     out = tmp_path / "r.json"
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "eprverify.cli", "completeness", "--config", str(cfg), "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _cli_process("completeness", "--config", str(cfg), "--out", str(out))
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     if code == 0:
         assert json.loads(out.read_text())["accept_probability"] == pytest.approx(1.0, abs=1e-9)
     else:
         assert "invalid config: completeness needs verifier p >= 1/2" in proc.stderr
+
+
+def test_cli_config_not_utf8_exit_one(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    proc = _cli_process("soundness", "--config", str(cfg))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"invalid config: config {cfg} is not valid UTF-8" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "env_seed, args",
+    [
+        (" 1_0 ", []),
+        ("\u0663", []),  # an Arabic-Indic digit, which int() reads as 3
+        ("+5", []),
+        ("9" * 5000, []),  # more digits than int() converts
+        (None, ["--seed", "1_0"]),
+        (None, ["--seed", "\u0663"]),
+        (None, ["--trials", "1_0"]),
+        (None, ["--trials", " 20"]),
+    ],
+)
+def test_cli_integers_are_ascii_digits_only(monkeypatch, capsys, env_seed, args):
+    if env_seed is None:
+        monkeypatch.delenv("EPRVERIFY_SEED", raising=False)
+    else:
+        monkeypatch.setenv("EPRVERIFY_SEED", env_seed)
+    assert main(["lemmas", *args]) == 1
+    assert "must be an integer" in capsys.readouterr().err
 
 
 def test_cli_over_memory_budget_exit_one(tmp_path, capsys):

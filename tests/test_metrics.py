@@ -14,9 +14,6 @@ from eprverify.metrics import (
     holder_margin,
     mixture_perturbation_margin,
     monotonicity_margin,
-    perturbation_checks,
-    pure_fidelity_form,
-    pure_trace_distance,
     trace_distance,
     triangle_margin,
 )
@@ -27,6 +24,8 @@ from eprverify.sampling import (
     random_pure,
     random_unitary,
 )
+
+from dense_reference import pure_fidelity
 
 RNG = np.random.default_rng(515151)
 
@@ -47,12 +46,14 @@ def test_trace_distance_basics():
 
 
 def test_pure_trace_distance():
+    # on pure states D = sqrt(1 - |<a|b>|^2)
     psi = random_pure(RNG, 8)
-    assert pure_trace_distance(psi, psi) == pytest.approx(0.0, abs=1e-12)
-    assert pure_trace_distance(ZERO, PLUS) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    assert trace_distance(proj(psi), proj(psi)) == pytest.approx(0.0, abs=1e-12)
+    assert trace_distance(proj(ZERO), proj(PLUS)) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     for _ in range(100):
         a, b = random_pure(RNG, 4), random_pure(RNG, 4)
-        assert abs(pure_trace_distance(a, b) - trace_distance(proj(a), proj(b))) <= 1e-10
+        closed = np.sqrt(max(1.0 - abs(np.vdot(a, b)) ** 2, 0.0))
+        assert abs(closed - trace_distance(proj(a), proj(b))) <= 1e-10
 
 
 def test_fidelity_basics():
@@ -67,7 +68,7 @@ def test_fidelity_pure_form():
         phi = random_pure(RNG, 4)
         sigma = random_density(RNG, 4)
         assert fidelity(proj(phi), sigma) == pytest.approx(
-            pure_fidelity_form(phi, sigma), abs=1e-9
+            pure_fidelity(phi, sigma), abs=1e-9
         )
 
 
@@ -151,8 +152,9 @@ def test_perturbation_checks_pair():
         d = int(RNG.integers(2, 9))
         rho, sigma = random_density(RNG, d), random_density(RNG, d)
         eps = float(RNG.uniform(0, 0.99))
-        first, second = perturbation_checks(rho, sigma, eps)
-        assert first and second
+        # the additive bound with B = eps sigma (PSD, trace eps), and the mixture at weight eps
+        assert additive_perturbation_margin(rho, eps * sigma, eps) >= -1e-9
+        assert mixture_perturbation_margin(rho, sigma, eps) >= -1e-9
 
 
 def test_triangle_inequality_random():

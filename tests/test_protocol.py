@@ -14,15 +14,15 @@ from eprverify.kernel import (
     bell_to_computational,
     layout,
     partial_trace,
-    partial_trace_ordered,
     rx_prob,
     select_ordered_pair,
+    symmetrize_pairs,
     tensor_product,
     to_density,
     zero_state,
 )
 from eprverify.linalg import dagger, is_unitary, max_eigpair, operator_norm, proj, tensor
-from eprverify.metrics import pure_fidelity_form, trace_distance
+from eprverify.metrics import trace_distance
 from eprverify import protocol
 from eprverify.protocol import (
     BRANCH_KEYS,
@@ -37,20 +37,18 @@ from eprverify.protocol import (
     honest_proof,
     honest_rewinding_instance,
     make_toy_verifier,
-    post_selection,
-    postsel_success_prob,
     proof_layout,
     rewinding_residual,
     swap_test,
     swap_test_formula,
-    symmetrize_and_pinch_fixed_point_distance,
+    teleport,
     verifier_marginal_distance,
     _pair_tree,
 )
 from eprverify.rng import stream
 from eprverify.sampling import random_density, random_pure, random_unitary
 
-from dense_reference import embed_unitary
+from dense_reference import bell_branch, pure_fidelity
 from monolithic_oracle import verifier_branch_masses
 
 RNG = np.random.default_rng(424242)
@@ -264,12 +262,20 @@ def test_swap_test_dim_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# Post-selection
+# Post-selection: the teleportation read
 # ---------------------------------------------------------------------------
+
+KEPT = (BELL_LABELS.index("phi+"), BELL_LABELS.index("psi+"))
+
 
 def _teleport_input(q: float, phi: np.ndarray):
     pair = choi_state(dagger(rx_prob(q)), names=("S2", "S2'"))
     return tensor_product(pair, StateVector(layout(("S1", 1)), phi))
+
+
+def _kept_mass(state) -> float:
+    blocks = teleport(state)
+    return float(sum(np.trace(blocks[k]).real for k in KEPT))
 
 
 def test_post_selection_choi_pair_lemma():
@@ -277,31 +283,27 @@ def test_post_selection_choi_pair_lemma():
     for _ in range(20):
         q = float(RNG.uniform(0, 1))
         phi = random_pure(RNG, 2)
-        branches = post_selection(_teleport_input(q, phi))
-        success = sum(b.probability for b in branches if b.success)
-        assert success == pytest.approx(0.5, abs=1e-12)
+        blocks = teleport(_teleport_input(q, phi))
+        assert sum(np.trace(blocks[k]).real for k in KEPT) == pytest.approx(0.5, abs=1e-12)
         expected = dagger(rx_prob(q)) @ phi
-        for b in branches:
-            if not b.success or b.state is None:
-                continue
-            out = partial_trace(to_density(b.state), ["S2"])
-            assert pure_fidelity_form(expected, out.matrix) >= 1 - 1e-10
+        for k in KEPT:
+            out = blocks[k] / np.trace(blocks[k]).real
+            assert pure_fidelity(expected, out) >= 1 - 1e-10
 
 
 def test_post_selection_identity_pair_teleports_exactly():
     phi = random_pure(RNG, 2)
-    branches = post_selection(_teleport_input(0.0, phi))
-    for b in branches:
-        if b.success and b.state is not None:
-            out = partial_trace(to_density(b.state), ["S2"])
-            assert trace_distance(out.matrix, proj(phi)) <= 1e-12
+    blocks = teleport(_teleport_input(0.0, phi))
+    for k in KEPT:
+        out = blocks[k] / np.trace(blocks[k]).real
+        assert trace_distance(out, proj(phi)) <= 1e-12
 
 
 def test_post_selection_phi_minus_pair_brute_force():
-    # a brute-force oracle per branch, on four inputs over (S2, S2', S1): pair
-    # phi- with |0> on S1 (every branch 1/4); (S2', S1) an EPR pair up to a
-    # 1e-10 psi- amplitude (phi+ all but certain; psi-, at 1e-20, and the
-    # other outcomes are zeroed with no post state); a random pure and a
+    # each outcome's state of S2 against a brute-force projection of (S2', S1)
+    # on the Bell vector, on four inputs over (S2, S2', S1): pair phi- with |0>
+    # on S1 (every outcome 1/4); (S2', S1) an EPR pair up to a 1e-10 psi-
+    # amplitude (phi+ all but certain, psi- at 1e-20); a random pure and a
     # random mixed state
     rng = np.random.default_rng(255)
     lay = layout(("S2", 1), ("S2'", 1), ("S1", 1))
@@ -316,33 +318,21 @@ def test_post_selection_phi_minus_pair_brute_force():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     for n, state in enumerate(inputs):
         rho = to_density(state).matrix
-        branches = post_selection(state)
-        assert [b.label for b in branches] == list(BELL_LABELS)
-        mix = np.zeros((8, 8), dtype=complex)
-        for b, bell in zip(branches, BELL_STATES):
-            # project (S2', S1) on the Bell vector by explicit sums: S2's state
-            out = np.einsum("b,sbtc,c->st", bell.conj(), rho.reshape(2, 4, 2, 4), bell)
+        blocks = teleport(state)
+        assert len(blocks) == len(BELL_LABELS)
+        for label, block, bell in zip(BELL_LABELS, blocks, BELL_STATES):
+            out = bell_branch(rho, 3, [1, 2], [0], bell)
+            if label == "psi+":
+                out = x @ out @ x
             prob = float(np.trace(out).real)
             if n == 0:
                 assert prob == pytest.approx(0.25, abs=1e-12)
-            if prob < PROB_FLOOR:
-                assert b.probability == 0.0 and b.state is None
-                continue
-            assert b.probability == pytest.approx(prob, abs=1e-12)
-            if b.label == "psi+":
-                out = x @ out @ x
-            post = to_density(b.state)
-            got = partial_trace(post, ["S2"])
-            assert trace_distance(got.matrix, out / prob) <= 1e-12
-            if b.label == "psi+":
-                post = apply_unitary(post, x, ["S2"])  # undo the correction
-            mix += b.probability * post.matrix
-        # mixing the post states with their probabilities reproduces what the
-        # non-selective measurement leaves behind: sum_k P_k rho P_k
-        projectors = [embed_unitary(proj(bell), 3, [1, 2]) for bell in BELL_STATES]
-        assert trace_distance(mix, sum(e @ rho @ e for e in projectors)) <= 1e-9
-        if n == 1:
-            assert trace_distance(mix, rho) <= 1e-9  # next to no coherence between outcomes
+            assert np.trace(block).real == pytest.approx(prob, abs=1e-12)
+            if prob >= PROB_FLOOR:
+                assert trace_distance(block / np.trace(block).real, out / prob) <= 1e-12
+        # the outcomes together, the correction undone, leave S2's reduced state
+        undone = [x @ b @ x if label == "psi+" else b for label, b in zip(BELL_LABELS, blocks)]
+        assert trace_distance(sum(undone), partial_trace(state, ["S2"]).matrix) <= 1e-12
 
 
 def test_postsel_success_prob_choi_pair_times_anything():
@@ -351,7 +341,7 @@ def test_postsel_success_prob_choi_pair_times_anything():
         zeta = random_density(RNG, 2)
         pair = choi_state(dagger(rx_prob(q)), names=("S2", "S2'"))
         state = tensor_product(to_density(pair), DensityOperator(layout(("S1", 1)), zeta, validate=False))
-        assert postsel_success_prob(state) == pytest.approx(0.5, abs=1e-12)
+        assert _kept_mass(state) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_postsel_success_prob_hadamard_basis_form():
@@ -369,7 +359,7 @@ def test_postsel_success_prob_hadamard_basis_form():
             ),
             StateVector(layout(("S1", 1)), psi / np.linalg.norm(psi)),
         )
-        got = postsel_success_prob(state)
+        got = _kept_mass(state)
         plus_w = np.real(np.vdot(plus, sigma @ plus))
         minus_w = np.real(np.vdot(minus, sigma @ minus))
         expected = abs(a) ** 2 * plus_w + abs(b) ** 2 * minus_w
@@ -388,7 +378,7 @@ def test_postsel_success_prob_balanced_sigma_gives_half():
             ),
             DensityOperator(layout(("S1", 1)), zeta, validate=False),
         )
-        assert postsel_success_prob(state) == pytest.approx(0.5, abs=1e-12)
+        assert _kept_mass(state) == pytest.approx(0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +496,14 @@ def test_asymmetric_custom_state_swap_branch_formula():
 
 def test_step_one_two_fixed_point_for_honest_proof():
     toy = make_toy_verifier(0.75)
+    # symmetrizing and pinching leave the two-pair restriction of an honest
+    # proof (exchangeable, pairs in the kept Bell subspaces) untouched
     for l in (2, 3):
         proof = honest_proof(toy, l)
-        assert symmetrize_and_pinch_fixed_point_distance(proof) <= 1e-10
+        sym = symmetrize_pairs(proof.state, proof.pairs)
+        pinched = apply_pinch(apply_pinch(sym, ("S1", "S1'")), ("S2", "S2'"))
+        reference = partial_trace(proof.state, ["P", "S1", "S1'", "S2", "S2'"])
+        assert trace_distance(pinched.matrix, reference.matrix) <= 1e-10
 
 
 def test_sampled_runs_deterministic_and_consistent():
@@ -601,9 +596,9 @@ def test_exact_matches_oracle_on_non_exchangeable_proofs(l):
 
 
 def _circuit_tree(dm, toy):
-    """The pair tree's coin-0 distributions by the measurement circuit: the
-    verifier steps, post_selection, then the (A, S2) diagonal of each
-    successful post state."""
+    """The pair tree's coin-0 distributions by brute force: the verifier steps,
+    each Bell projection of (S2', S1) summed out of the full density, then the
+    (A, S2) diagonal of each kept outcome's normalized state."""
     dm = apply_pinch(apply_pinch(dm, ("S1", "S1'")), ("S2", "S2'"))
     w = apply_unitary(dm, bell_to_computational(), ["S1", "S1'"])
     w = partial_trace(w, ["P", "S1", "S2", "S2'"])
@@ -614,12 +609,17 @@ def _circuit_tree(dm, toy):
     )
     w = apply_unitary(w, flip, ["P", "A", "S1"])
     w = apply_unitary(w, dagger(toy.v), ["P", "A"])
+    x_on_s2 = tensor(np.eye(2**toy.a_qubits), np.array([[0, 1], [1, 0]]))
+    pair, bits = w.layout.positions(["S2'", "S1"]), w.layout.positions(["A", "S2"])
     bell_probs, bit_dists = [], {}
-    for k, branch in enumerate(post_selection(w, ("S2", "S2'", "S1"))):
-        bell_probs.append(branch.probability)
-        if branch.success and branch.state is not None:
-            diag = partial_trace_ordered(branch.state, ["A", "S2"]).matrix.diagonal().real
-            bit_dists[k] = [p if p >= PROB_FLOOR else 0.0 for p in diag]
+    for k, bell in enumerate(BELL_STATES):
+        out = bell_branch(w.matrix, w.layout.total_qubits, pair, bits, bell)
+        if k == BELL_LABELS.index("psi+"):
+            out = x_on_s2 @ out @ x_on_s2
+        prob = float(np.trace(out).real)
+        bell_probs.append(prob if prob >= PROB_FLOOR else 0.0)
+        if k in KEPT and prob >= PROB_FLOOR:
+            bit_dists[k] = [p if p >= PROB_FLOOR else 0.0 for p in out.diagonal().real / prob]
     return bell_probs, bit_dists
 
 

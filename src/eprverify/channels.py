@@ -5,22 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import BELL_STATES, DensityOperator, StateVector, layout
-from .linalg import HERMITIAN_TOL, apply_local, is_unitary, proj, tensor
+from .linalg import apply_local, is_unitary, proj, tensor
 
 # Projectors onto span{phi+, psi+} and span{phi-, psi-}.
 PI_PLUS = proj(BELL_STATES[0]) + proj(BELL_STATES[2])
 PI_MINUS = proj(BELL_STATES[1]) + proj(BELL_STATES[3])
 
 
-def choi_state(u: np.ndarray, names: tuple[str, str] = ("S", "S'")) -> StateVector:
+def choi_state(u: np.ndarray) -> StateVector:
     """(u (x) I)|phi+> for a single-qubit unitary u, on a (S, S') layout."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"choi_state takes a 2x2 unitary, got shape {u.shape}")
-    if not is_unitary(u, HERMITIAN_TOL):
+    if not is_unitary(u):
         raise ValueError("choi_state requires a unitary within tolerance")
-    lay = layout((names[0], 1), (names[1], 1))
-    return StateVector(lay, tensor(u, np.eye(2)) @ BELL_STATES[0])
+    return StateVector(layout(("S", 1), ("S'", 1)), tensor(u, np.eye(2)) @ BELL_STATES[0])
 
 
 def pinch_phi(a: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+import time
 from pathlib import Path
 
 from .harness import ConfigError, EXPERIMENTS, ExperimentConfig, emit_report, run_experiment
@@ -61,6 +62,10 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"config {args.config} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # an integer longer than int() converts
+            raise ConfigError(f"config {args.config} holds an unreadable number: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config {args.config} nests too deeply to read") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         data = {**loaded, "experiment": loaded.get("experiment", args.experiment)}
@@ -90,7 +95,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"eprverify: invalid config: {exc}", file=sys.stderr)
         return 1
+    start = time.perf_counter()
     report = run_experiment(config)
+    wall_ms = (time.perf_counter() - start) * 1000.0
     payload = emit_report(report, fmt=args.format)
     if args.out is not None:
         try:
@@ -100,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
     else:
         sys.stdout.write(payload.decode())
-    print(f"eprverify: {config.experiment} done in {report.wall_time_ms:.1f} ms", file=sys.stderr)
+    print(f"eprverify: {config.experiment} done in {wall_ms:.1f} ms", file=sys.stderr)
     failures = report.failures()
     if failures:
         for failure in failures:

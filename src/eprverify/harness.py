@@ -1,8 +1,7 @@
 """Batch experiment runner: completeness/soundness sweeps, the inequality
 suite, and a SWAP-test benchmark, with JSON/CSV reports.
 
-Reports are deterministic functions of (config, seed): timing is kept out of
-the emitted bytes unless explicitly requested.
+Reports are deterministic functions of (config, seed); they hold no timing.
 """
 
 from __future__ import annotations
@@ -12,8 +11,7 @@ import io
 import json
 import math
 import sys
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,8 +107,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not rngmod.is_seed(self.seed):
+            raise ConfigError(f"seed must be an integer in [-2**63, 2**63), got {self.seed!r}")
         if not _is_number(self.p) or not 0.0 < self.p <= 1.0:
             raise ConfigError(f"verifier p must be a number in (0, 1], got {self.p!r}")
         if self.experiment == "completeness" and self.p < 0.5:
@@ -184,7 +182,6 @@ class ExperimentReport:
     lemma_margins: dict | None
     details: dict | None
     trial_rows: list[tuple] | None
-    wall_time_ms: float
     version: str = __version__
 
     def failures(self) -> list[str]:
@@ -232,7 +229,6 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
             lemma_margins=None,
             details=None,
             trial_rows=None,
-            wall_time_ms=0.0,
         )
     counts = {k: 0 for k in BRANCH_KEYS}
     rows = []
@@ -251,7 +247,6 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
         lemma_margins=None,
         details={"trials": n},
         trial_rows=rows,
-        wall_time_ms=0.0,
     )
 
 
@@ -265,85 +260,81 @@ def _ptrace_channel(rng: np.random.Generator, n_qubits: int):
 
 
 def lemma_suite(trials: int, seed: int, tol: float) -> dict[str, dict]:
-    """Min margin and violation count over random instances of each inequality."""
+    """Min margin and violation count over random instances of each inequality.
+
+    Margins are folded in as they are drawn, so memory does not grow with trials.
+    """
     out: dict[str, dict] = {}
 
-    def record(name: str, margins: list[float]) -> None:
-        worst = float(min(margins))
-        out[name] = {
-            "min_margin": worst,
-            "violations": int(sum(m < -tol for m in margins)),
-            "samples": len(margins),
-        }
+    def record(name: str, margin: float) -> None:
+        # The first margin seeds the minimum and only a smaller one replaces
+        # it, as min() does, so a NaN margin is kept or skipped as min() would.
+        entry = out.setdefault(name, {"min_margin": margin, "violations": 0, "samples": 0})
+        if margin < entry["min_margin"]:
+            entry["min_margin"] = margin
+        if margin < -tol:
+            entry["violations"] += 1
+        entry["samples"] += 1
 
     def dims(rng: np.random.Generator) -> int:
         return int(rng.integers(2, 17))
 
     rng = rngmod.stream(seed, 1)
-    record("holder", [
-        holder_margin(random_complex_matrix(rng, d), random_complex_matrix(rng, d))
-        for d in (dims(rng) for _ in range(trials))
-    ])
+    for _ in range(trials):
+        d = dims(rng)
+        record("holder", holder_margin(random_complex_matrix(rng, d), random_complex_matrix(rng, d)))
     rng = rngmod.stream(seed, 2)
-    record("triangle", [
-        triangle_margin(*(random_complex_matrix(rng, d) for _ in range(3)))
-        for d in (dims(rng) for _ in range(trials))
-    ])
+    for _ in range(trials):
+        d = dims(rng)
+        a, b, c = (random_complex_matrix(rng, d) for _ in range(3))
+        record("triangle", triangle_margin(a, b, c))
     rng = rngmod.stream(seed, 3)
-    margins = []
     for _ in range(trials):
         n = int(rng.integers(2, 5))
         channel = _ptrace_channel(rng, n)
-        margins.append(monotonicity_margin(random_density(rng, 2**n), random_density(rng, 2**n), channel))
-    record("monotonicity_partial_trace", margins)
+        record("monotonicity_partial_trace",
+               monotonicity_margin(random_density(rng, 2**n), random_density(rng, 2**n), channel))
     rng = rngmod.stream(seed, 4)
-    record("monotonicity_pinch", [
-        monotonicity_margin(random_density(rng, 4), random_density(rng, 4), pinch_phi)
-        for _ in range(trials)
-    ])
+    for _ in range(trials):
+        record("monotonicity_pinch",
+               monotonicity_margin(random_density(rng, 4), random_density(rng, 4), pinch_phi))
     rng = rngmod.stream(seed, 5)
-    margins = []
     for _ in range(trials):
         d = dims(rng)
         u = random_unitary(rng, d)
-        margins.append(monotonicity_margin(
+        record("monotonicity_unitary", monotonicity_margin(
             random_density(rng, d), random_density(rng, d), lambda m: u @ m @ u.conj().T
         ))
-    record("monotonicity_unitary", margins)
     rng = rngmod.stream(seed, 6)
-    lower, upper = [], []
     for _ in range(trials):
         d = dims(rng)
         lo, up = fvg_margins(random_density(rng, d), random_density(rng, d))
-        lower.append(lo)
-        upper.append(up)
-    record("fvg_lower", lower)
-    record("fvg_upper", upper)
+        record("fvg_lower", lo)
+        record("fvg_upper", up)
     rng = rngmod.stream(seed, 7)
-    margins = []
-    while len(margins) < trials:
+    kept = 0
+    while kept < trials:
         d = dims(rng)
         rho = random_density(rng, d)
         projector = random_projector(rng, d, int(rng.integers(1, d)))
         if np.trace(rho @ projector).real >= 1.0 - 1e-6:
             continue
-        margins.append(gentle_margin(rho, projector))
-    record("gentle", margins)
+        record("gentle", gentle_margin(rho, projector))
+        kept += 1
     rng = rngmod.stream(seed, 8)
-    margins = []
     for _ in range(trials):
         d = dims(rng)
         eps = float(rng.uniform(0.0, 1.0))
         bump = eps * float(rng.uniform(0.0, 1.0)) * random_density(rng, d)
-        margins.append(additive_perturbation_margin(random_complex_matrix(rng, d), bump, eps))
-    record("perturbation_additive", margins)
+        record("perturbation_additive", additive_perturbation_margin(random_complex_matrix(rng, d), bump, eps))
     rng = rngmod.stream(seed, 9)
-    margins = []
     for _ in range(trials):
         d = dims(rng)
         eps = float(rng.uniform(0.0, 0.999))
-        margins.append(mixture_perturbation_margin(random_density(rng, d), random_density(rng, d), eps))
-    record("perturbation_mixture", margins)
+        record("perturbation_mixture",
+               mixture_perturbation_margin(random_density(rng, d), random_density(rng, d), eps))
+    for entry in out.values():
+        entry["min_margin"] = float(entry["min_margin"])
     return out
 
 
@@ -358,7 +349,6 @@ def _run_lemma_suite(config: ExperimentConfig) -> ExperimentReport:
         lemma_margins=margins,
         details={"total_checks": checks},
         trial_rows=None,
-        wall_time_ms=0.0,
     )
 
 
@@ -399,7 +389,6 @@ def _run_swap_bench(config: ExperimentConfig) -> ExperimentReport:
             "orthogonal_pure": orth,
         },
         trial_rows=None,
-        wall_time_ms=0.0,
     )
 
 
@@ -410,23 +399,15 @@ def _run_swap_bench(config: ExperimentConfig) -> ExperimentReport:
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Deterministic report for the configured experiment; exact mode ignores trials."""
     config.validate()
-    start = time.perf_counter()
     if config.experiment in ("completeness", "soundness"):
-        report = _run_protocol_experiment(config)
-    elif config.experiment == "lemmas":
-        report = _run_lemma_suite(config)
-    else:
-        report = _run_swap_bench(config)
-    wall = (time.perf_counter() - start) * 1000.0
-    return replace(report, wall_time_ms=wall)
+        return _run_protocol_experiment(config)
+    if config.experiment == "lemmas":
+        return _run_lemma_suite(config)
+    return _run_swap_bench(config)
 
 
-def emit_report(report: ExperimentReport, fmt: str = "json", include_timing: bool = False) -> bytes:
-    """Serialize a report with stable field ordering.
-
-    Timing is excluded by default so identical (config, seed) runs emit
-    identical bytes.
-    """
+def emit_report(report: ExperimentReport, fmt: str = "json") -> bytes:
+    """Serialize a report with stable field ordering."""
     if fmt == "json":
         obj = {
             "version": report.version,
@@ -437,8 +418,6 @@ def emit_report(report: ExperimentReport, fmt: str = "json", include_timing: boo
             "lemma_margins": report.lemma_margins,
             "details": report.details,
         }
-        if include_timing:
-            obj["wall_time_ms"] = report.wall_time_ms
         return (json.dumps(obj, indent=2) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()

@@ -116,7 +116,7 @@ class DensityOperator:
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dim {d}")
         if self.validate:
-            if not is_hermitian(mat, HERMITIAN_TOL):
+            if not is_hermitian(mat):
                 raise ValueError("density operator is not Hermitian within tolerance")
             if abs(np.trace(mat).real - 1.0) > HERMITIAN_TOL:
                 raise ValueError(f"density operator trace {np.trace(mat).real} is not 1")
@@ -160,19 +160,7 @@ def tensor_product(a: State, b: State) -> State:
     return DensityOperator(lay, tensor(to_density(a).matrix, to_density(b).matrix), validate=False)
 
 
-def partial_trace(state: State, keep: set[str] | list[str]) -> DensityOperator:
-    """Reduce to the named registers, preserved in layout order."""
-    if not keep:
-        raise ValueError("partial_trace requires a nonempty keep set")
-    keep_set = set(keep)
-    names = [name for name in state.layout.names if name in keep_set]
-    unknown = keep_set - set(state.layout.names)
-    if unknown:
-        raise ValueError(f"unknown registers {sorted(unknown)}; layout has {state.layout.names}")
-    return partial_trace_ordered(state, names)
-
-
-def partial_trace_ordered(state: State, keep_names: list[str]) -> DensityOperator:
+def partial_trace(state: State, keep_names: list[str]) -> DensityOperator:
     """Reduce to the named registers, arranged in the order given.
 
     A pure state is reduced from its amplitudes; its full density is never formed.
@@ -216,17 +204,10 @@ def rx_prob(q: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
 
 
-def bell_to_computational() -> np.ndarray:
-    """Two-qubit unitary mapping phi+ -> |00>, psi+ -> -|10>, phi- -> |01>, psi- -> -|11>.
-
-    The signs on the psi rows matter: they make the decoder send
-    a|phi+> + b|psi+> to (a|0> - b|1>) (x) |0>.
-    """
-    phi_p, phi_m, psi_p, psi_m = BELL_STATES
-    out = np.zeros((4, 4), dtype=complex)
-    for ket_index, sign, bell in ((0b00, 1, phi_p), (0b10, -1, psi_p), (0b01, 1, phi_m), (0b11, -1, psi_m)):
-        out[ket_index, :] += sign * bell.conj()
-    return out
+# Two-qubit unitary mapping phi+ -> |00>, phi- -> |01>, psi+ -> -|10>, psi- -> -|11>.
+# The signs on the psi rows matter: they make the decoder send
+# a|phi+> + b|psi+> to (a|0> - b|1>) (x) |0>.
+BELL_TO_COMPUTATIONAL = np.array([[1], [1], [-1], [-1]]) * BELL_STATES.conj()
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +217,7 @@ def bell_to_computational() -> np.ndarray:
 def apply_unitary(state: State, u: np.ndarray, targets: list[str], check: bool = True) -> State:
     """Apply a unitary to the named registers (in that order), identity elsewhere."""
     u = np.asarray(u, dtype=complex)
-    if check and not is_unitary(u, HERMITIAN_TOL):
+    if check and not is_unitary(u):
         raise ValueError("operator is not unitary within tolerance")
     positions = state.layout.positions(targets)
     out = apply_local(_array(state), u, state.layout.total_qubits, positions)
@@ -270,7 +251,7 @@ def select_ordered_pair(
     pair_regs = {r for p in pairs for r in p}
     untouched = [n for n in state.layout.names if n not in pair_regs]
     keep = untouched + list(pairs[i]) + list(pairs[j])
-    reduced = partial_trace_ordered(state, keep)
+    reduced = partial_trace(state, keep)
     slot_names = untouched + list(pairs[0]) + list(pairs[1])
     lay = RegisterLayout(tuple((n, reduced.layout.size(o)) for n, o in zip(slot_names, keep)))
     return DensityOperator(lay, reduced.matrix, validate=False)

@@ -36,21 +36,21 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and np.max(np.abs(a - dagger(a))) <= tol
+    return a.shape[0] == a.shape[1] and np.max(np.abs(a - dagger(a))) <= HERMITIAN_TOL
 
 
-def is_unitary(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.shape[0] != a.shape[1]:
         return False
-    return np.max(np.abs(dagger(a) @ a - np.eye(a.shape[0]))) <= tol
+    return np.max(np.abs(dagger(a) @ a - np.eye(a.shape[0]))) <= HERMITIAN_TOL
 
 
-def is_projector(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_projector(a: np.ndarray) -> bool:
     a = np.asarray(a)
-    return is_hermitian(a, tol) and np.max(np.abs(a @ a - a)) <= tol
+    return is_hermitian(a) and np.max(np.abs(a @ a - a)) <= HERMITIAN_TOL
 
 
 def _require_square(a: np.ndarray, what: str) -> np.ndarray:
@@ -83,21 +83,21 @@ class Spectrum:
     eigenvectors: np.ndarray
 
 
-def spectrum(a: np.ndarray, tol: float = HERMITIAN_TOL) -> Spectrum:
+def spectrum(a: np.ndarray) -> Spectrum:
     a = _require_square(a, "spectrum")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         raise ValueError("spectrum requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(a)
     return Spectrum(eigenvalues=vals[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
 
 
-def max_eigpair(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[float, np.ndarray]:
+def max_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a unit-norm eigenvector of a Hermitian matrix.
 
     The eigenvector is whichever one the deterministic solver ordering yields;
     for a degenerate top eigenspace any member is acceptable.
     """
-    spec = spectrum(m, tol)
+    spec = spectrum(m)
     lam = float(spec.eigenvalues[0])
     vec = spec.eigenvectors[:, 0]
     residual = np.linalg.norm(np.asarray(m, dtype=complex) @ vec - lam * vec)
@@ -106,16 +106,16 @@ def max_eigpair(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[float, np.nd
     return lam, vec
 
 
-def hermitian_sqrt(a: np.ndarray, clip: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     """PSD matrix square root via spectral decomposition.
 
-    Eigenvalues in [-clip, 0) are clamped to 0; anything more negative is an
+    Eigenvalues in [-HERMITIAN_TOL, 0) are clamped to 0; anything more negative is an
     error.  Eigenvalues below a relative noise floor are zeroed outright: the
     square root would otherwise amplify O(eps) solver noise to O(sqrt(eps)).
     """
     spec = spectrum(a)
     vals = spec.eigenvalues
-    if np.min(vals) < -clip:
+    if np.min(vals) < -HERMITIAN_TOL:
         raise ValueError(f"hermitian_sqrt requires PSD input, min eigenvalue {np.min(vals):.3e}")
     floor = 1e-12 * max(float(np.max(vals)), 1.0)
     cleaned = np.where(vals < floor, 0.0, vals)

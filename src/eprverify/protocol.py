@@ -18,15 +18,14 @@ from .channels import apply_pinch, choi_state
 from .kernel import (
     BELL_LABELS,
     BELL_STATES,
+    BELL_TO_COMPUTATIONAL,
     DensityOperator,
     RegisterLayout,
     State,
     StateVector,
     apply_unitary,
-    bell_to_computational,
     layout,
     partial_trace,
-    partial_trace_ordered,
     rx_prob,
     select_ordered_pair,
     symmetrize_pairs,
@@ -73,16 +72,25 @@ class HalfEigenpairError(ValueError):
 
 @dataclass(frozen=True)
 class ToyVerifier:
-    """Verifier unitary on (P, A) with an analytically known acceptance maximum.
+    """Verifier unitary on (P, A) with an analytically known acceptance maximum,
+    and what the protocol derives from it, each computed once.
 
     The acceptance qubit is the first (most significant) qubit of A; the
-    verifier accepts when it measures to 1.
+    verifier accepts when it measures to 1.  accept is the acceptance
+    operator M = (I (x) <0|) V† Pi_acc V (I (x) |0>) on P alone; max_accept
+    and witness are its top eigenvalue and eigenvector, the maximum acceptance
+    probability and an optimal witness.  flip is I - 2 Pi_acc (x) |1><1| on
+    (P, A, S1), the pair tree's reflection controlled by S1.
     """
 
     v: np.ndarray
     p_qubits: int
     a_qubits: int
     acc_projector: np.ndarray
+    accept: np.ndarray
+    max_accept: float
+    witness: np.ndarray
+    flip: np.ndarray
 
 
 def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVerifier:
@@ -108,24 +116,13 @@ def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVeri
         block = rotate_acc if x == dp - 1 else np.eye(da)
         v[x * da:(x + 1) * da, x * da:(x + 1) * da] = block
     acc = tensor(np.eye(dp), proj(np.array([0.0, 1.0])), np.eye(da // 2))
-    toy = ToyVerifier(v, p_qubits, a_qubits, acc)
-    top, _ = max_eigpair(accept_operator(toy))
+    v_from_zero = v[:, [x * da for x in range(dp)]]
+    accept = dagger(v_from_zero) @ acc @ v_from_zero
+    top, witness = max_eigpair(accept)
     if abs(top - p) > 1e-9:
         raise ValueError(f"construction drifted: max acceptance {top} vs target {p}")
-    return toy
-
-
-def accept_operator(toy: ToyVerifier) -> np.ndarray:
-    """M = (I (x) <0|) V† Pi_acc V (I (x) |0>): acceptance operator on P alone."""
-    da = 2**toy.a_qubits
-    cols = [x * da for x in range(2**toy.p_qubits)]
-    v_from_zero = toy.v[:, cols]
-    return dagger(v_from_zero) @ toy.acc_projector @ v_from_zero
-
-
-def best_witness(toy: ToyVerifier) -> tuple[float, np.ndarray]:
-    """Maximum acceptance probability and an optimal witness vector on P."""
-    return max_eigpair(accept_operator(toy))
+    flip = np.eye(2 ** (p_qubits + a_qubits + 1)) - 2.0 * tensor(acc, proj(np.array([0.0, 1.0])))
+    return ToyVerifier(v, p_qubits, a_qubits, acc, accept, top, witness, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,7 @@ STRATEGY_PARAMS = {
     "honest": {},
     "idle_epr": {},
     "choi_product": {"q": ("a number in [0, 1]", lambda q: _is_number(q) and 0.0 <= q <= 1.0)},
-    "local_unitaries": {"unitary_seed": ("an integer", _is_int)},
+    "local_unitaries": {"unitary_seed": ("an integer in [-2**63, 2**63)", rngmod.is_seed)},
 }
 # The strategy of a config that names none.
 DEFAULT_STRATEGY = {"kind": "idle_epr"}
@@ -224,22 +221,21 @@ def check_strategy(strategy: dict) -> None:
             raise ValueError(f"strategy {kind!r} needs {key} to be {meaning}, got {strategy[key]!r}")
 
 
-def honest_proof(toy: ToyVerifier, l: int = 2) -> ProtocolState:
+def honest_proof(toy: ToyVerifier, l: int) -> ProtocolState:
     """Optimal witness in P and the matching rotated EPR pair in every slot.
 
     Only defined in the yes-instance regime (maximum acceptance >= 1/2), where
     q = 1/(2 p_x) lands in [1/2, 1].
     """
-    p_x, _ = best_witness(toy)
-    if p_x < 0.5 - 1e-12:
-        raise ValueError(f"honest proof needs max acceptance >= 1/2, got {p_x}")
+    if toy.max_accept < 0.5 - 1e-12:
+        raise ValueError(f"honest proof needs max acceptance >= 1/2, got {toy.max_accept}")
     return cheating_proof({"kind": "honest"}, toy, l)
 
 
-def cheating_proof(strategy: dict, toy: ToyVerifier, l: int = 2) -> ProtocolState:
+def cheating_proof(strategy: dict, toy: ToyVerifier, l: int) -> ProtocolState:
     """The proof state a prover strategy (see STRATEGY_PARAMS) produces.
 
-    Every kind puts the best witness in P and the rotated EPR pair
+    Every kind puts the toy's witness in P and the rotated EPR pair
     choi(rx_prob(q)†) in every slot: honest with q = 1/(2 p_x) clamped into
     [1/2, 1], choi_product with its own q, idle_epr and local_unitaries with
     q = 0 (untouched pairs).  local_unitaries then applies seeded random
@@ -248,9 +244,9 @@ def cheating_proof(strategy: dict, toy: ToyVerifier, l: int = 2) -> ProtocolStat
     """
     check_strategy(strategy)
     kind = strategy["kind"]
-    p_x, amps = best_witness(toy)
-    q = _clamped_q(p_x) if kind == "honest" else strategy.get("q", 0.0)
+    q = _clamped_q(toy.max_accept) if kind == "honest" else strategy.get("q", 0.0)
     pair = choi_state(dagger(rx_prob(q))).amplitudes
+    amps = toy.witness
     for _ in range(l):
         amps = tensor(amps, pair)
     sv = StateVector(proof_layout(toy.p_qubits, l), amps)
@@ -299,7 +295,7 @@ def swap_test(state: State, reg1: list[str], reg2: list[str]) -> float:
     ).astype(complex)
     joint = apply_unitary(joint, cswap, [anc] + reg1 + reg2, check=False)
     joint = apply_unitary(joint, HADAMARD, [anc])
-    return float(partial_trace_ordered(joint, [anc]).matrix[0, 0].real)
+    return float(partial_trace(joint, [anc]).matrix[0, 0].real)
 
 
 def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
@@ -308,7 +304,7 @@ def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
     Tr(rho S) only needs the reduced state of the two groups: the sum of its
     entries <ab|rho|ba>.
     """
-    reduced = partial_trace_ordered(state, list(reg1) + list(reg2))
+    reduced = partial_trace(state, list(reg1) + list(reg2))
     d = 2 ** (reduced.layout.total_qubits // 2)
     overlap = np.einsum("abba->", reduced.matrix.reshape(d, d, d, d)).real
     return float((1.0 + overlap) / 2.0)
@@ -318,27 +314,25 @@ def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
 # Teleportation through a shared pair, keeping two Bell outcomes
 # ---------------------------------------------------------------------------
 
-def teleport(
-    state: State, regs: tuple[str, str, str] = ("S2", "S2'", "S1"), rest: tuple[str, ...] = ()
-) -> list[np.ndarray]:
-    """What a Bell measurement of (regs[1], regs[2]) leaves on (*rest, regs[0]).
+def teleport(state: State, rest: tuple[str, ...] = ()) -> list[np.ndarray]:
+    """What a Bell measurement of (S2', S1) leaves on (*rest, S2).
 
     Returns one unnormalized density per outcome, in BELL_LABELS order; the
     trace of each is the outcome's probability.  The psi+ state carries the X
-    correction on regs[0], so both kept outcomes (phi+ and psi+) deliver the
-    teleported regs[2].  The Bell basis of (regs[1], regs[2]) is rotated onto
-    the standard basis, so one reduction to (regs[1], regs[2], *rest, regs[0])
-    holds every outcome as a diagonal block.
+    correction on S2, so both kept outcomes (phi+ and psi+) deliver the
+    teleported S1.  The Bell basis of (S2', S1) is rotated onto the standard
+    basis, so one reduction to (S2', S1, *rest, S2) holds every outcome as a
+    diagonal block.
     """
-    out_reg, bridge, source = regs
-    for r in regs:
+    out_reg, bridge, source = "S2", "S2'", "S1"
+    for r in (out_reg, bridge, source):
         if state.layout.size(r) != 1:
             raise ValueError(f"teleport registers must be single qubits, {r} is not")
     rotated = apply_unitary(state, BELL_STATES.conj(), [bridge, source], check=False)
-    reduced = partial_trace_ordered(rotated, [bridge, source, *rest, out_reg]).matrix
+    reduced = partial_trace(rotated, [bridge, source, *rest, out_reg]).matrix
     d = reduced.shape[0] // 4
     blocks = [reduced[k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(4)]
-    # X on regs[0], the last qubit of the block: reverse its bit on both sides.
+    # X on S2, the last qubit of the block: reverse its bit on both sides.
     flipped = blocks[_PSI_PLUS].reshape(d // 2, 2, d // 2, 2)[:, ::-1, :, ::-1]
     blocks[_PSI_PLUS] = flipped.reshape(d, d)
     return blocks
@@ -348,13 +342,11 @@ def teleport(
 # Rewinding identity
 # ---------------------------------------------------------------------------
 
-def rewinding_residual(
-    delta: np.ndarray, pi: np.ndarray, omega: np.ndarray, pre_tol: float = HALF_EIG_TOL
-) -> float:
+def rewinding_residual(delta: np.ndarray, pi: np.ndarray, omega: np.ndarray) -> float:
     """Norm of delta (I - 2 pi) delta |omega> for a 1/2-eigenvector omega.
 
     Raises HalfEigenpairError when delta pi delta |omega> deviates from
-    |omega>/2 beyond pre_tol; for valid inputs the residual is 0 up to float
+    |omega>/2 beyond HALF_EIG_TOL; for valid inputs the residual is 0 up to float
     noise.
     """
     delta = np.asarray(delta, dtype=complex)
@@ -363,7 +355,7 @@ def rewinding_residual(
     if not is_projector(delta) or not is_projector(pi):
         raise ValueError("delta and pi must be orthogonal projectors")
     sandwich = delta @ pi @ delta
-    if np.linalg.norm(sandwich @ omega - 0.5 * omega) > pre_tol:
+    if np.linalg.norm(sandwich @ omega - 0.5 * omega) > HALF_EIG_TOL:
         raise HalfEigenpairError(
             "omega is not a 1/2-eigenvector of delta pi delta within tolerance"
         )
@@ -379,8 +371,7 @@ def honest_rewinding_instance(toy: ToyVerifier) -> tuple[np.ndarray, np.ndarray,
     q-rotation with q = 1/(2 p_x), so delta pi delta has top eigenvalue
     p_x * q = 1/2 at omega = witness (x) |0...0>.
     """
-    p_x, witness = best_witness(toy)
-    r = rx_prob(_clamped_q(p_x))
+    r = rx_prob(_clamped_q(toy.max_accept))
     da = 2**toy.a_qubits
     zero_a = np.zeros(da, dtype=complex)
     zero_a[0] = 1.0
@@ -390,7 +381,7 @@ def honest_rewinding_instance(toy: ToyVerifier) -> tuple[np.ndarray, np.ndarray,
         dagger(toy.v) @ toy.acc_projector @ toy.v,
         dagger(r) @ proj(np.array([0.0, 1.0])) @ r,
     )
-    omega = tensor(witness, zero_a, qubit0)
+    omega = tensor(toy.witness, zero_a, qubit0)
     return delta, pi, omega
 
 
@@ -427,15 +418,12 @@ def _pair_tree(dm: DensityOperator, toy: ToyVerifier) -> _PairTree:
     dm = apply_pinch(dm, ("S2", "S2'"))
     swap_pass = swap_test_formula(dm, ["S1", "S1'"], ["S2", "S2'"])
 
-    w = apply_unitary(dm, bell_to_computational(), ["S1", "S1'"])
+    w = apply_unitary(dm, BELL_TO_COMPUTATIONAL, ["S1", "S1'"])
     w = partial_trace(w, ["P", "S1", "S2", "S2'"])
     ancilla = zero_state(layout(("A", toy.a_qubits)))
     w = tensor_product(w, ancilla.density())
     w = apply_unitary(w, toy.v, ["P", "A"], check=False)
-    flip = np.eye(2 ** (toy.p_qubits + toy.a_qubits + 1)) - 2.0 * tensor(
-        toy.acc_projector, proj(np.array([0.0, 1.0]))
-    )
-    w = apply_unitary(w, flip, ["P", "A", "S1"], check=False)
+    w = apply_unitary(w, toy.flip, ["P", "A", "S1"], check=False)
     w = apply_unitary(w, dagger(toy.v), ["P", "A"], check=False)
 
     # Each outcome's block diagonal is the distribution of the (A, S2) bits.

@@ -23,11 +23,9 @@ def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: int | None = None) -> np.ndarray:
-    """Random mixed state GG†/Tr from a Ginibre block of the given rank."""
-    if rank is None:
-        rank = dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Random full-rank mixed state GG†/Tr from a square Ginibre matrix G."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ dagger(g)
     return rho / np.trace(rho).real
 

@@ -13,9 +13,9 @@ from eprverify.harness import ExperimentConfig, emit_report, lemma_suite, run_ex
 from eprverify.kernel import (
     BELL_LABELS,
     BELL_STATES,
+    BELL_TO_COMPUTATIONAL,
     DensityOperator,
     StateVector,
-    bell_to_computational,
     layout,
     rx_prob,
     tensor_product,
@@ -60,7 +60,7 @@ def test_criterion_2_post_selection_lemma():
     for _ in range(50):
         q = float(rng.uniform(0.0, 1.0))
         phi = random_pure(rng, 2)
-        pair = choi_state(dagger(rx_prob(q)), names=("S2", "S2'"))
+        pair = StateVector(layout(("S2", 1), ("S2'", 1)), choi_state(dagger(rx_prob(q))).amplitudes)
         state = tensor_product(pair, StateVector(layout(("S1", 1)), phi))
         # the verifier's own read: the phi+ and psi+ outcomes are kept
         blocks = teleport(state)
@@ -123,7 +123,7 @@ def test_criterion_4_rewinding_identity():
 
 
 def test_criterion_5_choi_and_decoder_identities():
-    decoder = bell_to_computational()
+    decoder = BELL_TO_COMPUTATIONAL
     zero = np.array([1.0, 0.0], dtype=complex)
     for q in Q_GRID:
         got = choi_state(dagger(rx_prob(float(q)))).amplitudes

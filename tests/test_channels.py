@@ -6,8 +6,8 @@ import pytest
 from eprverify.channels import PI_MINUS, PI_PLUS, apply_pinch, choi_state, pinch_phi
 from eprverify.kernel import (
     BELL_STATES,
+    BELL_TO_COMPUTATIONAL,
     DensityOperator,
-    bell_to_computational,
     layout,
     partial_trace,
     rx_prob,
@@ -81,7 +81,7 @@ def test_choi_marginals_maximally_mixed():
 
 def test_decoder_turns_choi_into_rotated_zero():
     # the step that consumes one Choi copy: W J(R(q)†) = (R(q)|0>) (x) |0>
-    w = bell_to_computational()
+    w = BELL_TO_COMPUTATIONAL
     for q in np.linspace(0, 1, 11):
         decoded = w @ choi_state(dagger(rx_prob(q))).amplitudes
         expected = np.kron(rx_prob(q) @ np.array([1.0, 0.0]), np.array([1.0, 0.0]))

@@ -3,13 +3,16 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from eprverify import harness, protocol
 from eprverify.cli import main
 from eprverify.harness import (
     MEMORY_BUDGET_BYTES,
@@ -20,6 +23,7 @@ from eprverify.harness import (
     memory_estimate,
     run_experiment,
 )
+from eprverify.rng import stream
 
 
 def _config(**overrides):
@@ -130,6 +134,47 @@ def test_lemma_suite_margins():
         assert entry["samples"] == 80
 
 
+def _stub_lemma_instances(monkeypatch, margin):
+    """Replace the suite's instance generators and oracles with constant-cost
+    stand-ins; every oracle returns margin()."""
+    mixed = {d: np.eye(d) / d for d in range(1, 17)}
+    for name in ("random_complex_matrix", "random_density", "random_unitary"):
+        monkeypatch.setattr(harness, name, lambda rng, d: mixed[d])
+    monkeypatch.setattr(harness, "random_projector", lambda rng, d, rank: 0 * mixed[d])
+    for name in ("holder_margin", "triangle_margin", "monotonicity_margin", "gentle_margin",
+                 "additive_perturbation_margin", "mixture_perturbation_margin"):
+        monkeypatch.setattr(harness, name, lambda *args: margin())
+    monkeypatch.setattr(harness, "fvg_margins", lambda *args: (margin(), margin()))
+
+
+@pytest.mark.parametrize("margins", [[np.nan, 1.0, -2.0], [1.0, np.nan, -2.0], [0.5, -1.0, -1e-12]])
+def test_lemma_suite_folds_margins_like_min(monkeypatch, margins):
+    draws = iter(margins * 11)
+    _stub_lemma_instances(monkeypatch, lambda: np.float64(next(draws)))
+    entry = lemma_suite(trials=3, seed=1, tol=1e-9)["holder"]
+    expected = float(min(margins))
+    assert entry["min_margin"] == expected or np.isnan(entry["min_margin"]) and np.isnan(expected)
+    assert entry["violations"] == sum(m < -1e-9 for m in margins)
+    assert entry["samples"] == 3
+
+
+def test_lemma_suite_memory_does_not_grow_with_trials(monkeypatch):
+    # With stand-in instances only the suite's own bookkeeping allocates; a
+    # list of the margins would hold about 50 bytes per margin, 11 per trial.
+    _stub_lemma_instances(monkeypatch, lambda: np.float64(0.25))
+
+    def peak(trials: int) -> int:
+        tracemalloc.start()
+        try:
+            lemma_suite(trials, seed=1, tol=1e-9)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(400), peak(4000)
+    assert large - small < 50_000, (small, large)
+
+
 def test_lemmas_experiment_report():
     report = run_experiment(_config(experiment="lemmas", trials=50, seed=2))
     assert report.lemma_margins is not None
@@ -181,12 +226,26 @@ def test_reports_byte_identical_across_runs():
     assert emit_report(first, "csv") == emit_report(second, "csv")
 
 
-def test_timing_excluded_unless_requested():
+def test_timing_only_on_stderr(capsys):
     report = run_experiment(_config())
-    assert b"wall_time_ms" not in emit_report(report, "json")
-    timed = emit_report(report, "json", include_timing=True)
-    assert b"wall_time_ms" in timed
-    assert report.wall_time_ms > 0
+    assert b"wall_time" not in emit_report(report, "json")
+    assert main(["completeness", "--seed", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "wall_time" not in captured.out
+    assert re.search(r"completeness done in [0-9]+\.[0-9] ms", captured.err)
+
+
+def test_exact_completeness_solves_the_toy_eigenproblem_once(monkeypatch):
+    calls = []
+    solve = protocol.max_eigpair
+    monkeypatch.setattr(protocol, "max_eigpair", lambda m: calls.append(m.shape) or solve(m))
+    run_experiment(_config(l=3))
+    assert calls == [(2, 2)]
+
+
+def test_negative_seeds_draw_distinct_streams():
+    draws = {seed: tuple(stream(seed, 0).integers(2**32, size=4)) for seed in (-1, -3, -4, 2**63 - 1, -(2**63))}
+    assert len(set(draws.values())) == len(draws)
 
 
 def test_sampled_csv_schema():
@@ -330,6 +389,10 @@ def test_cli_validation_failure_exit_two(tmp_path):
         pytest.param({"experiment": "completeness", "l": 2.9}, id="l-float"),
         pytest.param({"experiment": "soundness", "mode": "sampled", "trials": 1.5}, id="trials-float"),
         pytest.param({"experiment": "completeness", "seed": 7.8}, id="seed-float"),
+        pytest.param({"experiment": "completeness", "seed": 2**63}, id="seed-2**63"),
+        pytest.param({"experiment": "completeness", "seed": -(2**63) - 1}, id="seed-below-minus-2**63"),
+        pytest.param({"experiment": "soundness", "strategy": {"kind": "local_unitaries", "unitary_seed": 2**64 - 1}},
+                     id="unitary_seed-2**64-1"),
         pytest.param({"experiment": "completeness", "verifier": {"p_qubits": 1.7}}, id="p_qubits-float"),
         pytest.param({"experiment": "completeness", "verifier": {"a_qubits": True}}, id="a_qubits-bool"),
         pytest.param({"experiment": "soundness", "verifier": {"p": "0.5"}}, id="p-string"),
@@ -373,13 +436,21 @@ def test_cli_completeness_needs_p_one_half(tmp_path, p, code):
         assert "invalid config: completeness needs verifier p >= 1/2" in proc.stderr
 
 
-def test_cli_config_not_utf8_exit_one(tmp_path):
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param(b"\xff\xfe{}", "is not valid UTF-8", id="not-utf8"),
+        pytest.param(b'{"seed": ' + b"7" * 5000 + b"}", "holds an unreadable number", id="int-5000-digits"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "nests too deeply to read", id="nested-100000-deep"),
+    ],
+)
+def test_cli_unreadable_config_exit_one(tmp_path, content, message):
     cfg = tmp_path / "bad.json"
-    cfg.write_bytes(b"\xff\xfe{}")
+    cfg.write_bytes(content)
     proc = _cli_process("soundness", "--config", str(cfg))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
-    assert f"invalid config: config {cfg} is not valid UTF-8" in proc.stderr
+    assert f"invalid config: config {cfg} {message}" in proc.stderr
 
 
 @pytest.mark.parametrize(

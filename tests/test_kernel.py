@@ -6,16 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from eprverify.kernel import (
     BELL_STATES,
+    BELL_TO_COMPUTATIONAL,
     HADAMARD,
     DensityOperator,
     RegisterLayout,
     StateVector,
     apply_unitary,
     basis_state,
-    bell_to_computational,
     layout,
     partial_trace,
-    partial_trace_ordered,
     rx_prob,
     symmetrize_pairs,
     tensor_product,
@@ -78,7 +77,7 @@ def test_rx_prob_flip_probability():
 
 
 def test_bell_decoder_maps_bell_basis_with_signs():
-    w = bell_to_computational()
+    w = BELL_TO_COMPUTATIONAL
     assert is_unitary(w)
     phi_p, phi_m, psi_p, psi_m = BELL_STATES
     assert np.allclose(w @ phi_p, [1, 0, 0, 0])
@@ -88,7 +87,7 @@ def test_bell_decoder_maps_bell_basis_with_signs():
 
 
 def test_gate_constants_are_unitary():
-    for gate in (HADAMARD, bell_to_computational(), rx_prob(0.25)):
+    for gate in (HADAMARD, BELL_TO_COMPUTATIONAL, rx_prob(0.25)):
         assert is_unitary(gate)
 
 
@@ -142,7 +141,7 @@ def test_norm_preserved_through_random_circuits():
 
 def test_standard_measure_plus_state():
     sv = apply_unitary(zero_state(layout(("R", 1))), HADAMARD, ["R"])
-    probs = partial_trace_ordered(sv, ["R"]).matrix.diagonal().real
+    probs = partial_trace(sv, ["R"]).matrix.diagonal().real
     np.testing.assert_allclose(probs, [0.5, 0.5], rtol=0, atol=1e-12)
 
 
@@ -151,7 +150,7 @@ def test_bell_measure_of_epr():
     # the Bell probabilities on the diagonal: an EPR pair is phi+ for sure
     sv = StateVector(layout(("a", 1), ("b", 1)), BELL_STATES[0].copy())
     rotated = apply_unitary(sv, BELL_STATES.conj(), ["a", "b"])
-    probs = partial_trace_ordered(rotated, ["a", "b"]).matrix.diagonal().real
+    probs = partial_trace(rotated, ["a", "b"]).matrix.diagonal().real
     np.testing.assert_allclose(probs, [1.0, 0.0, 0.0, 0.0], rtol=0, atol=1e-12)
 
 
@@ -221,8 +220,8 @@ def test_state_vector_reduction_equals_density_reduction(keep_case, seed):
     lay = RegisterLayout(tuple((f"q{i}", 1) for i in range(len(order))))
     sv = StateVector(lay, random_pure(np.random.default_rng(seed), lay.dim))
     keep = [f"q{i}" for i in order[:k]]
-    from_vector = partial_trace_ordered(sv, keep)
-    from_density = partial_trace_ordered(sv.density(), keep)
+    from_vector = partial_trace(sv, keep)
+    from_density = partial_trace(sv.density(), keep)
     assert from_vector.layout == from_density.layout
     np.testing.assert_allclose(from_vector.matrix, from_density.matrix, rtol=0, atol=1e-12)
 
@@ -236,6 +235,6 @@ def test_tensor_product_name_clash():
 def test_basis_state_round_trip():
     lay = layout(("a", 2), ("b", 1))
     sv = basis_state(lay, "101")
-    probs = partial_trace_ordered(sv, ["a", "b"]).matrix.diagonal().real
+    probs = partial_trace(sv, ["a", "b"]).matrix.diagonal().real
     assert int(np.argmax(probs)) == 0b101
     assert probs[0b101] == pytest.approx(1.0)

@@ -1,4 +1,5 @@
-"""Every public top-level name in src/eprverify is used by the package itself."""
+"""Every public top-level name in src/eprverify is used by the package itself,
+and every defaulted parameter is set by some call in it."""
 
 import ast
 from pathlib import Path
@@ -54,6 +55,84 @@ def dead_names(sources: dict[str, str]) -> list[str]:
     )
 
 
+# Defaulted parameters that no package call sets, each with the reason it stays.
+EXEMPT_DEFAULTS = {
+    "cli.main.argv": "python -m eprverify.cli calls main() with none, so argparse reads sys.argv",
+}
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, int | None, str]]:
+    """(function name, positional index or None if keyword-only, parameter) for
+    each defaulted parameter; a method's index does not count self."""
+    methods = {
+        id(fn) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for fn in node.body if isinstance(fn, ast.FunctionDef)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if id(node) in methods else 0
+        for index in range(len(positional) - len(args.defaults), len(positional)):
+            found.append((node.name, index - skip, positional[index].arg))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((node.name, None, arg.arg))
+    return found
+
+
+def _calls(tree: ast.Module) -> list[tuple[str, int | None, set[str] | None]]:
+    """(called name, positional count or None if unbounded, keywords or None if
+    unbounded) for each call; a name imported under an alias is read as its
+    original name."""
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.asname
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        keywords = {kw.arg for kw in node.keywords}
+        calls.append((
+            aliases.get(name, name),
+            None if starred else len(node.args),
+            None if None in keywords else keywords,
+        ))
+    return calls
+
+
+def unset_defaults(sources: dict[str, str]) -> list[str]:
+    """module.function.parameter for each defaulted parameter that no call in
+    the sources sets.  Calls are matched by function name alone."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = [call for tree in trees.values() for call in _calls(tree)]
+
+    def is_set(function: str, index: int | None, param: str) -> bool:
+        return any(
+            name == function and (
+                count is None or keywords is None or param in keywords
+                or (index is not None and index < count)
+            )
+            for name, count, keywords in calls
+        )
+
+    return sorted(
+        f"{module}.{function}.{param}"
+        for module, tree in trees.items()
+        for function, index, param in _defaulted_parameters(tree)
+        if not is_set(function, index, param) and f"{module}.{function}.{param}" not in EXEMPT_DEFAULTS
+    )
+
+
 def test_every_public_name_is_used_in_the_package():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert dead_names(sources) == []
@@ -65,3 +144,22 @@ def test_dead_name_scan_sees_unused_definitions():
         "b": "from . import a as amod\nfrom .a import used\nused()\namod.Gone\n",
     }
     assert dead_names(sources) == ["a.LIMIT", "a.dead"]
+
+
+def test_every_defaulted_parameter_is_set_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources and unset_defaults(sources) == []
+
+
+def test_unset_default_scan_sees_unset_parameters():
+    sources = {
+        "a": (
+            "def f(x, y=1, z=2): pass\n"
+            "def g(*, k=0, j=1): pass\n"
+            "def h(v=0): pass\n"
+            "def s(u=0): pass\n"
+            "class C:\n    def m(self, w=3, t=4): pass\n"
+        ),
+        "b": "from .a import f as ff\nff(1, 2)\ng(j=2)\nh(**{})\ns(*[1])\nC().m(4)\n",
+    }
+    assert unset_defaults(sources) == ["a.f.z", "a.g.k", "a.m.t"]

@@ -8,10 +8,10 @@ from eprverify.channels import apply_pinch, choi_state, pinch_phi
 from eprverify.kernel import (
     BELL_LABELS,
     BELL_STATES,
+    BELL_TO_COMPUTATIONAL,
     DensityOperator,
     StateVector,
     apply_unitary,
-    bell_to_computational,
     layout,
     partial_trace,
     rx_prob,
@@ -31,7 +31,6 @@ from eprverify.protocol import (
     HalfEigenpairError,
     ProtocolRun,
     ProtocolState,
-    accept_operator,
     check_strategy,
     cheating_proof,
     honest_proof,
@@ -62,14 +61,14 @@ def test_toy_verifier_unitary_and_spectrum():
     for p in (1e-3, 0.5, 0.75, 1.0):
         toy = make_toy_verifier(p)
         assert is_unitary(toy.v)
-        lam, vec = max_eigpair(accept_operator(toy))
+        lam, vec = max_eigpair(toy.accept)
         assert lam == pytest.approx(p, abs=1e-12)
         assert abs(vec[-1]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_toy_verifier_p_one_accepts_witness_surely():
     toy = make_toy_verifier(1.0)
-    m = accept_operator(toy)
+    m = toy.accept
     assert np.allclose(m, proj(np.array([0.0, 1.0])), atol=1e-12)
 
 
@@ -86,7 +85,7 @@ def test_accept_operator_norm_and_interval():
         pq = int(RNG.integers(1, 3))
         aq = int(RNG.integers(1, 3))
         toy = make_toy_verifier(p, pq, aq)
-        m = accept_operator(toy)
+        m = toy.accept
         assert operator_norm(m) == pytest.approx(p, abs=1e-9)
         vals = np.linalg.eigvalsh(m)
         assert np.min(vals) >= -1e-12 and np.max(vals) <= 1 + 1e-12
@@ -269,7 +268,7 @@ KEPT = (BELL_LABELS.index("phi+"), BELL_LABELS.index("psi+"))
 
 
 def _teleport_input(q: float, phi: np.ndarray):
-    pair = choi_state(dagger(rx_prob(q)), names=("S2", "S2'"))
+    pair = StateVector(layout(("S2", 1), ("S2'", 1)), choi_state(dagger(rx_prob(q))).amplitudes)
     return tensor_product(pair, StateVector(layout(("S1", 1)), phi))
 
 
@@ -339,7 +338,7 @@ def test_postsel_success_prob_choi_pair_times_anything():
     for _ in range(10):
         q = float(RNG.uniform(0, 1))
         zeta = random_density(RNG, 2)
-        pair = choi_state(dagger(rx_prob(q)), names=("S2", "S2'"))
+        pair = StateVector(layout(("S2", 1), ("S2'", 1)), choi_state(dagger(rx_prob(q))).amplitudes)
         state = tensor_product(to_density(pair), DensityOperator(layout(("S1", 1)), zeta, validate=False))
         assert _kept_mass(state) == pytest.approx(0.5, abs=1e-12)
 
@@ -600,7 +599,7 @@ def _circuit_tree(dm, toy):
     each Bell projection of (S2', S1) summed out of the full density, then the
     (A, S2) diagonal of each kept outcome's normalized state."""
     dm = apply_pinch(apply_pinch(dm, ("S1", "S1'")), ("S2", "S2'"))
-    w = apply_unitary(dm, bell_to_computational(), ["S1", "S1'"])
+    w = apply_unitary(dm, BELL_TO_COMPUTATIONAL, ["S1", "S1'"])
     w = partial_trace(w, ["P", "S1", "S2", "S2'"])
     w = tensor_product(w, zero_state(layout(("A", toy.a_qubits))).density())
     w = apply_unitary(w, toy.v, ["P", "A"])

@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 from .harness import ConfigError, EXPERIMENTS, ExperimentConfig, emit_report, run_experiment
+from .protocol import shown
 
 SEED_ENV_VAR = "EPRVERIFY_SEED"
 
@@ -48,7 +49,7 @@ def _integer(text: str, what: str) -> int:
             return int(text)
     except ValueError:  # more digits than int() converts
         pass
-    raise ConfigError(f"{what} must be an integer, got {text!r}")
+    raise ConfigError(f"{what} must be an integer, got {shown(text)}")
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -71,7 +72,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         data = {**loaded, "experiment": loaded.get("experiment", args.experiment)}
         if data["experiment"] != args.experiment:
             raise ConfigError(
-                f"config is for experiment {data['experiment']!r}, "
+                f"config is for experiment {shown(data['experiment'])}, "
                 f"but the {args.experiment!r} subcommand was invoked"
             )
     raw_seed = os.environ.get(SEED_ENV_VAR)

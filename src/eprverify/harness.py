@@ -40,6 +40,7 @@ from .protocol import (
     cheating_proof,
     honest_proof,
     make_toy_verifier,
+    shown,
     swap_test,
 )
 from .sampling import (
@@ -102,29 +103,29 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}, expected one of {EXPERIMENTS}")
+            raise ConfigError(f"unknown experiment {shown(self.experiment)}, expected one of {EXPERIMENTS}")
         for name, least in (("p_qubits", 1), ("a_qubits", 1), ("l", 2), ("trials", 1)):
             value = getattr(self, name)
             if not _is_int(value) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+                raise ConfigError(f"{name} must be an integer >= {least}, got {shown(value)}")
         if not rngmod.is_seed(self.seed):
-            raise ConfigError(f"seed must be an integer in [-2**63, 2**63), got {self.seed!r}")
+            raise ConfigError(f"seed must be an integer in [-2**63, 2**63), got {shown(self.seed)}")
         if not _is_number(self.p) or not 0.0 < self.p <= 1.0:
-            raise ConfigError(f"verifier p must be a number in (0, 1], got {self.p!r}")
+            raise ConfigError(f"verifier p must be a number in (0, 1], got {shown(self.p)}")
         if self.experiment == "completeness" and self.p < 0.5:
             raise ConfigError(f"completeness needs verifier p >= 1/2, where an honest proof exists, got {self.p}")
         if self.mode not in ("exact", "sampled"):
-            raise ConfigError(f"mode must be exact or sampled, got {self.mode!r}")
+            raise ConfigError(f"mode must be exact or sampled, got {shown(self.mode)}")
         try:
             check_strategy(self.strategy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
-            raise ConfigError(f"unknown tolerance overrides: {sorted(unknown)}")
+            raise ConfigError(f"unknown tolerance overrides: {shown(sorted(unknown))}")
         for name, value in self.tolerances.items():
             if not _is_number(value) or not 0 <= value <= sys.float_info.max:
-                raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
+                raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {shown(value)}")
         if self.experiment in ("completeness", "soundness"):
             rows = self.trials if self.mode == "sampled" else 0
             need = memory_estimate(self.p_qubits, self.a_qubits, self.l, rows)
@@ -157,16 +158,16 @@ class ExperimentConfig:
         known = {"experiment", "verifier", "l", "strategy", "trials", "seed", "mode", "tolerances"}
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {shown(sorted(unknown))}")
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' field")
         for name in ("verifier", "strategy", "tolerances"):
             if not isinstance(data.get(name, {}), dict):
-                raise ConfigError(f"{name!r} must be an object, got {data[name]!r}")
+                raise ConfigError(f"{name!r} must be an object, got {shown(data[name])}")
         verifier = data.get("verifier", {})
         unknown = set(verifier) - {"p", "p_qubits", "a_qubits"}
         if unknown:
-            raise ConfigError(f"unknown verifier fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown verifier fields: {shown(sorted(unknown))}")
         # Values are taken as they are, never converted: validate checks their types.
         config = cls(**{k: v for k, v in data.items() if k != "verifier"}, **verifier)
         config.validate()
@@ -232,8 +233,7 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
     counts = {k: 0 for k in BRANCH_KEYS}
     rows = []
-    for t in range(config.trials):
-        key, (i, j) = run.sample(rngmod.stream(config.seed, t))
+    for t, (key, (i, j)) in enumerate(run.sample(config.seed, config.trials)):
         counts[key] += 1
         coin, postsel, verdict = _ROW_FIELDS[key]
         rows.append((t, coin, i, j, postsel, verdict))

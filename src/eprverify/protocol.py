@@ -9,6 +9,7 @@ the Si half only.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,12 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def shown(value) -> str:
+    """A config value's repr, bounded, for error messages."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 # Each prover strategy kind, and for each of its parameters what the value
 # must be and the test it must pass.  A strategy is a dict such as
 # {"kind": "choi_product", "q": 0.6}.
@@ -208,17 +215,17 @@ DEFAULT_STRATEGY = {"kind": "idle_epr"}
 def check_strategy(strategy: dict) -> None:
     """Raise ValueError unless strategy names a known kind with exactly its parameters."""
     if not isinstance(strategy, dict):
-        raise ValueError(f"strategy must be an object, got {strategy!r}")
+        raise ValueError(f"strategy must be an object, got {shown(strategy)}")
     kind = strategy.get("kind")
     if not isinstance(kind, str) or kind not in STRATEGY_PARAMS:
-        raise ValueError(f"strategy kind must be one of {tuple(STRATEGY_PARAMS)}, got {kind!r}")
+        raise ValueError(f"strategy kind must be one of {tuple(STRATEGY_PARAMS)}, got {shown(kind)}")
     params = STRATEGY_PARAMS[kind]
     keys = {"kind", *params}
     if set(strategy) != keys:
-        raise ValueError(f"strategy {kind!r} takes the keys {sorted(keys)}, got {list(strategy)}")
+        raise ValueError(f"strategy {kind!r} takes the keys {sorted(keys)}, got {shown(list(strategy))}")
     for key, (meaning, valid) in params.items():
         if not valid(strategy[key]):
-            raise ValueError(f"strategy {kind!r} needs {key} to be {meaning}, got {strategy[key]!r}")
+            raise ValueError(f"strategy {kind!r} needs {key} to be {meaning}, got {shown(strategy[key])}")
 
 
 def honest_proof(toy: ToyVerifier, l: int) -> ProtocolState:
@@ -438,31 +445,12 @@ def _pair_tree(dm: DensityOperator, toy: ToyVerifier) -> _PairTree:
     return _PairTree(bell_probs, bit_dists, swap_pass)
 
 
-def _draw(rng: np.random.Generator, probs: list[float]) -> int:
-    """Index of one outcome drawn from probs, skipping zero entries.
-
-    If rounding carries the draw past the last positive entry, that entry wins.
-    """
-    edge = rng.random() * sum(probs)
-    acc = 0.0
-    last = 0
-    for k, p in enumerate(probs):
-        if p <= 0.0:
-            continue
-        acc += p
-        last = k
-        if edge <= acc:
-            return k
-    return last
-
-
 class ProtocolRun:
     """Verifier evaluation against a fixed proof, exact or sampled.
 
     Exact mode evaluates one tree, on the pair-symmetrized state.  Sampled
-    mode draws the ordered pair (i, j) itself, because each trial reports the
-    pair beside its verdict; each pair's tree is computed once and cached, so
-    large sampled suites pay the circuit cost at most l(l-1) times.
+    mode draws each trial's ordered pair, which the trial reports, and reads
+    a chunk of trials at a time off the pairs' trees, each built once.
     """
 
     def __init__(self, proof: ProtocolState, toy: ToyVerifier):
@@ -495,23 +483,25 @@ class ProtocolRun:
         reject = sum(masses[key] for key in REJECT_KEYS)
         return BranchBreakdown(1.0 - reject, reject, masses)
 
-    def sample(self, rng: np.random.Generator) -> tuple[str, tuple[int, int]]:
-        """One run: its branch key (one of BRANCH_KEYS) and its 1-based ordered pair."""
+    def sample(self, seed: int, trials: int):
+        """Yield (branch key, 1-based ordered pair) for trials 0..trials-1,
+        drawn by rng.trial_draws: trial t from stream(seed, t)."""
         l = self.proof.l
-        i = int(rng.integers(l))
-        j = int(rng.integers(l - 1))
-        if j >= i:
-            j += 1
-        coin = int(rng.integers(2))
-        if (i, j) not in self._trees:
-            dm = select_ordered_pair(self.proof.state, self.proof.pairs, i, j)
-            self._trees[i, j] = _pair_tree(dm, self.toy)
-        tree = self._trees[i, j]
-        pair = (i + 1, j + 1)
-        if coin == 1:
-            return ("b1_swap_accept" if rng.random() < tree.swap_pass else "b1_swap_reject"), pair
-        bell = _draw(rng, tree.bell_probs)
-        if bell not in _KEPT:
-            return "b0_postsel_fail", pair
-        bits = _draw(rng, tree.bit_dists[bell])
-        return ("b0_allzero_reject" if bits == 0 else "b0_measured_accept"), pair
+        for i, j, coin, u1, u2 in rngmod.trial_draws(seed, trials, l):
+            code = i * l + j + (j >= i)
+            branch = np.zeros(code.size, int)  # BRANCH_KEYS index
+            for c in set(code.tolist()):
+                pair = divmod(c, l)
+                if pair not in self._trees:
+                    dm = select_ordered_pair(self.proof.state, self.proof.pairs, *pair)
+                    self._trees[pair] = _pair_tree(dm, self.toy)
+                tree = self._trees[pair]
+                at = np.flatnonzero(code == c)
+                bell = rngmod.choose(u1[at], tree.bell_probs)
+                for k, dist in tree.bit_dists.items():
+                    hit = at[bell == k]
+                    branch[hit] = np.where(rngmod.choose(u2[hit], dist) == 0, 1, 2)
+                swap = at[coin[at] == 1]
+                branch[swap] = np.where(u1[swap] < tree.swap_pass, 3, 4)
+            pairs = zip((code // l + 1).tolist(), (code % l + 1).tolist())
+            yield from zip([BRANCH_KEYS[b] for b in branch.tolist()], pairs)

@@ -4,13 +4,33 @@ Every sampled computation in the package is a pure function of (inputs, seed).
 Streams are Philox generators keyed by (seed, stream index), so trial k of an
 experiment draws from ``stream(seed, k)`` no matter how trials are scheduled
 across workers.
+
+A sampled protocol trial needs only the first Philox4x64-10 block of its
+stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
+``trial_draws`` computes that block for many trials at once in numpy and turns
+it into the draws numpy's Generator would make, so trial t still draws exactly
+what ``stream(seed, t)`` gives; a trial whose bounded draw numpy would redraw
+takes its draws from the stream itself, and the first trial of every chunk is
+checked against the stream.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_LO32 = 0xFFFFFFFF
+
+# Philox4x64 multipliers and Weyl key increments, as in numpy's philox.h.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+# Trials whose draws are made together; each chunk's first trial is also drawn
+# from its stream, so this many trials share one check.
+CHUNK_TRIALS = 4096
 
 
 def is_seed(x) -> bool:
@@ -28,3 +48,97 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     # Philox through a float and collide.
     key = np.array([int(seed) & _MASK64, int(index) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, in 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & _LO32), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> 32
+    lh, hl = x_lo * m_hi, x_hi * m_lo
+    mid = ((x_lo * m_lo) >> 32) + (lh & _LO32) + (hl & _LO32)
+    return x_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), x * np.uint64(m)
+
+
+def first_blocks(seed: int, start: int, n: int) -> tuple[np.ndarray, ...]:
+    """The four uint64 words of the first block of stream(seed, t), for t in
+    start..start+n-1.
+
+    Philox4x64-10 keyed by (seed mod 2**64, t).  numpy's Philox starts its
+    counter at 0 and increments it before making a block, so the first block
+    is the one at counter (1, 0, 0, 0).
+    """
+    k0, k1 = int(seed) & _MASK64, np.arange(start, start + n, dtype=np.uint64)
+    c0, c1, c2, c3 = np.ones(n, dtype=np.uint64), *np.zeros((3, n), dtype=np.uint64)
+    for r in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _MASK64)
+        key1 = k1 + np.uint64(r * _PHILOX_W[1] & _MASK64)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    return c0, c1, c2, c3
+
+
+def bounded(u32: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's integers(n) made from 32-bit draws u32, by Lemire's method, and
+    where numpy would reject the draw and draw again.
+
+    For n = 1 numpy draws nothing; the value is then 0 and the flag False.
+    """
+    m = u32 * np.uint64(n)
+    return (m >> 32).astype(np.int64), (m & _LO32) < (2**32 - n) % n
+
+
+def uniform(u64: np.ndarray) -> np.ndarray:
+    """numpy's random() made from 64-bit draws: the top 53 bits over 2**53."""
+    return (u64 >> 11) * 2.0**-53
+
+
+def _stream_draws(seed: int, t: int, l: int) -> tuple:
+    """A sampled trial's draws, from stream(seed, t) itself."""
+    g = stream(seed, t)
+    return int(g.integers(l)), int(g.integers(l - 1)), int(g.integers(2)), g.random(), g.random()
+
+
+def trial_draws(seed: int, trials: int, l: int):
+    """Yield, a chunk of trials at a time, the arrays (i, j, coin, u1, u2) that
+    stream(seed, t) gives a sampled trial t of a protocol with l pairs: in that
+    order integers(l), integers(l - 1), integers(2), random() and random().
+
+    The integer draws take 32 bits each, low half of a word first, and
+    integers(1) takes none; random() takes a whole word.  Raises RuntimeError
+    if this numpy draws differently.
+    """
+    for start in range(0, trials, CHUNK_TRIALS):
+        n = min(CHUNK_TRIALS, trials - start)
+        w = first_blocks(seed, start, n)
+        halves = (w[0] & _LO32, w[0] >> 32, w[1] & _LO32)
+        # integers(2) never redraws, as 2**32 is even.
+        if l > 2:
+            (i, again_i), (j, again_j) = bounded(halves[0], l), bounded(halves[1], l - 1)
+            coin, redraw, u1, u2 = bounded(halves[2], 2)[0], again_i | again_j, w[2], w[3]
+        else:
+            (i, redraw), coin = bounded(halves[0], l), bounded(halves[1], 2)[0]
+            j, u1, u2 = np.zeros(n, dtype=np.int64), w[1], w[2]
+        draws = (i, j, coin, uniform(u1), uniform(u2))
+        for k in np.flatnonzero(redraw).tolist():
+            for column, value in zip(draws, _stream_draws(seed, start + k, l)):
+                column[k] = value
+        if tuple(column[0].item() for column in draws) != _stream_draws(seed, start, l):
+            raise RuntimeError(
+                f"numpy {np.__version__} draws differently from the bulk Philox draws of "
+                f"trial {start} of seed {seed}; sampled trials would change"
+            )
+        yield draws
+
+
+def choose(u: np.ndarray, probs: list[float]) -> np.ndarray:
+    """Index of the outcome each uniform u draws from probs, skipping zero entries.
+
+    The edge u * sum(probs) goes to the first entry whose running sum reaches
+    it; if rounding carries it past the last positive entry, that entry wins.
+    With no positive entry, every draw is outcome 0.
+    """
+    kept = [k for k, p in enumerate(probs) if p > 0.0] or [0]
+    running = list(accumulate(probs[k] for k in kept))
+    at = np.minimum(np.searchsorted(running, u * sum(probs)), len(kept) - 1)
+    return np.array(kept)[at]

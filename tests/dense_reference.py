@@ -1,9 +1,13 @@
 """Dense, brute-force forms that package code is tested against.  They build
-full matrices or sum explicitly, so they are kept out of the package."""
+full matrices or sum explicitly, so they are kept out of the package.  The
+per-trial sampler that ProtocolRun.sample's bulk draws replaced is here too,
+with stand-in draws for it."""
 
 import numpy as np
 
+from eprverify.kernel import select_ordered_pair
 from eprverify.linalg import tensor
+from eprverify.protocol import _KEPT, ProtocolRun, _pair_tree
 
 
 def permute_qubits(t: np.ndarray, n_qubits: int, order: list[int]) -> np.ndarray:
@@ -62,3 +66,66 @@ def bell_branch(rho: np.ndarray, n_qubits: int, pair: list[int], keep: list[int]
     dk, do = 2 ** len(keep), 2 ** len(others)
     t = permute_qubits(rho, n_qubits, [*pair, *keep, *others]).reshape(4, dk, do, 4, dk, do)
     return np.einsum("b,bxocyo,c->xy", np.conj(bell), t, bell)
+
+
+def edge_uniforms(probs: list[float]) -> list[float]:
+    """Uniforms in [0, 1) that put a draw's edge u * sum(probs) on, just under
+    and just over each running sum of probs."""
+    total = sum(probs)
+    running = np.cumsum(probs) / total if total else np.zeros(1)
+    return [float(v) for r in running for v in (r, np.nextafter(r, 0.0), np.nextafter(r, 1.0)) if v < 1.0]
+
+
+class FixedDraws:
+    """Stands in for a generator: integers() and random() return the given
+    values in order."""
+
+    def __init__(self, ints: list[int], floats: list[float]):
+        self.ints, self.floats = list(ints), list(floats)
+
+    def integers(self, n: int) -> int:
+        return self.ints.pop(0)
+
+    def random(self) -> float:
+        return self.floats.pop(0)
+
+
+def scalar_draw(rng: np.random.Generator, probs: list[float]) -> int:
+    """Index of one outcome drawn from probs, skipping zero entries.
+
+    If rounding carries the draw past the last positive entry, that entry wins.
+    """
+    edge = rng.random() * sum(probs)
+    acc = 0.0
+    last = 0
+    for k, p in enumerate(probs):
+        if p <= 0.0:
+            continue
+        acc += p
+        last = k
+        if edge <= acc:
+            return k
+    return last
+
+
+def scalar_sample(run: ProtocolRun, rng: np.random.Generator, trees: dict) -> tuple[str, tuple[int, int]]:
+    """One sampled trial of run, drawn from rng a value at a time: its branch key
+    and its 1-based ordered pair.  ProtocolRun.sample makes the same draws in
+    bulk.  trees caches the pair trees this form builds for itself."""
+    l = run.proof.l
+    i = int(rng.integers(l))
+    j = int(rng.integers(l - 1))
+    if j >= i:
+        j += 1
+    coin = int(rng.integers(2))
+    if (i, j) not in trees:
+        trees[i, j] = _pair_tree(select_ordered_pair(run.proof.state, run.proof.pairs, i, j), run.toy)
+    tree = trees[i, j]
+    pair = (i + 1, j + 1)
+    if coin == 1:
+        return ("b1_swap_accept" if rng.random() < tree.swap_pass else "b1_swap_reject"), pair
+    bell = scalar_draw(rng, tree.bell_probs)
+    if bell not in _KEPT:
+        return "b0_postsel_fail", pair
+    bits = scalar_draw(rng, tree.bit_dists[bell])
+    return ("b0_allzero_reject" if bits == 0 else "b0_measured_accept"), pair

@@ -454,6 +454,32 @@ def test_cli_unreadable_config_exit_one(tmp_path, content, message):
 
 
 @pytest.mark.parametrize(
+    "fields, args",
+    [
+        pytest.param('"strategy": {"kind": "' + "k" * 1_000_000 + '"}', [], id="kind-1e6-chars"),
+        pytest.param('"strategy": {"kind": ' + "[" * 985 + "]" * 985 + "}", [], id="kind-985-deep"),
+        pytest.param('"' + "x" * 100_000 + '": 1', [], id="field-name-1e5-chars"),
+        pytest.param('"trials": [' + ", ".join(["[0, 1]"] * 10_000) + "]", [], id="trials-10000-lists"),
+        pytest.param('"mode": "sampled"', ["--seed", "1" * 4000 + "x"], id="seed-flag-4001-chars"),
+    ],
+)
+def test_cli_config_errors_echo_a_bounded_value(tmp_path, fields, args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "soundness", ' + fields + "}")
+    proc = _cli_process("soundness", "--config", str(cfg), *args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "invalid config" in proc.stderr and len(proc.stderr.encode()) < 1024
+
+
+def test_cli_config_for_another_experiment_echoes_a_bounded_name(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "e" * 100_000}))
+    assert main(["soundness", "--config", str(cfg)]) == 1
+    assert len(capsys.readouterr().err) < 1024
+
+
+@pytest.mark.parametrize(
     "env_seed, args",
     [
         (" 1_0 ", []),

@@ -1,8 +1,10 @@
 """Toy verifiers, prover strategies, post-selection, rewinding, and the verifier."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from eprverify.channels import apply_pinch, choi_state, pinch_phi
 from eprverify.kernel import (
@@ -24,6 +26,7 @@ from eprverify.kernel import (
 from eprverify.linalg import dagger, is_unitary, max_eigpair, operator_norm, proj, tensor
 from eprverify.metrics import trace_distance
 from eprverify import protocol
+from eprverify import rng as rngmod
 from eprverify.protocol import (
     BRANCH_KEYS,
     PROB_FLOOR,
@@ -47,7 +50,7 @@ from eprverify.protocol import (
 from eprverify.rng import stream
 from eprverify.sampling import random_density, random_pure, random_unitary
 
-from dense_reference import bell_branch, pure_fidelity
+from dense_reference import FixedDraws, bell_branch, edge_uniforms, pure_fidelity, scalar_sample
 from monolithic_oracle import verifier_branch_masses
 
 RNG = np.random.default_rng(424242)
@@ -509,8 +512,8 @@ def test_sampled_runs_deterministic_and_consistent():
     toy = make_toy_verifier(1e-3)
     proof = cheating_proof({"kind": "idle_epr"}, toy, l=2)
     run = ProtocolRun(proof, toy)
-    a = [run.sample(stream(9, t)) for t in range(500)]
-    b = [run.sample(stream(9, t)) for t in range(500)]
+    a = list(run.sample(9, 500))
+    b = list(run.sample(9, 500))
     assert a == b
     freq = sum(key not in REJECT_KEYS for key, _ in a) / len(a)
     assert abs(freq - 0.75) <= 5 * np.sqrt(0.75 * 0.25 / 500)
@@ -522,13 +525,81 @@ def test_run_outcome_fields_consistent():
     proof = honest_proof(toy, l=3)
     run = ProtocolRun(proof, toy)
     seen = set()
-    for t in range(200):
-        key, pair = run.sample(stream(11, t))
+    for key, pair in run.sample(11, 200):
         seen.add(key)
         assert pair[0] != pair[1]
         assert 1 <= pair[0] <= 3 and 1 <= pair[1] <= 3
     assert seen <= set(BRANCH_KEYS) - set(REJECT_KEYS)
     assert {"b0_postsel_fail", "b0_measured_accept", "b1_swap_accept"} <= seen
+
+
+def _scalar_samples(run, seed, trials):
+    trees = {}
+    return [scalar_sample(run, stream(seed, t), trees) for t in range(trials)]
+
+
+_STRATEGIES = st.one_of(
+    st.just({"kind": "honest"}),
+    st.just({"kind": "idle_epr"}),
+    st.builds(lambda q: {"kind": "choi_product", "q": q}, st.floats(0.0, 1.0)),
+    st.builds(lambda s: {"kind": "local_unitaries", "unitary_seed": s}, st.integers(-(2**63), 2**63 - 1)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    l=st.integers(2, 6),
+    a_qubits=st.integers(1, 2),
+    p=st.floats(0.05, 1.0),
+    strategy=_STRATEGIES,
+    seed=st.integers(-(2**63), 2**63 - 1),
+    chunk=st.integers(1, 9),
+    trials=st.integers(1, 30),
+)
+def test_bulk_sample_matches_scalar_reference(l, a_qubits, p, strategy, seed, chunk, trials):
+    assume(strategy["kind"] != "honest" or p >= 0.5)
+    toy = make_toy_verifier(p, a_qubits=a_qubits)
+    run = ProtocolRun(cheating_proof(strategy, toy, l), toy)
+    # a small chunk puts chunk boundaries inside the run
+    with mock.patch.object(rngmod, "CHUNK_TRIALS", chunk):
+        bulk = list(run.sample(seed, trials))
+    assert bulk == _scalar_samples(run, seed, trials)
+
+
+def test_bulk_sample_matches_scalar_reference_past_a_full_chunk():
+    toy = make_toy_verifier(0.3)
+    run = ProtocolRun(cheating_proof({"kind": "choi_product", "q": 0.4}, toy, l=3), toy)
+    trials = rngmod.CHUNK_TRIALS + 5
+    assert list(run.sample(-5, trials)) == _scalar_samples(run, -5, trials)
+
+
+@pytest.mark.parametrize("l", [2, 4])
+def test_redraw_fallback_takes_the_stream_draws(monkeypatch, l):
+    toy = make_toy_verifier(0.6)
+    run = ProtocolRun(cheating_proof({"kind": "choi_product", "q": 0.7}, toy, l), toy)
+    # every bounded draw claims a redraw and a wrong value, so every trial's
+    # draws must come from its own stream
+    monkeypatch.setattr(rngmod, "bounded", lambda u32, n: (np.zeros(len(u32), np.int64), np.ones(len(u32), bool)))
+    assert list(run.sample(3, 60)) == _scalar_samples(run, 3, 60)
+
+
+@pytest.mark.parametrize("strategy", [{"kind": "choi_product", "q": 0.5}, {"kind": "idle_epr"}])
+def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strategy):
+    toy = make_toy_verifier(0.3, a_qubits=2)
+    run = ProtocolRun(cheating_proof(strategy, toy, l=3), toy)
+    draws = []
+    for i in range(3):
+        for drawn_j in range(2):
+            j = drawn_j + (drawn_j >= i)
+            tree = _pair_tree(select_ordered_pair(run.proof.state, run.proof.pairs, i, j), toy)
+            u1s = [0.0, *edge_uniforms(tree.bell_probs), *edge_uniforms([tree.swap_pass, 1.0 - tree.swap_pass])]
+            u2s = [u for dist in tree.bit_dists.values() for u in edge_uniforms(dist)]
+            draws += [(i, drawn_j, coin, u1, u2) for coin in (0, 1) for u1 in u1s for u2 in u2s]
+    columns = tuple(np.array(column) for column in zip(*draws))
+    monkeypatch.setattr(rngmod, "trial_draws", lambda seed, trials, l: iter([columns]))
+    trees = {}
+    expected = [scalar_sample(run, FixedDraws(d[:3], d[3:]), trees) for d in draws]
+    assert list(run.sample(0, len(draws))) == expected
 
 
 def test_verifier_rejects_bad_inputs():
@@ -665,4 +736,4 @@ def test_protocol_run_never_forms_the_proof_density(monkeypatch):
     for proof in (honest_proof(toy, 3), cheating_proof({"kind": "local_unitaries", "unitary_seed": 2}, toy, l=3)):
         run = ProtocolRun(proof, toy)
         assert sum(run.exact().branches.values()) == pytest.approx(1.0, abs=1e-9)
-        run.sample(stream(1, 0))
+        list(run.sample(1, 1))

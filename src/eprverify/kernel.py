@@ -257,13 +257,30 @@ def select_ordered_pair(
     return DensityOperator(lay, reduced.matrix, validate=False)
 
 
+def _swap_slots(m: np.ndarray, n_qubits: int, slot: int) -> np.ndarray:
+    """Exchange the last two groups of ``slot`` qubits of a 2^n x 2^n matrix, on both sides."""
+    rest = n_qubits - 2 * slot
+    order = list(range(rest)) + list(range(rest + slot, n_qubits)) + list(range(rest, rest + slot))
+    axes = order + [n_qubits + q for q in order]
+    return m.reshape([2] * (2 * n_qubits)).transpose(axes).reshape(m.shape)
+
+
 def symmetrize_pairs(state: State, pairs: list[tuple[str, str]]) -> DensityOperator:
     """Uniformly permute structurally identical register pairs.
 
     Returns the permutation average restricted to the first two pair slots:
     the mean of the l(l-1) ordered-pair reductions, as a density operator.
+    Each unordered pair is reduced once; its reverse order is the same matrix
+    with the two slots exchanged, and the terms are summed in ordered-pair order.
     """
     pairs = _check_pairs(state, pairs)
     count = len(pairs)
-    terms = [select_ordered_pair(state, pairs, i, j) for i in range(count) for j in range(count) if i != j]
-    return DensityOperator(terms[0].layout, sum(t.matrix for t in terms) / len(terms), validate=False)
+    slot = sum(state.layout.size(r) for r in pairs[0])
+    reduced = {}
+    for i in range(count):
+        for j in range(i + 1, count):
+            dm = select_ordered_pair(state, pairs, i, j)
+            reduced[i, j] = dm.matrix
+            reduced[j, i] = _swap_slots(dm.matrix, dm.layout.total_qubits, slot)
+    terms = [reduced[i, j] for i in range(count) for j in range(count) if i != j]
+    return DensityOperator(dm.layout, sum(terms) / len(terms), validate=False)

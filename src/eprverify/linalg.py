@@ -27,12 +27,21 @@ def proj(v: np.ndarray) -> np.ndarray:
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices/vectors, left factor most significant."""
+    """Kronecker product of one or more matrices/vectors, left factor most significant.
+
+    Each factor takes one broadcast multiply, its axes interleaved with the
+    product so far, so each entry is the single product np.kron computes.
+    """
     if not ops:
         raise ValueError("tensor requires at least one operand")
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        op = np.asarray(op, dtype=complex)
+        if op.ndim != out.ndim:
+            raise ValueError(f"tensor factors must have equal ndim, got shapes {out.shape} and {op.shape}")
+        left = out.reshape([s for d in out.shape for s in (d, 1)])
+        right = op.reshape([s for d in op.shape for s in (1, d)])
+        out = (left * right).reshape([a * b for a, b in zip(out.shape, op.shape)])
     return out
 
 
@@ -124,10 +133,14 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def _on_axes(t: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Contract op's input indices with the listed axes of a [2]*m tensor, in place of them."""
-    k = len(axes)
-    out = np.tensordot(op.reshape([2] * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
+    """Contract op's input indices with the listed axes of a [2]*m tensor, in place of them.
+
+    One dot of op with the tensor's listed axes moved to the front and
+    flattened: the same two arrays np.tensordot hands to dot.
+    """
+    order = axes + [a for a in range(t.ndim) if a not in axes]
+    out = np.dot(op, t.transpose(order).reshape(op.shape[1], -1))
+    return out.reshape(t.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def apply_local(t: np.ndarray, op: np.ndarray, n_qubits: int, targets: list[int]) -> np.ndarray:

@@ -35,13 +35,15 @@ from .kernel import (
     HADAMARD,
 )
 from .linalg import (
+    apply_local,
     dagger,
+    is_hermitian,
     is_projector,
     max_eigpair,
+    partial_trace as _partial_trace_positions,
     proj,
     tensor,
 )
-from .metrics import trace_distance
 from .sampling import random_unitary
 
 MARGINAL_TOL = 1e-9
@@ -178,7 +180,11 @@ def verifier_marginal_distance(proof: ProtocolState) -> float:
     primed = [pair_names(i)[1] for i in range(1, proof.l + 1)]
     marg = partial_trace(proof.state, primed)
     d = marg.layout.dim
-    return trace_distance(marg.matrix, np.eye(d) / d)
+    diff = marg.matrix - np.eye(d) / d
+    if not is_hermitian(diff):
+        raise ValueError("shared-pair marginal is not Hermitian within tolerance")
+    # Half the trace norm; for a Hermitian difference the singular values are |eigenvalues|.
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 def _clamped_q(p_x: float) -> float:
@@ -269,40 +275,27 @@ def cheating_proof(strategy: dict, toy: ToyVerifier, l: int) -> ProtocolState:
 # SWAP test
 # ---------------------------------------------------------------------------
 
-def _swap_operator(dim: int) -> np.ndarray:
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for a in range(dim):
-        for b in range(dim):
-            s[b * dim + a, a * dim + b] = 1.0
-    return s
-
-
 def swap_test(state: State, reg1: list[str], reg2: list[str]) -> float:
     """Run the SWAP test circuit between two equally sized register groups.
 
     Returns the acceptance probability from the full circuit: ancilla
     Hadamard, controlled swap of the two groups, Hadamard, standard-basis
-    measurement, accepting on 0.
+    measurement, accepting on 0.  The ancilla is prepended as qubit 0; the
+    controlled swap is the identity with the rows of its swap half permuted.
     """
-    reg1, reg2 = list(reg1), list(reg2)
-    d1 = 2 ** sum(state.layout.size(r) for r in reg1)
-    d2 = 2 ** sum(state.layout.size(r) for r in reg2)
-    if d1 != d2:
-        raise ValueError(f"register groups have different dimensions {d1} vs {d2}")
-    anc = "_swap_anc"
-    if anc in state.layout.names:
-        raise ValueError(f"layout already uses the reserved name {anc!r}")
-    joint = tensor_product(zero_state(layout((anc, 1))), state)
-    joint = apply_unitary(joint, HADAMARD, [anc])
-    cswap = np.block(
-        [
-            [np.eye(d1 * d1), np.zeros((d1 * d1, d1 * d1))],
-            [np.zeros((d1 * d1, d1 * d1)), _swap_operator(d1)],
-        ]
-    ).astype(complex)
-    joint = apply_unitary(joint, cswap, [anc] + reg1 + reg2, check=False)
-    joint = apply_unitary(joint, HADAMARD, [anc])
-    return float(partial_trace(joint, [anc]).matrix[0, 0].real)
+    pos1, pos2 = state.layout.positions(reg1), state.layout.positions(reg2)
+    if len(pos1) != len(pos2):
+        raise ValueError(f"register groups have different dimensions {2 ** len(pos1)} vs {2 ** len(pos2)}")
+    dd = 4 ** len(pos1)
+    swapped = np.arange(dd).reshape(2 ** len(pos1), -1).T.reshape(-1)
+    cswap = np.eye(2 * dd, dtype=complex)[np.concatenate([np.arange(dd), dd + swapped])]
+    n = state.layout.total_qubits + 1
+    zero = np.array([1.0, 0.0], dtype=complex)
+    joint = tensor(zero, state.amplitudes) if isinstance(state, StateVector) else tensor(proj(zero), state.matrix)
+    joint = apply_local(joint, HADAMARD, n, [0])
+    joint = apply_local(joint, cswap, n, [0] + [1 + q for q in pos1 + pos2])
+    joint = apply_local(joint, HADAMARD, n, [0])
+    return float(_partial_trace_positions(joint, n, [0])[0, 0].real)
 
 
 def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:

@@ -1,13 +1,52 @@
 """Dense, brute-force forms that package code is tested against.  They build
 full matrices or sum explicitly, so they are kept out of the package.  The
 per-trial sampler that ProtocolRun.sample's bulk draws replaced is here too,
-with stand-in draws for it."""
+with stand-in draws for it, and so are the general-purpose numpy forms
+(np.kron, np.tensordot and np.moveaxis, one reduction per ordered pair) that
+the kernel's tensor, apply_local and symmetrize_pairs must match bit for bit."""
 
 import numpy as np
 
-from eprverify.kernel import select_ordered_pair
-from eprverify.linalg import tensor
+from eprverify.kernel import DensityOperator, _check_pairs, select_ordered_pair
+from eprverify.linalg import dagger, tensor
 from eprverify.protocol import _KEPT, ProtocolRun, _pair_tree
+
+
+def kron_tensor(*ops: np.ndarray) -> np.ndarray:
+    """Kronecker product of the factors, left to right, by np.kron."""
+    out = np.asarray(ops[0], dtype=complex)
+    for op in ops[1:]:
+        out = np.kron(out, np.asarray(op, dtype=complex))
+    return out
+
+
+def _tensordot_on_axes(t: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:
+    k = len(axes)
+    out = np.tensordot(op.reshape([2] * (2 * k)), t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
+def tensordot_apply_local(t: np.ndarray, op: np.ndarray, n_qubits: int, targets: list[int]) -> np.ndarray:
+    """op psi or op rho op† on the listed qubits, by np.tensordot and np.moveaxis
+    (a plain matmul when the targets are all qubits in order)."""
+    op = np.asarray(op, dtype=complex)
+    t = np.asarray(t, dtype=complex)
+    targets = list(targets)
+    if targets == list(range(n_qubits)):
+        return op @ t if t.ndim == 1 else op @ t @ dagger(op)
+    if t.ndim == 1:
+        return _tensordot_on_axes(t.reshape([2] * n_qubits), op, targets).reshape(-1)
+    out = _tensordot_on_axes(t.reshape([2] * (2 * n_qubits)), op, targets)
+    out = _tensordot_on_axes(out, op.conj(), [n_qubits + q for q in targets])
+    return out.reshape(2**n_qubits, 2**n_qubits)
+
+
+def ordered_pair_mean(state, pairs: list[tuple[str, str]]) -> DensityOperator:
+    """Mean of all l(l-1) ordered-pair reductions, each reduced on its own."""
+    pairs = _check_pairs(state, pairs)
+    count = len(pairs)
+    terms = [select_ordered_pair(state, pairs, i, j) for i in range(count) for j in range(count) if i != j]
+    return DensityOperator(terms[0].layout, sum(t.matrix for t in terms) / len(terms), validate=False)
 
 
 def permute_qubits(t: np.ndarray, n_qubits: int, order: list[int]) -> np.ndarray:

@@ -22,7 +22,10 @@ from eprverify.kernel import (
 )
 from eprverify.linalg import dagger, is_unitary, tensor
 from eprverify.metrics import trace_distance
+from eprverify.protocol import cheating_proof, make_toy_verifier
 from eprverify.sampling import random_density, random_pure, random_unitary
+
+from dense_reference import ordered_pair_mean
 
 RNG = np.random.default_rng(911)
 
@@ -204,6 +207,19 @@ def test_symmetrize_exact_output_swap_invariant():
     )
     # swapping the retained slots permutes names only; content must agree
     assert trace_distance(out.matrix, swapped.matrix) <= 1e-10
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_symmetrize_matches_every_ordered_reduction_bit_for_bit(l):
+    # local_unitaries proofs are not exchangeable, so the (i, j) and (j, i)
+    # reductions differ and the slot exchange must reproduce each one exactly.
+    toy = make_toy_verifier(0.3, p_qubits=1, a_qubits=1)
+    for seed in (0, 7, -5):
+        proof = cheating_proof({"kind": "local_unitaries", "unitary_seed": seed}, toy, l)
+        for state in (proof.state, proof.state.density()):
+            got, want = symmetrize_pairs(state, proof.pairs), ordered_pair_mean(state, proof.pairs)
+            assert got.layout == want.layout
+            assert np.array_equal(got.matrix, want.matrix)
 
 
 def test_symmetrize_rejects_fewer_than_two_pairs():

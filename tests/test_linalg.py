@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from eprverify.linalg import (
     apply_local,
@@ -21,7 +21,7 @@ from eprverify.linalg import (
 from eprverify.kernel import HADAMARD
 from eprverify.sampling import random_complex_matrix, random_density
 
-from dense_reference import embed_unitary
+from dense_reference import embed_unitary, kron_tensor, tensordot_apply_local
 
 RNG = np.random.default_rng(20240811)
 
@@ -87,6 +87,22 @@ def test_tensor_against_kron_oracle_random():
         a = random_complex_matrix(RNG, int(RNG.integers(2, 5)))
         b = random_complex_matrix(RNG, int(RNG.integers(2, 5)))
         assert np.allclose(tensor(a, b), kron_oracle(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda nd: st.lists(st.tuples(st.tuples(*[st.integers(1, 5)] * nd), st.booleans()), min_size=1, max_size=4)
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@example(factors=[((1,), False), ((1,), False)], seed=2)
+def test_tensor_bit_exact_with_kron(factors, seed):
+    # Vectors or matrices, size-1 axes included, some factors real as np.eye is.
+    # The example is a 1 x 1 product that np.multiply.outer rounds differently.
+    rng = np.random.default_rng(seed)
+    ops = [rng.normal(size=shape) + (0 if real else 1j * rng.normal(size=shape)) for shape, real in factors]
+    assert np.array_equal(tensor(*ops), kron_tensor(*ops))
 
 
 def test_partial_trace_epr_marginal():
@@ -263,6 +279,20 @@ def test_apply_local_matches_dense_embedding(case):
     rho = random_complex_matrix(rng, 2**n)
     np.testing.assert_allclose(apply_local(psi, op, n, targets), big @ psi, rtol=0, atol=1e-10)
     np.testing.assert_allclose(apply_local(rho, op, n, targets), big @ rho @ dagger(big), rtol=0, atol=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_operator_cases(), st.booleans())
+def test_apply_local_bit_exact_with_tensordot_form(case, transposed):
+    n, targets, seed = case
+    rng = np.random.default_rng(seed)
+    op = random_complex_matrix(rng, 2 ** len(targets))
+    if transposed:
+        op = dagger(op)  # a Fortran-ordered view, as dagger(toy.v) reaches the kernel
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    rho = random_complex_matrix(rng, 2**n)
+    for t in (psi, rho):
+        assert np.array_equal(apply_local(t, op, n, targets), tensordot_apply_local(t, op, n, targets))
 
 
 def test_apply_local_rejects_bad_targets():

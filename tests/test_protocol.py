@@ -48,7 +48,7 @@ from eprverify.protocol import (
     _pair_tree,
 )
 from eprverify.rng import stream
-from eprverify.sampling import random_density, random_pure, random_unitary
+from eprverify.sampling import random_complex_matrix, random_density, random_pure, random_unitary
 
 from dense_reference import FixedDraws, bell_branch, edge_uniforms, pure_fidelity, scalar_sample
 from monolithic_oracle import verifier_branch_masses
@@ -123,6 +123,32 @@ def test_proof_marginal_is_maximally_mixed():
     for l in (2, 3):
         proof = honest_proof(toy, l)
         assert verifier_marginal_distance(proof) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_marginal_distance_matches_trace_distance(l, p_qubits, seed):
+    rng = np.random.default_rng(seed)
+    toy = make_toy_verifier(0.3, p_qubits=p_qubits)
+    strategy = {"kind": "local_unitaries", "unitary_seed": int(rng.integers(2**62))}
+    # A valid proof (distance about 0) and a random state on its layout (distance
+    # far from 0), which ProtocolState would reject, so it is passed in a stand-in.
+    proof = cheating_proof(strategy, toy, l)
+    lay = proof_layout(p_qubits, l)
+    stand_in = mock.Mock(state=StateVector(lay, random_pure(rng, lay.dim)), l=l)
+    primed = [f"S{i}'" for i in range(1, l + 1)]
+    for candidate in (proof, stand_in):
+        marg = partial_trace(candidate.state, primed).matrix
+        expected = trace_distance(marg, np.eye(2**l) / 2**l)
+        assert abs(verifier_marginal_distance(candidate) - expected) <= 1e-12
+
+
+def test_marginal_distance_rejects_a_non_hermitian_marginal():
+    lay = proof_layout(1, 2)
+    skew = random_complex_matrix(RNG, lay.dim)
+    rho = np.eye(lay.dim) / lay.dim + 1e-6 * (skew - dagger(skew))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ProtocolState(DensityOperator(lay, rho, validate=False), 2)
 
 
 def test_strategies_build_and_validate():
@@ -252,6 +278,29 @@ def test_swap_test_on_correlated_joint_state():
         assert swap_test(dm, ["L"], ["R"]) == pytest.approx(
             swap_test_formula(dm, ["L"], ["R"]), abs=1e-12
         )
+
+
+def test_swap_test_on_state_vector():
+    lay = layout(("L", 1), ("R", 1))
+    for _ in range(20):
+        sv = StateVector(lay, random_pure(RNG, 4))
+        circuit = swap_test(sv, ["L"], ["R"])
+        assert circuit == pytest.approx(swap_test_formula(sv, ["L"], ["R"]), abs=1e-12)
+        assert circuit == pytest.approx(swap_test(sv.density(), ["L"], ["R"]), abs=1e-12)
+
+
+def test_swap_test_with_spectator_and_groups_out_of_layout_order():
+    # Each group is listed against layout order or comes before the other in the
+    # layout, and the registers in no group are spectators the test traces out.
+    lay = layout(("A", 1), ("X", 1), ("B", 2), ("C", 1), ("D", 1))
+    for _ in range(10):
+        for state in (
+            StateVector(lay, random_pure(RNG, lay.dim)),
+            DensityOperator(lay, random_density(RNG, lay.dim), validate=False),
+        ):
+            for reg1, reg2 in ((["D", "A"], ["B"]), (["C"], ["A"])):
+                circuit = swap_test(state, reg1, reg2)
+                assert circuit == pytest.approx(swap_test_formula(state, reg1, reg2), abs=1e-12)
 
 
 def test_swap_test_dim_mismatch():

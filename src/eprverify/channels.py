@@ -23,10 +23,11 @@ def choi_state(u: np.ndarray) -> StateVector:
 
 
 def pinch_phi(a: np.ndarray) -> np.ndarray:
-    """P+ A P+ + P- A P- on a two-qubit operator: kills cross-subspace coherence."""
+    """P+ A P+ + P- A P- on a two-qubit operator, or on each of a stack
+    (..., 4, 4): kills cross-subspace coherence."""
     a = np.asarray(a, dtype=complex)
-    if a.shape != (4, 4):
-        raise ValueError(f"pinch_phi takes a 4x4 operator, got shape {a.shape}")
+    if a.shape[-2:] != (4, 4):
+        raise ValueError(f"pinch_phi takes 4x4 operators, got shape {a.shape}")
     return PI_PLUS @ a @ PI_PLUS + PI_MINUS @ a @ PI_MINUS
 
 

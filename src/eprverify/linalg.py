@@ -17,7 +17,8 @@ EIG_RESIDUAL_TOL = 1e-9
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def proj(v: np.ndarray) -> np.ndarray:
@@ -46,8 +47,9 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray) -> bool:
+    """Whether a matrix, or every matrix of a stack (..., d, d), is Hermitian."""
     a = np.asarray(a)
-    return a.shape[0] == a.shape[1] and np.max(np.abs(a - dagger(a))) <= HERMITIAN_TOL
+    return a.shape[-2] == a.shape[-1] and np.max(np.abs(a - dagger(a))) <= HERMITIAN_TOL
 
 
 def is_unitary(a: np.ndarray) -> bool:
@@ -64,28 +66,33 @@ def is_projector(a: np.ndarray) -> bool:
 
 def _require_square(a: np.ndarray, what: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{what} requires a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ValueError(f"{what} requires a square matrix or a stack of them, got shape {a.shape}")
     return a
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values of a square matrix."""
+# The functions below take a square matrix or a stack of them (..., d, d) and
+# work on the last two axes.  numpy's svd/eigh and matmul call the same LAPACK
+# and BLAS routine on each matrix of a stack as on the matrix alone, so each
+# result is bit for bit the one the matrix would get on its own.
+
+def trace_norm(a: np.ndarray) -> np.ndarray:
+    """Sum of singular values of each square matrix."""
     a = _require_square(a, "trace_norm")
-    return float(np.sum(np.linalg.svd(a, compute_uv=False)))
+    return np.sum(np.linalg.svd(a, compute_uv=False), axis=-1)
 
 
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value of a square matrix."""
+def operator_norm(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of each square matrix."""
     a = _require_square(a, "operator_norm")
-    return float(np.max(np.linalg.svd(a, compute_uv=False)))
+    return np.max(np.linalg.svd(a, compute_uv=False), axis=-1)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
+    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues descending.
 
-    ``eigenvectors[:, k]`` is the unit-norm eigenvector for ``eigenvalues[k]``.
+    ``eigenvectors[..., :, k]`` is the unit-norm eigenvector for ``eigenvalues[..., k]``.
     """
 
     eigenvalues: np.ndarray
@@ -97,7 +104,7 @@ def spectrum(a: np.ndarray) -> Spectrum:
     if not is_hermitian(a):
         raise ValueError("spectrum requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=vals[::-1].copy(), eigenvectors=vecs[:, ::-1].copy())
+    return Spectrum(eigenvalues=vals[..., ::-1].copy(), eigenvectors=vecs[..., ::-1].copy())
 
 
 def max_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -116,7 +123,7 @@ def max_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
-    """PSD matrix square root via spectral decomposition.
+    """PSD matrix square root via spectral decomposition, of each matrix.
 
     Eigenvalues in [-HERMITIAN_TOL, 0) are clamped to 0; anything more negative is an
     error.  Eigenvalues below a relative noise floor are zeroed outright: the
@@ -126,10 +133,12 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     vals = spec.eigenvalues
     if np.min(vals) < -HERMITIAN_TOL:
         raise ValueError(f"hermitian_sqrt requires PSD input, min eigenvalue {np.min(vals):.3e}")
-    floor = 1e-12 * max(float(np.max(vals)), 1.0)
+    top = np.max(vals, axis=-1, keepdims=True)
+    # max(top, 1.0) as Python's max() takes it: a NaN top stays NaN.
+    floor = 1e-12 * np.where(1.0 > top, 1.0, top)
     cleaned = np.where(vals < floor, 0.0, vals)
     root = np.sqrt(cleaned)
-    return (spec.eigenvectors * root) @ dagger(spec.eigenvectors)
+    return (spec.eigenvectors * root[..., None, :]) @ dagger(spec.eigenvectors)
 
 
 def _on_axes(t: np.ndarray, op: np.ndarray, axes: list[int]) -> np.ndarray:

@@ -23,11 +23,15 @@ def random_pure(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def ginibre_density(g: np.ndarray) -> np.ndarray:
+    """The mixed state GG†/Tr of a square Ginibre matrix G, or of each of a stack (..., d, d)."""
+    rho = g @ dagger(g)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Random full-rank mixed state GG†/Tr from a square Ginibre matrix G."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
+    return ginibre_density(random_complex_matrix(rng, dim))
 
 
 def random_projector(rng: np.random.Generator, dim: int, rank: int) -> np.ndarray:

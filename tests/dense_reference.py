@@ -3,12 +3,15 @@ full matrices or sum explicitly, so they are kept out of the package.  The
 per-trial sampler that ProtocolRun.sample's bulk draws replaced is here too,
 with stand-in draws for it, and so are the general-purpose numpy forms
 (np.kron, np.tensordot and np.moveaxis, one reduction per ordered pair) that
-the kernel's tensor, apply_local and symmetrize_pairs must match bit for bit."""
+the kernel's tensor, apply_local and symmetrize_pairs must match bit for bit.
+The one-matrix forms of the metrics and margin oracles, which the package's
+stack-aware forms must match bit for bit on each matrix of a stack, are here
+as well."""
 
 import numpy as np
 
 from eprverify.kernel import DensityOperator, _check_pairs, select_ordered_pair
-from eprverify.linalg import dagger, tensor
+from eprverify.linalg import HERMITIAN_TOL, dagger, is_hermitian, tensor
 from eprverify.protocol import _KEPT, ProtocolRun, _pair_tree
 
 
@@ -168,3 +171,92 @@ def scalar_sample(run: ProtocolRun, rng: np.random.Generator, trees: dict) -> tu
         return "b0_postsel_fail", pair
     bits = scalar_draw(rng, tree.bit_dists[bell])
     return ("b0_allzero_reject" if bits == 0 else "b0_measured_accept"), pair
+
+
+# ---------------------------------------------------------------------------
+# One-matrix metrics and margin oracles
+# ---------------------------------------------------------------------------
+
+def scalar_trace_norm(a: np.ndarray) -> float:
+    """Sum of singular values of a square matrix."""
+    return float(np.sum(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)))
+
+
+def scalar_operator_norm(a: np.ndarray) -> float:
+    """Largest singular value of a square matrix."""
+    return float(np.max(np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)))
+
+
+def scalar_hermitian_sqrt(a: np.ndarray) -> np.ndarray:
+    """PSD square root of one matrix by eigh, eigenvalues descending, the small
+    ones zeroed below a relative floor."""
+    a = np.asarray(a, dtype=complex)
+    if not is_hermitian(a):
+        raise ValueError("spectrum requires a Hermitian matrix")
+    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = vals[::-1].copy(), vecs[:, ::-1].copy()
+    if np.min(vals) < -HERMITIAN_TOL:
+        raise ValueError(f"hermitian_sqrt requires PSD input, min eigenvalue {np.min(vals):.3e}")
+    floor = 1e-12 * max(float(np.max(vals)), 1.0)
+    root = np.sqrt(np.where(vals < floor, 0.0, vals))
+    return (vecs * root) @ vecs.conj().T
+
+
+def scalar_ginibre_density(g: np.ndarray) -> np.ndarray:
+    """GG†/Tr of one square matrix G."""
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def scalar_trace_distance(a, b) -> float:
+    return 0.5 * scalar_trace_norm(a - b)
+
+
+def scalar_fidelity(rho, sigma) -> float:
+    return scalar_trace_norm(scalar_hermitian_sqrt(rho) @ scalar_hermitian_sqrt(sigma))
+
+
+def scalar_holder_margin(a, b) -> float:
+    lhs = abs(np.trace(b.conj().T @ a))
+    return scalar_trace_norm(a) * scalar_operator_norm(b) - lhs
+
+
+def scalar_triangle_margin(a, b, c) -> float:
+    return scalar_trace_distance(a, c) + scalar_trace_distance(c, b) - scalar_trace_distance(a, b)
+
+
+def scalar_monotonicity_margin(rho, sigma, channel) -> float:
+    return scalar_trace_distance(rho, sigma) - scalar_trace_distance(channel(rho), channel(sigma))
+
+
+def scalar_fvg_margins(rho, sigma) -> tuple[float, float]:
+    d = scalar_trace_distance(rho, sigma)
+    f = scalar_fidelity(rho, sigma)
+    upper = np.sqrt(max(1.0 - d * d, 0.0))
+    return f - (1.0 - d), float(upper - f)
+
+
+def scalar_gentle_margin(rho, projector) -> float:
+    hit = float(np.trace(rho @ projector).real)
+    if hit >= 1.0 - 1e-12:
+        raise ValueError(f"Tr(rho P) = {hit} leaves no post state to compare against")
+    comp = np.eye(rho.shape[0]) - projector
+    post = comp @ rho @ comp
+    post = post / np.trace(post).real
+    return scalar_fidelity(rho, post) ** 2 - (1.0 - hit)
+
+
+def scalar_additive_perturbation_margin(a, b, eps: float) -> float:
+    if np.min(np.linalg.eigvalsh((b + b.conj().T) / 2)) < -1e-10 or not np.allclose(b, b.conj().T, atol=1e-10):
+        raise ValueError("perturbation B must be PSD")
+    tr_b = float(np.trace(b).real)
+    if tr_b > eps + 1e-12:
+        raise ValueError(f"Tr(B) = {tr_b} exceeds eps = {eps}")
+    return eps / 2.0 - scalar_trace_distance(a + b, a)
+
+
+def scalar_mixture_perturbation_margin(rho, sigma, eps: float) -> float:
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"eps must be in [0, 1), got {eps}")
+    mixed = (1.0 - eps) * rho + eps * sigma
+    return eps - scalar_trace_distance(mixed, rho)

@@ -136,15 +136,20 @@ def test_lemma_suite_margins():
 
 def _stub_lemma_instances(monkeypatch, margin):
     """Replace the suite's instance generators and oracles with constant-cost
-    stand-ins; every oracle returns margin()."""
+    stand-ins; every oracle gets a stack of instances and returns margin()
+    for each."""
     mixed = {d: np.eye(d) / d for d in range(1, 17)}
     for name in ("random_complex_matrix", "random_density", "random_unitary"):
         monkeypatch.setattr(harness, name, lambda rng, d: mixed[d])
     monkeypatch.setattr(harness, "random_projector", lambda rng, d, rank: 0 * mixed[d])
+
+    def stacked(*args):
+        return np.array([margin() for _ in args[0]])
+
     for name in ("holder_margin", "triangle_margin", "monotonicity_margin", "gentle_margin",
                  "additive_perturbation_margin", "mixture_perturbation_margin"):
-        monkeypatch.setattr(harness, name, lambda *args: margin())
-    monkeypatch.setattr(harness, "fvg_margins", lambda *args: (margin(), margin()))
+        monkeypatch.setattr(harness, name, stacked)
+    monkeypatch.setattr(harness, "fvg_margins", lambda *args: (stacked(*args), stacked(*args)))
 
 
 @pytest.mark.parametrize("margins", [[np.nan, 1.0, -2.0], [1.0, np.nan, -2.0], [0.5, -1.0, -1e-12]])
@@ -154,7 +159,8 @@ def test_lemma_suite_folds_margins_like_min(monkeypatch, margins):
     entry = lemma_suite(trials=3, seed=1, tol=1e-9)["holder"]
     expected = float(min(margins))
     assert entry["min_margin"] == expected or np.isnan(entry["min_margin"]) and np.isnan(expected)
-    assert entry["violations"] == sum(m < -1e-9 for m in margins)
+    # A NaN margin is not >= -tol, so it counts as a violation.
+    assert entry["violations"] == sum(not m >= -1e-9 for m in margins)
     assert entry["samples"] == 3
 
 
@@ -372,6 +378,58 @@ def test_cli_validation_failure_exit_two(tmp_path):
     )
     out = tmp_path / "r.json"
     assert main(["swap-bench", "--config", str(cfg), "--out", str(out)]) == 2
+
+
+def test_cli_lemmas_nan_margin_exit_two(tmp_path, monkeypatch):
+    # A NaN margin between two finite ones leaves min_margin finite, so only
+    # the violation count shows it.
+    draws = iter([1.0, np.nan, 2.0])
+    monkeypatch.setattr(harness, "holder_margin", lambda a, b: np.array([next(draws) for _ in a]))
+    out = tmp_path / "r.json"
+    assert main(["lemmas", "--trials", "3", "--seed", "1", "--out", str(out)]) == 2
+    holder = json.loads(out.read_text())["lemma_margins"]["holder"]
+    assert holder["min_margin"] == 1.0 and holder["violations"] == 1
+
+
+def test_cli_swap_bench_nan_error_exit_two(tmp_path, monkeypatch):
+    circuits = iter([0.75, np.nan, 0.75, 0.75])
+    monkeypatch.setattr(harness, "swap_test", lambda state, left, right: next(circuits, 0.75))
+    out = tmp_path / "r.json"
+    assert main(["swap-bench", "--trials", "4", "--seed", "1", "--out", str(out)]) == 2
+    assert "NaN" in out.read_text()
+
+
+def test_failures_flag_non_finite_lemma_and_swap_figures():
+    base = dict(config={}, accept_probability=None, reject_probability=None, branches=None,
+                details=None, trial_rows=None)
+    entry = {"min_margin": float("nan"), "violations": 0, "samples": 1}
+    assert harness.ExperimentReport(**{**base, "lemma_margins": {"holder": entry}}).failures()
+    swap = {"max_error": float("nan")}
+    assert harness.ExperimentReport(**{**base, "lemma_margins": None, "details": swap}).failures()
+
+
+# sha256 of the JSON and CSV reports of lemmas and swap-bench runs, recorded
+# before the suite was evaluated on stacks; 300 lemma trials cross the
+# boundary between two chunks of LEMMA_CHUNK_TRIALS.  Their margins are floats,
+# so they also pin the rounding of numpy 2.4 with OpenBLAS on x86-64.
+LEMMA_AND_SWAP_DIGESTS = [
+    ({"experiment": "lemmas", "trials": 80, "seed": 5},
+     "7f89719b20b3c36c8f98bbfa66ae55fade2152db9430c1f32e5b7916f5f26861",
+     "6bfaf560d4b91fea9ae34d7ab2a01a48f88fb6825265cbfa00015d4b8bb09cc2"),
+    ({"experiment": "lemmas", "trials": 300, "seed": 2},
+     "f7a7081a8a0c122b47820954d74d3c2a4f28e52d40b7163cbb3c9047905c2e3d",
+     "2d812f33c56fa0f1f87ad7215fcaae44aa63d83d9f4aebad99e06c03e880d81c"),
+    ({"experiment": "swap-bench", "trials": 40, "seed": 3},
+     "5e18aab93ceef778c5b55c144848f2ae1495b425b94b85a5339d329bbf49334a",
+     "ced00e720db8d4e37110f2a50f8f90e1998646589256555c9aea400e3b79c4c9"),
+]
+
+
+@pytest.mark.parametrize("fields, json_sha, csv_sha", LEMMA_AND_SWAP_DIGESTS)
+def test_lemma_and_swap_reports_match_recorded_digests(fields, json_sha, csv_sha):
+    report = run_experiment(ExperimentConfig.from_dict(fields))
+    assert hashlib.sha256(emit_report(report, "json")).hexdigest() == json_sha
+    assert hashlib.sha256(emit_report(report, "csv")).hexdigest() == csv_sha
 
 
 @pytest.mark.parametrize(

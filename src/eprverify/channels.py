@@ -36,5 +36,5 @@ def apply_pinch(dm: DensityOperator, pair: tuple[str, str]) -> DensityOperator:
     n = dm.layout.total_qubits
     positions = dm.layout.positions(list(pair))
     out = apply_local(dm.matrix, PI_PLUS, n, positions) + apply_local(dm.matrix, PI_MINUS, n, positions)
-    return DensityOperator(dm.layout, out, validate=False)
+    return DensityOperator(dm.layout, out)
 

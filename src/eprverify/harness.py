@@ -18,8 +18,7 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .channels import pinch_phi
-from .kernel import DensityOperator, layout, tensor_product
-from .linalg import dagger, partial_trace as partial_trace_positions
+from .linalg import dagger, partial_trace as partial_trace_positions, tensor
 from .metrics import (
     additive_perturbation_margin,
     fvg_margins,
@@ -184,7 +183,6 @@ class ExperimentReport:
     lemma_margins: dict | None
     details: dict | None
     trial_rows: list[tuple] | None
-    version: str = __version__
 
     def failures(self) -> list[str]:
         """Invariant violations that should fail the run (CLI exit code 2)."""
@@ -413,11 +411,8 @@ def _run_lemma_suite(config: ExperimentConfig) -> ExperimentReport:
 # SWAP benchmark
 # ---------------------------------------------------------------------------
 
-def _swap_case(rho: np.ndarray, sigma: np.ndarray, k: int) -> tuple[float, float]:
-    left = DensityOperator(layout(("L", k)), rho, validate=False)
-    right = DensityOperator(layout(("R", k)), sigma, validate=False)
-    state = tensor_product(left, right)
-    circuit = swap_test(state, ["L"], ["R"])
+def _swap_case(rho: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+    circuit = swap_test(tensor(rho, sigma))
     formula = float((1.0 + np.trace(rho @ sigma).real) / 2.0)
     return circuit, formula
 
@@ -427,16 +422,16 @@ def _run_swap_bench(config: ExperimentConfig) -> ExperimentReport:
     max_error = 0.0
     for t in range(config.trials):
         k = 1 if t % 2 == 0 else 2
-        circuit, formula = _swap_case(random_density(rng, 2**k), random_density(rng, 2**k), k)
+        circuit, formula = _swap_case(random_density(rng, 2**k), random_density(rng, 2**k))
         error = abs(circuit - formula)
         # As max() but a NaN error, once seen, is kept.
         if error > max_error or math.isnan(error):
             max_error = error
     psi = random_pure(rng, 2)
-    same, _ = _swap_case(np.outer(psi, psi.conj()), np.outer(psi, psi.conj()), 1)
+    same, _ = _swap_case(np.outer(psi, psi.conj()), np.outer(psi, psi.conj()))
     zero = np.array([[1, 0], [0, 0]], dtype=complex)
     one = np.array([[0, 0], [0, 1]], dtype=complex)
-    orth, _ = _swap_case(zero, one, 1)
+    orth, _ = _swap_case(zero, one)
     return ExperimentReport(
         config=config.to_dict(),
         accept_probability=None,
@@ -470,7 +465,7 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> bytes:
     """Serialize a report with stable field ordering."""
     if fmt == "json":
         obj = {
-            "version": report.version,
+            "version": __version__,
             "config": report.config,
             "accept_probability": report.accept_probability,
             "reject_probability": report.reject_probability,

@@ -12,10 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    HERMITIAN_TOL,
     apply_local,
-    is_hermitian,
-    is_unitary,
     partial_trace as _partial_trace_positions,
     proj,
     tensor,
@@ -98,16 +95,15 @@ class StateVector:
             raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
 
     def density(self) -> DensityOperator:
-        return DensityOperator(self.layout, proj(self.amplitudes), validate=False)
+        return DensityOperator(self.layout, proj(self.amplitudes))
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian PSD unit-trace operator over a register layout."""
+    """Density matrix over a register layout; only its shape is checked."""
 
     layout: RegisterLayout
     matrix: np.ndarray
-    validate: bool = True
 
     def __post_init__(self) -> None:
         mat = np.asarray(self.matrix, dtype=complex)
@@ -115,13 +111,6 @@ class DensityOperator:
         d = self.layout.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dim {d}")
-        if self.validate:
-            if not is_hermitian(mat):
-                raise ValueError("density operator is not Hermitian within tolerance")
-            if abs(np.trace(mat).real - 1.0) > HERMITIAN_TOL:
-                raise ValueError(f"density operator trace {np.trace(mat).real} is not 1")
-            if np.min(np.linalg.eigvalsh(mat)) < -HERMITIAN_TOL:
-                raise ValueError("density operator has an eigenvalue below -1e-10")
 
 
 State = StateVector | DensityOperator
@@ -136,17 +125,11 @@ def _array(state: State) -> np.ndarray:
     return state.amplitudes if isinstance(state, StateVector) else state.matrix
 
 
-def basis_state(lay: RegisterLayout, bits: str) -> StateVector:
-    """Computational basis state from a bit string over the whole layout."""
-    if len(bits) != lay.total_qubits or any(b not in "01" for b in bits):
-        raise ValueError(f"bit string {bits!r} does not match {lay.total_qubits} qubits")
-    amps = np.zeros(lay.dim, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(lay, amps)
-
-
 def zero_state(lay: RegisterLayout) -> StateVector:
-    return basis_state(lay, "0" * lay.total_qubits)
+    """The all-zero computational basis state over the whole layout."""
+    amps = np.zeros(lay.dim, dtype=complex)
+    amps[0] = 1.0
+    return StateVector(lay, amps)
 
 
 def tensor_product(a: State, b: State) -> State:
@@ -157,7 +140,7 @@ def tensor_product(a: State, b: State) -> State:
     lay = RegisterLayout(a.layout.registers + b.layout.registers)
     if isinstance(a, StateVector) and isinstance(b, StateVector):
         return StateVector(lay, tensor(a.amplitudes, b.amplitudes))
-    return DensityOperator(lay, tensor(to_density(a).matrix, to_density(b).matrix), validate=False)
+    return DensityOperator(lay, tensor(to_density(a).matrix, to_density(b).matrix))
 
 
 def partial_trace(state: State, keep_names: list[str]) -> DensityOperator:
@@ -168,7 +151,7 @@ def partial_trace(state: State, keep_names: list[str]) -> DensityOperator:
     positions = state.layout.positions(keep_names)
     reduced = _partial_trace_positions(_array(state), state.layout.total_qubits, positions)
     lay = RegisterLayout(tuple((n, state.layout.size(n)) for n in keep_names))
-    return DensityOperator(lay, reduced, validate=False)
+    return DensityOperator(lay, reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +197,17 @@ BELL_TO_COMPUTATIONAL = np.array([[1], [1], [-1], [-1]]) * BELL_STATES.conj()
 # Unitary application
 # ---------------------------------------------------------------------------
 
-def apply_unitary(state: State, u: np.ndarray, targets: list[str], check: bool = True) -> State:
-    """Apply a unitary to the named registers (in that order), identity elsewhere."""
-    u = np.asarray(u, dtype=complex)
-    if check and not is_unitary(u):
-        raise ValueError("operator is not unitary within tolerance")
+def apply_unitary(state: State, u: np.ndarray, targets: list[str]) -> State:
+    """Apply a unitary to the named registers (in that order), identity elsewhere.
+
+    Unitarity is not checked: every operator the package applies is unitary by
+    construction.
+    """
     positions = state.layout.positions(targets)
     out = apply_local(_array(state), u, state.layout.total_qubits, positions)
     if isinstance(state, StateVector):
         return StateVector(state.layout, out)
-    return DensityOperator(state.layout, out, validate=False)
+    return DensityOperator(state.layout, out)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +238,7 @@ def select_ordered_pair(
     reduced = partial_trace(state, keep)
     slot_names = untouched + list(pairs[0]) + list(pairs[1])
     lay = RegisterLayout(tuple((n, reduced.layout.size(o)) for n, o in zip(slot_names, keep)))
-    return DensityOperator(lay, reduced.matrix, validate=False)
+    return DensityOperator(lay, reduced.matrix)
 
 
 def _swap_slots(m: np.ndarray, n_qubits: int, slot: int) -> np.ndarray:
@@ -283,4 +267,4 @@ def symmetrize_pairs(state: State, pairs: list[tuple[str, str]]) -> DensityOpera
             reduced[i, j] = dm.matrix
             reduced[j, i] = _swap_slots(dm.matrix, dm.layout.total_qubits, slot)
     terms = [reduced[i, j] for i in range(count) for j in range(count) if i != j]
-    return DensityOperator(dm.layout, sum(terms) / len(terms), validate=False)
+    return DensityOperator(dm.layout, sum(terms) / len(terms))

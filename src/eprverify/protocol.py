@@ -275,27 +275,25 @@ def cheating_proof(strategy: dict, toy: ToyVerifier, l: int) -> ProtocolState:
 # SWAP test
 # ---------------------------------------------------------------------------
 
-def swap_test(state: State, reg1: list[str], reg2: list[str]) -> float:
-    """Run the SWAP test circuit between two equally sized register groups.
+def swap_test(joint: np.ndarray) -> float:
+    """Run the SWAP test circuit between the two halves of a 2k-qubit density matrix.
 
     Returns the acceptance probability from the full circuit: ancilla
-    Hadamard, controlled swap of the two groups, Hadamard, standard-basis
+    Hadamard, controlled swap of the two halves, Hadamard, standard-basis
     measurement, accepting on 0.  The ancilla is prepended as qubit 0; the
     controlled swap is the identity with the rows of its swap half permuted.
     """
-    pos1, pos2 = state.layout.positions(reg1), state.layout.positions(reg2)
-    if len(pos1) != len(pos2):
-        raise ValueError(f"register groups have different dimensions {2 ** len(pos1)} vs {2 ** len(pos2)}")
-    dd = 4 ** len(pos1)
-    swapped = np.arange(dd).reshape(2 ** len(pos1), -1).T.reshape(-1)
+    k = (joint.shape[0].bit_length() - 1) // 2
+    dd = 4**k
+    swapped = np.arange(dd).reshape(2**k, -1).T.reshape(-1)
     cswap = np.eye(2 * dd, dtype=complex)[np.concatenate([np.arange(dd), dd + swapped])]
-    n = state.layout.total_qubits + 1
+    n = 2 * k + 1
     zero = np.array([1.0, 0.0], dtype=complex)
-    joint = tensor(zero, state.amplitudes) if isinstance(state, StateVector) else tensor(proj(zero), state.matrix)
-    joint = apply_local(joint, HADAMARD, n, [0])
-    joint = apply_local(joint, cswap, n, [0] + [1 + q for q in pos1 + pos2])
-    joint = apply_local(joint, HADAMARD, n, [0])
-    return float(_partial_trace_positions(joint, n, [0])[0, 0].real)
+    out = tensor(proj(zero), joint)
+    out = apply_local(out, HADAMARD, n, [0])
+    out = apply_local(out, cswap, n, list(range(n)))
+    out = apply_local(out, HADAMARD, n, [0])
+    return float(_partial_trace_positions(out, n, [0])[0, 0].real)
 
 
 def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
@@ -314,7 +312,7 @@ def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
 # Teleportation through a shared pair, keeping two Bell outcomes
 # ---------------------------------------------------------------------------
 
-def teleport(state: State, rest: tuple[str, ...] = ()) -> list[np.ndarray]:
+def teleport(state: State, rest: tuple[str, ...]) -> list[np.ndarray]:
     """What a Bell measurement of (S2', S1) leaves on (*rest, S2).
 
     Returns one unnormalized density per outcome, in BELL_LABELS order; the
@@ -328,7 +326,7 @@ def teleport(state: State, rest: tuple[str, ...] = ()) -> list[np.ndarray]:
     for r in (out_reg, bridge, source):
         if state.layout.size(r) != 1:
             raise ValueError(f"teleport registers must be single qubits, {r} is not")
-    rotated = apply_unitary(state, BELL_STATES.conj(), [bridge, source], check=False)
+    rotated = apply_unitary(state, BELL_STATES.conj(), [bridge, source])
     reduced = partial_trace(rotated, [bridge, source, *rest, out_reg]).matrix
     d = reduced.shape[0] // 4
     blocks = [reduced[k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(4)]
@@ -422,9 +420,9 @@ def _pair_tree(dm: DensityOperator, toy: ToyVerifier) -> _PairTree:
     w = partial_trace(w, ["P", "S1", "S2", "S2'"])
     ancilla = zero_state(layout(("A", toy.a_qubits)))
     w = tensor_product(w, ancilla.density())
-    w = apply_unitary(w, toy.v, ["P", "A"], check=False)
-    w = apply_unitary(w, toy.flip, ["P", "A", "S1"], check=False)
-    w = apply_unitary(w, dagger(toy.v), ["P", "A"], check=False)
+    w = apply_unitary(w, toy.v, ["P", "A"])
+    w = apply_unitary(w, toy.flip, ["P", "A", "S1"])
+    w = apply_unitary(w, dagger(toy.v), ["P", "A"])
 
     # Each outcome's block diagonal is the distribution of the (A, S2) bits.
     bell_probs: list[float] = []

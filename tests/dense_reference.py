@@ -49,7 +49,7 @@ def ordered_pair_mean(state, pairs: list[tuple[str, str]]) -> DensityOperator:
     pairs = _check_pairs(state, pairs)
     count = len(pairs)
     terms = [select_ordered_pair(state, pairs, i, j) for i in range(count) for j in range(count) if i != j]
-    return DensityOperator(terms[0].layout, sum(t.matrix for t in terms) / len(terms), validate=False)
+    return DensityOperator(terms[0].layout, sum(t.matrix for t in terms) / len(terms))
 
 
 def permute_qubits(t: np.ndarray, n_qubits: int, order: list[int]) -> np.ndarray:

@@ -14,7 +14,6 @@ from eprverify.kernel import (
     BELL_LABELS,
     BELL_STATES,
     BELL_TO_COMPUTATIONAL,
-    DensityOperator,
     StateVector,
     layout,
     rx_prob,
@@ -63,7 +62,7 @@ def test_criterion_2_post_selection_lemma():
         pair = StateVector(layout(("S2", 1), ("S2'", 1)), choi_state(dagger(rx_prob(q))).amplitudes)
         state = tensor_product(pair, StateVector(layout(("S1", 1)), phi))
         # the verifier's own read: the phi+ and psi+ outcomes are kept
-        blocks = teleport(state)
+        blocks = teleport(state, ())
         kept = [blocks[BELL_LABELS.index("phi+")], blocks[BELL_LABELS.index("psi+")]]
         success = sum(np.trace(out).real for out in kept)
         assert abs(success - 0.5) <= 1e-12
@@ -78,23 +77,12 @@ def test_criterion_3_swap_test_formula():
     for t in range(200):
         k = 1 if t % 2 == 0 else 2
         rho, sigma = random_density(rng, 2**k), random_density(rng, 2**k)
-        state = tensor_product(
-            DensityOperator(layout(("L", k)), rho, validate=False),
-            DensityOperator(layout(("R", k)), sigma, validate=False),
-        )
-        circuit = swap_test(state, ["L"], ["R"])
+        circuit = swap_test(tensor(rho, sigma))
         assert abs(circuit - (1 + np.trace(rho @ sigma).real) / 2) <= 1e-12
     psi = random_pure(rng, 2)
-    same = tensor_product(
-        DensityOperator(layout(("L", 1)), proj(psi), validate=False),
-        DensityOperator(layout(("R", 1)), proj(psi), validate=False),
-    )
-    assert abs(swap_test(same, ["L"], ["R"]) - 1.0) <= 1e-12
-    orth = tensor_product(
-        DensityOperator(layout(("L", 1)), np.diag([1.0, 0.0]).astype(complex), validate=False),
-        DensityOperator(layout(("R", 1)), np.diag([0.0, 1.0]).astype(complex), validate=False),
-    )
-    assert abs(swap_test(orth, ["L"], ["R"]) - 0.5) <= 1e-12
+    assert abs(swap_test(tensor(proj(psi), proj(psi))) - 1.0) <= 1e-12
+    orth = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert abs(swap_test(orth) - 0.5) <= 1e-12
     print("ACCEPTANCE 3 (SWAP test circuit vs closed form, 200 pairs + edges): PASS")
 
 

@@ -135,7 +135,7 @@ def test_choi_density_of_unitary_channel_is_pure():
 
 def test_apply_pinch_on_embedded_pair():
     lay = layout(("P", 1), ("S", 1), ("S'", 1))
-    joint = DensityOperator(lay, random_density(RNG, 8), validate=False)
+    joint = DensityOperator(lay, random_density(RNG, 8))
     pinched = apply_pinch(joint, ("S", "S'"))
     # agrees with pinching the reduced pair state
     reduced = partial_trace(pinched, ["S", "S'"])

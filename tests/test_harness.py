@@ -393,7 +393,7 @@ def test_cli_lemmas_nan_margin_exit_two(tmp_path, monkeypatch):
 
 def test_cli_swap_bench_nan_error_exit_two(tmp_path, monkeypatch):
     circuits = iter([0.75, np.nan, 0.75, 0.75])
-    monkeypatch.setattr(harness, "swap_test", lambda state, left, right: next(circuits, 0.75))
+    monkeypatch.setattr(harness, "swap_test", lambda joint: next(circuits, 0.75))
     out = tmp_path / "r.json"
     assert main(["swap-bench", "--trials", "4", "--seed", "1", "--out", str(out)]) == 2
     assert "NaN" in out.read_text()

@@ -12,7 +12,6 @@ from eprverify.kernel import (
     RegisterLayout,
     StateVector,
     apply_unitary,
-    basis_state,
     layout,
     partial_trace,
     rx_prob,
@@ -52,13 +51,9 @@ def test_state_vector_norm_check():
     assert sv.layout.dim == 2
 
 
-def test_density_operator_validation():
-    lay = layout(("R", 1))
+def test_density_operator_shape_check():
     with pytest.raises(ValueError):
-        DensityOperator(lay, np.array([[1.0, 0.5j], [0.5j, 0.0]]))
-    with pytest.raises(ValueError):
-        DensityOperator(lay, np.diag([2.0, -1.0]).astype(complex))
-    DensityOperator(lay, np.eye(2) / 2)
+        DensityOperator(layout(("R", 1)), np.eye(4) / 4)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +119,6 @@ def test_rotation_on_half_of_epr_closed_form():
 def test_apply_unitary_checks():
     sv = zero_state(layout(("a", 1), ("b", 1)))
     with pytest.raises(ValueError):
-        apply_unitary(sv, 2 * np.eye(2), ["a"])
-    with pytest.raises(ValueError):
         apply_unitary(sv, HADAMARD, ["a", "b"])
 
 
@@ -176,7 +169,7 @@ def test_symmetrize_two_pair_product():
     # l=2 product sigma (x) tau averages to (sigma tau + tau sigma)/2
     sigma = random_density(RNG, 4)
     tau = random_density(RNG, 4)
-    dm = DensityOperator(_pair_layout(2), tensor(sigma, tau), validate=False)
+    dm = DensityOperator(_pair_layout(2), tensor(sigma, tau))
     out = symmetrize_pairs(dm, _pairs(2))
     expected = (tensor(sigma, tau) + tensor(tau, sigma)) / 2
     assert trace_distance(out.matrix, expected) <= 1e-12
@@ -186,7 +179,7 @@ def test_symmetrize_three_pairs_enumeration():
     # sigma sigma tau over 6 ordered pairs: (sigma,sigma) weight 1/3, mixed 2/3
     sigma = random_density(RNG, 4)
     tau = random_density(RNG, 4)
-    dm = DensityOperator(_pair_layout(3), tensor(sigma, sigma, tau), validate=False)
+    dm = DensityOperator(_pair_layout(3), tensor(sigma, sigma, tau))
     out = symmetrize_pairs(dm, _pairs(3))
     expected = (tensor(sigma, sigma) + tensor(sigma, tau) + tensor(tau, sigma)) / 3
     assert trace_distance(out.matrix, expected) <= 1e-12
@@ -194,7 +187,7 @@ def test_symmetrize_three_pairs_enumeration():
 
 def test_symmetrize_invariant_input_is_fixed_point():
     sigma = random_density(RNG, 4)
-    dm = DensityOperator(_pair_layout(3), tensor(sigma, sigma, sigma), validate=False)
+    dm = DensityOperator(_pair_layout(3), tensor(sigma, sigma, sigma))
     out = symmetrize_pairs(dm, _pairs(3))
     assert trace_distance(out.matrix, tensor(sigma, sigma)) <= 1e-10
 
@@ -247,10 +240,3 @@ def test_tensor_product_name_clash():
     with pytest.raises(ValueError):
         tensor_product(a, a)
 
-
-def test_basis_state_round_trip():
-    lay = layout(("a", 2), ("b", 1))
-    sv = basis_state(lay, "101")
-    probs = partial_trace(sv, ["a", "b"]).matrix.diagonal().real
-    assert int(np.argmax(probs)) == 0b101
-    assert probs[0b101] == pytest.approx(1.0)

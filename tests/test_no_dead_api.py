@@ -1,5 +1,6 @@
 """Every public top-level name in src/eprverify is used by the package itself,
-and every defaulted parameter is set by some call in it."""
+and every defaulted parameter, a dataclass field with a default included, is
+set by some call in it, and not by every call to one and the same literal."""
 
 import ast
 from pathlib import Path
@@ -59,17 +60,32 @@ def dead_names(sources: dict[str, str]) -> list[str]:
 EXEMPT_DEFAULTS = {
     "cli.main.argv": "python -m eprverify.cli calls main() with none, so argparse reads sys.argv",
 }
+# Defaulted parameters that every package call sets to one and the same
+# literal, each with the reason it stays.
+EXEMPT_SINGLE_VALUE: dict[str, str] = {}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
 
 
 def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, int | None, str]]:
     """(function name, positional index or None if keyword-only, parameter) for
-    each defaulted parameter; a method's index does not count self."""
+    each defaulted parameter; a method's index does not count self.  A
+    dataclass field with a default is a defaulted parameter of its class."""
     methods = {
         id(fn) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
         for fn in node.body if isinstance(fn, ast.FunctionDef)
     }
     found = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+            found.extend((node.name, index, f.target.id) for index, f in enumerate(fields) if f.value is not None)
         if not isinstance(node, ast.FunctionDef):
             continue
         args = node.args
@@ -83,14 +99,23 @@ def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, int | None, str]]
     return found
 
 
-def _calls(tree: ast.Module) -> list[tuple[str, int | None, set[str] | None]]:
-    """(called name, positional count or None if unbounded, keywords or None if
-    unbounded) for each call; a name imported under an alias is read as its
-    original name."""
+def _calls(tree: ast.Module) -> list[tuple[str, list[ast.expr] | None, dict[str, ast.expr] | None]]:
+    """(called name, positional arguments or None if one is starred, keyword
+    arguments by name or None if ** passes some) for each call; a name imported
+    under an alias is read as its original name, and cls in a classmethod as
+    its class."""
     aliases = {
         alias.asname: alias.name
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for alias in node.names if alias.asname
+    }
+    classes = {
+        id(call): node.name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for fn in node.body if isinstance(fn, ast.FunctionDef)
+        if any(isinstance(d, ast.Name) and d.id == "classmethod" for d in fn.decorator_list)
+        for call in ast.walk(fn) if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name) and call.func.id == "cls"
     }
     calls = []
     for node in ast.walk(tree):
@@ -101,35 +126,69 @@ def _calls(tree: ast.Module) -> list[tuple[str, int | None, set[str] | None]]:
         if name is None:
             continue
         starred = any(isinstance(arg, ast.Starred) for arg in node.args)
-        keywords = {kw.arg for kw in node.keywords}
+        keywords = {kw.arg: kw.value for kw in node.keywords}
         calls.append((
-            aliases.get(name, name),
-            None if starred else len(node.args),
+            classes.get(id(node), aliases.get(name, name)),
+            None if starred else node.args,
             None if None in keywords else keywords,
         ))
     return calls
 
 
-def unset_defaults(sources: dict[str, str]) -> list[str]:
-    """module.function.parameter for each defaulted parameter that no call in
-    the sources sets.  Calls are matched by function name alone."""
+# What a call passes for a parameter when a starred or ** argument may hold it.
+_UNKNOWN = object()
+
+
+def _passed_values(sources: dict[str, str]) -> dict[str, list]:
+    """module.function.parameter of each defaulted parameter, with what each call
+    of that name passes for it: an expression, None for nothing, or _UNKNOWN.
+    Calls are matched by function name alone."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     calls = [call for tree in trees.values() for call in _calls(tree)]
 
-    def is_set(function: str, index: int | None, param: str) -> bool:
-        return any(
-            name == function and (
-                count is None or keywords is None or param in keywords
-                or (index is not None and index < count)
-            )
-            for name, count, keywords in calls
-        )
+    def passed(args, keywords, index: int | None, param: str):
+        if args is None or keywords is None:
+            return _UNKNOWN
+        if param in keywords:
+            return keywords[param]
+        return args[index] if index is not None and index < len(args) else None
 
-    return sorted(
-        f"{module}.{function}.{param}"
+    return {
+        f"{module}.{function}.{param}": [
+            passed(args, keywords, index, param) for name, args, keywords in calls if name == function
+        ]
         for module, tree in trees.items()
         for function, index, param in _defaulted_parameters(tree)
-        if not is_set(function, index, param) and f"{module}.{function}.{param}" not in EXEMPT_DEFAULTS
+    }
+
+
+def unset_defaults(sources: dict[str, str]) -> list[str]:
+    """module.function.parameter for each defaulted parameter that no call in
+    the sources sets."""
+    return sorted(
+        name for name, values in _passed_values(sources).items()
+        if all(value is None for value in values) and name not in EXEMPT_DEFAULTS
+    )
+
+
+def _one_literal(values: list) -> bool:
+    """Whether the values are all one and the same literal expression."""
+    dumps = set()
+    for value in values:
+        try:
+            ast.literal_eval(value)
+        except (ValueError, TypeError):  # not a literal, or None or _UNKNOWN
+            return False
+        dumps.add(ast.dump(value))
+    return len(dumps) == 1
+
+
+def single_value_defaults(sources: dict[str, str]) -> list[str]:
+    """module.function.parameter for each defaulted parameter that every call
+    in the sources sets, each time to the same literal."""
+    return sorted(
+        name for name, values in _passed_values(sources).items()
+        if _one_literal(values) and name not in EXEMPT_SINGLE_VALUE
     )
 
 
@@ -151,6 +210,16 @@ def test_every_defaulted_parameter_is_set_in_the_package():
     assert sources and unset_defaults(sources) == []
 
 
+def test_no_defaulted_parameter_is_always_set_to_one_literal():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources and single_value_defaults(sources) == []
+
+
+def test_every_exemption_gives_a_reason():
+    for exempt in (EXEMPT, EXEMPT_DEFAULTS, EXEMPT_SINGLE_VALUE):
+        assert all(isinstance(reason, str) and reason.strip() for reason in exempt.values())
+
+
 def test_unset_default_scan_sees_unset_parameters():
     sources = {
         "a": (
@@ -163,3 +232,39 @@ def test_unset_default_scan_sees_unset_parameters():
         "b": "from .a import f as ff\nff(1, 2)\ng(j=2)\nh(**{})\ns(*[1])\nC().m(4)\n",
     }
     assert unset_defaults(sources) == ["a.f.z", "a.g.k", "a.m.t"]
+
+
+def test_unset_default_scan_sees_dataclass_fields():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass(frozen=True)\n"
+            "class R:\n"
+            "    x: int\n    y: int = 0\n    z: list = field(default_factory=list)\n    w: int = 1\n"
+            "    @classmethod\n    def make(cls, d):\n        return cls(1, w=d)\n"
+            "@dataclass\nclass Q:\n    v: int = 0\n"
+            "class Plain:\n    u: int = 0\n"
+        ),
+        "b": "R(1, 2)\n",
+    }
+    assert unset_defaults(sources) == ["a.Q.v", "a.R.z"]
+
+
+def test_single_value_scan_sees_parameters_always_set_alike():
+    sources = {
+        "a": (
+            "def f(x, flag=True, mode='a', k=0): pass\n"
+            "def g(u=None): pass\n"
+            "def h(v=0): pass\n"
+            "def s(t=0): pass\n"
+            "def m(p=0): pass\n"
+            "from dataclasses import dataclass\n"
+            "@dataclass\nclass D:\n    a: int\n    b: bool = True\n"
+        ),
+        "b": (
+            "f(1, False, mode='b')\nf(2, flag=False, mode='c')\nf(3, False, k=1)\n"
+            "g(u=(1, 'x'))\nh(v=y)\nh(v=y)\ns(t=1)\ns(**kw)\nm(p=1)\nm(p=2)\n"
+            "D(1, b=False)\nD(2, False)\n"
+        ),
+    }
+    assert single_value_defaults(sources) == ["a.D.b", "a.f.flag", "a.g.u"]

@@ -31,13 +31,13 @@ from .metrics import (
 from .protocol import (
     BRANCH_KEYS,
     DEFAULT_STRATEGY,
+    HONEST_STRATEGY,
     REJECT_KEYS,
     ProtocolRun,
     _is_int,
     _is_number,
     check_strategy,
     cheating_proof,
-    honest_proof,
     make_toy_verifier,
     shown,
     swap_test,
@@ -91,11 +91,11 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     experiment: str
+    strategy: dict
     p: float = 0.75
     p_qubits: int = 1
     a_qubits: int = 1
     l: int = 2
-    strategy: dict = field(default_factory=lambda: dict(DEFAULT_STRATEGY))
     trials: int = 1000
     seed: int = 0
     mode: str = "exact"
@@ -120,6 +120,8 @@ class ExperimentConfig:
             check_strategy(self.strategy)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.experiment == "completeness" and self.strategy != HONEST_STRATEGY:
+            raise ConfigError(f"completeness runs only the honest strategy, got {shown(self.strategy)}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides: {shown(sorted(unknown))}")
@@ -168,8 +170,10 @@ class ExperimentConfig:
         unknown = set(verifier) - {"p", "p_qubits", "a_qubits"}
         if unknown:
             raise ConfigError(f"unknown verifier fields: {shown(sorted(unknown))}")
+        default = HONEST_STRATEGY if data["experiment"] == "completeness" else DEFAULT_STRATEGY
+        fields = {"strategy": dict(default), **{k: v for k, v in data.items() if k != "verifier"}}
         # Values are taken as they are, never converted: validate checks their types.
-        config = cls(**{k: v for k, v in data.items() if k != "verifier"}, **verifier)
+        config = cls(**fields, **verifier)
         config.validate()
         return config
 
@@ -216,11 +220,7 @@ _ROW_FIELDS = {
 
 def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
     toy = make_toy_verifier(config.p, config.p_qubits, config.a_qubits)
-    if config.experiment == "completeness":
-        proof = honest_proof(toy, config.l)
-    else:
-        proof = cheating_proof(config.strategy, toy, config.l)
-    run = ProtocolRun(proof, toy)
+    run = ProtocolRun(cheating_proof(config.strategy, toy, config.l), toy)
     if config.mode == "exact":
         result = run.exact()
         return ExperimentReport(
@@ -461,8 +461,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return _run_swap_bench(config)
 
 
+def _finite_or_null(value):
+    """The value with every non-finite float in it replaced by None."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def emit_report(report: ExperimentReport, fmt: str = "json") -> bytes:
-    """Serialize a report with stable field ordering."""
+    """Serialize a report with stable field ordering.
+
+    JSON is strict: a non-finite float is written as null.
+    """
     if fmt == "json":
         obj = {
             "version": __version__,
@@ -473,7 +487,7 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> bytes:
             "lemma_margins": report.lemma_margins,
             "details": report.details,
         }
-        return (json.dumps(obj, indent=2) + "\n").encode()
+        return (json.dumps(_finite_or_null(obj), indent=2, allow_nan=False) + "\n").encode()
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -214,8 +214,10 @@ STRATEGY_PARAMS = {
     "choi_product": {"q": ("a number in [0, 1]", lambda q: _is_number(q) and 0.0 <= q <= 1.0)},
     "local_unitaries": {"unitary_seed": ("an integer in [-2**63, 2**63)", rngmod.is_seed)},
 }
-# The strategy of a config that names none.
+# The strategy of a config that names none; a completeness config runs the
+# honest one and no other.
 DEFAULT_STRATEGY = {"kind": "idle_epr"}
+HONEST_STRATEGY = {"kind": "honest"}
 
 
 def check_strategy(strategy: dict) -> None:
@@ -232,17 +234,6 @@ def check_strategy(strategy: dict) -> None:
     for key, (meaning, valid) in params.items():
         if not valid(strategy[key]):
             raise ValueError(f"strategy {kind!r} needs {key} to be {meaning}, got {shown(strategy[key])}")
-
-
-def honest_proof(toy: ToyVerifier, l: int) -> ProtocolState:
-    """Optimal witness in P and the matching rotated EPR pair in every slot.
-
-    Only defined in the yes-instance regime (maximum acceptance >= 1/2), where
-    q = 1/(2 p_x) lands in [1/2, 1].
-    """
-    if toy.max_accept < 0.5 - 1e-12:
-        raise ValueError(f"honest proof needs max acceptance >= 1/2, got {toy.max_accept}")
-    return cheating_proof({"kind": "honest"}, toy, l)
 
 
 def cheating_proof(strategy: dict, toy: ToyVerifier, l: int) -> ProtocolState:

@@ -22,10 +22,10 @@ from eprverify.kernel import (
 )
 from eprverify.linalg import dagger, proj, tensor
 from eprverify.protocol import (
+    HONEST_STRATEGY,
     ProtocolRun,
     ProtocolState,
     cheating_proof,
-    honest_proof,
     honest_rewinding_instance,
     make_toy_verifier,
     proof_layout,
@@ -47,7 +47,7 @@ def test_criterion_1_perfect_completeness():
     for p in P_GRID:
         for l in (2, 3):
             toy = make_toy_verifier(float(p))
-            result = ProtocolRun(honest_proof(toy, l), toy).exact()
+            result = ProtocolRun(cheating_proof(HONEST_STRATEGY, toy, l), toy).exact()
             assert abs(result.accept_probability - 1.0) <= 1e-9, (p, l)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"completeness sweep took {elapsed:.1f} s"

@@ -44,6 +44,27 @@ def test_config_defaults_and_echo():
 
 
 @pytest.mark.parametrize(
+    "fields, strategy",
+    [
+        ({"experiment": "completeness"}, {"kind": "honest"}),
+        ({"experiment": "completeness", "strategy": {"kind": "honest"}}, {"kind": "honest"}),
+        ({"experiment": "soundness"}, {"kind": "idle_epr"}),
+        ({"experiment": "lemmas"}, {"kind": "idle_epr"}),
+    ],
+)
+def test_config_echoes_the_strategy_it_runs(fields, strategy):
+    assert ExperimentConfig.from_dict(fields).to_dict()["strategy"] == strategy
+
+
+def test_cli_completeness_rejects_other_strategies(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "completeness", "strategy": {"kind": "choi_product", "q": 0.3}}))
+    assert main(["completeness", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "completeness runs only the honest strategy" in err and len(err) < 200
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         {"experiment": "nope"},
@@ -268,6 +289,8 @@ def test_sampled_csv_schema():
 
 # sha256 of the JSON and CSV reports of soundness runs in sampled mode, unless
 # the fields say otherwise; each was recorded before the refactor it guards.
+# The two completeness JSON digests were recorded again when completeness
+# began to echo the honest strategy it runs; their CSV digests did not change.
 # The sampled ones pin the per-trial stream contract (trial t draws from
 # stream(seed, t), the order of its draws, and the walk that maps them to a
 # branch); they hold only counts and count ratios, so BLAS rounding cannot move
@@ -285,10 +308,10 @@ STREAM_CONTRACT = [
      "82c2496a7388b92b7cf57eb44fcc35618501c3dd3f4cb889023cf106d109f341",
      "59333d065ce73fe2433444a6bc5f18af639168a13a12274b7a386b5f41b3f063"),
     ({"experiment": "completeness", "mode": "exact", "verifier": {"p": 0.6}, "l": 3, "seed": 34},
-     "e07a166ea7de1feb60688f2fd4eb22cde82ad3beddf4761695520622689a55cd",
+     "d16112e0afb884fbe2035a4d13ba97cfaa75160822622f58bdbf010ef0d7588c",
      "f5b51fbd5b521670e9677553143eb64dd07b6d817b89e0dd7db6c6e403ef162b"),
     ({"experiment": "completeness", "verifier": {"p": 0.8, "a_qubits": 2}, "l": 2, "seed": 35},
-     "10f124bd240af40581893aacf544cb9c98393595ebb0b831ef8486b7dd9581ff",
+     "216b9a97f27adb156d25428e9c9505d5e48d7dea1dc2ce20c3d92b0c82d3d18a",
      "4e0951b95eddb37acae82db451f0c01310bbf85d888517fc5cd90a0d1a640c79"),
     ({"verifier": {"p": 0.2}, "l": 2, "strategy": {"kind": "honest"}, "seed": 36},
      "3e54a3e074a8450c4eebef1ded4d7ab53d599b15ff16528df8568cd54f698988",
@@ -396,7 +419,12 @@ def test_cli_swap_bench_nan_error_exit_two(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "swap_test", lambda joint: next(circuits, 0.75))
     out = tmp_path / "r.json"
     assert main(["swap-bench", "--trials", "4", "--seed", "1", "--out", str(out)]) == 2
-    assert "NaN" in out.read_text()
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["details"]["max_error"] is None
 
 
 def test_failures_flag_non_finite_lemma_and_swap_figures():
@@ -463,6 +491,9 @@ def test_lemma_and_swap_reports_match_recorded_digests(fields, json_sha, csv_sha
                      id="strategy-unknown-keys"),
         pytest.param({"experiment": "lemmas", "strategy": {"kind": "custom"}}, id="lemmas-strategy-kind"),
         pytest.param({"experiment": "completeness", "verifier": {"p": 0.3}}, id="completeness-p-below-half"),
+        pytest.param({"experiment": "completeness", "strategy": {"kind": "choi_product", "q": 0.3}},
+                     id="completeness-choi_product"),
+        pytest.param({"experiment": "completeness", "strategy": {"kind": "idle_epr"}}, id="completeness-idle_epr"),
     ],
 )
 def test_cli_bad_config_value_exit_one(tmp_path, capsys, config):

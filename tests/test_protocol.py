@@ -29,6 +29,7 @@ from eprverify import protocol
 from eprverify import rng as rngmod
 from eprverify.protocol import (
     BRANCH_KEYS,
+    HONEST_STRATEGY,
     PROB_FLOOR,
     REJECT_KEYS,
     HalfEigenpairError,
@@ -36,7 +37,6 @@ from eprverify.protocol import (
     ProtocolState,
     check_strategy,
     cheating_proof,
-    honest_proof,
     honest_rewinding_instance,
     make_toy_verifier,
     proof_layout,
@@ -103,25 +103,20 @@ def test_honest_proof_pair_closed_forms():
     # At the q = 1 endpoint the solver's ~1e-16 eigenvalue noise enters the
     # amplitudes as sqrt(1-q), so the comparison tolerance sits at sqrt(eps).
     toy = make_toy_verifier(0.5)
-    proof = honest_proof(toy, l=2)
+    proof = cheating_proof(HONEST_STRATEGY, toy, l=2)
     pair = partial_trace(to_density(proof.state), ["S1", "S1'"])
     assert trace_distance(pair.matrix, proj(1j * BELL_STATES[2])) <= 1e-7
     toy = make_toy_verifier(1.0)
-    proof = honest_proof(toy, l=2)
+    proof = cheating_proof(HONEST_STRATEGY, toy, l=2)
     pair = partial_trace(to_density(proof.state), ["S1", "S1'"])
     expected = (BELL_STATES[0] + 1j * BELL_STATES[2]) / np.sqrt(2)
     assert trace_distance(pair.matrix, proj(expected)) <= 1e-9
 
 
-def test_honest_proof_requires_yes_instance():
-    with pytest.raises(ValueError):
-        honest_proof(make_toy_verifier(0.3), l=2)
-
-
 def test_proof_marginal_is_maximally_mixed():
     toy = make_toy_verifier(0.75)
     for l in (2, 3):
-        proof = honest_proof(toy, l)
+        proof = cheating_proof(HONEST_STRATEGY, toy, l)
         assert verifier_marginal_distance(proof) <= 1e-9
 
 
@@ -229,9 +224,6 @@ def test_marginal_check_runs_once_per_proof(monkeypatch):
         calls.clear()
         cheating_proof(strategy, toy, l=3)
         assert calls == [3], strategy
-    calls.clear()
-    honest_proof(toy, l=2)
-    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +467,7 @@ def test_rewinding_precondition_errors():
 def test_completeness_spot_checks():
     for p in (0.5, 0.75, 1.0):
         toy = make_toy_verifier(p)
-        result = ProtocolRun(honest_proof(toy, l=2), toy).exact()
+        result = ProtocolRun(cheating_proof(HONEST_STRATEGY, toy, l=2), toy).exact()
         assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
         assert result.branches["b0_allzero_reject"] <= 1e-12
 
@@ -529,7 +521,7 @@ def test_step_one_two_fixed_point_for_honest_proof():
     # symmetrizing and pinching leave the two-pair restriction of an honest
     # proof (exchangeable, pairs in the kept Bell subspaces) untouched
     for l in (2, 3):
-        proof = honest_proof(toy, l)
+        proof = cheating_proof(HONEST_STRATEGY, toy, l)
         sym = symmetrize_pairs(proof.state, proof.pairs)
         pinched = apply_pinch(apply_pinch(sym, ("S1", "S1'")), ("S2", "S2'"))
         reference = partial_trace(proof.state, ["P", "S1", "S1'", "S2", "S2'"])
@@ -550,7 +542,7 @@ def test_sampled_runs_deterministic_and_consistent():
 def test_run_outcome_fields_consistent():
     # an honest proof is accepted surely, so every sampled key is an accept key
     toy = make_toy_verifier(0.5)
-    proof = honest_proof(toy, l=3)
+    proof = cheating_proof(HONEST_STRATEGY, toy, l=3)
     run = ProtocolRun(proof, toy)
     seen = set()
     for key, pair in run.sample(11, 200):
@@ -632,7 +624,7 @@ def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strateg
 
 def test_verifier_rejects_bad_inputs():
     toy = make_toy_verifier(0.75)
-    proof = honest_proof(toy, l=2)
+    proof = cheating_proof(HONEST_STRATEGY, toy, l=2)
     other = make_toy_verifier(0.75, p_qubits=2)
     with pytest.raises(ValueError):
         ProtocolRun(proof, other)
@@ -642,14 +634,14 @@ def test_verifier_rejects_bad_inputs():
 
 def test_two_qubit_register_toys():
     toy = make_toy_verifier(0.7, p_qubits=2, a_qubits=2)
-    result = ProtocolRun(honest_proof(toy, l=2), toy).exact()
+    result = ProtocolRun(cheating_proof(HONEST_STRATEGY, toy, l=2), toy).exact()
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
 
 
 def test_four_pair_runs():
     # the supported upper end of the pair count
     toy = make_toy_verifier(0.75)
-    result = ProtocolRun(honest_proof(toy, l=4), toy).exact()
+    result = ProtocolRun(cheating_proof(HONEST_STRATEGY, toy, l=4), toy).exact()
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
     cheat = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 3}, toy, l=4), toy).exact()
     assert sum(cheat.branches.values()) == pytest.approx(1.0, abs=1e-9)
@@ -657,7 +649,7 @@ def test_four_pair_runs():
 
 def test_eight_pair_runs():
     toy = make_toy_verifier(0.75)
-    result = ProtocolRun(honest_proof(toy, l=8), toy).exact()
+    result = ProtocolRun(cheating_proof(HONEST_STRATEGY, toy, l=8), toy).exact()
     assert result.accept_probability == pytest.approx(1.0, abs=1e-9)
     cheat = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 3}, toy, l=8), toy).exact()
     assert sum(cheat.branches.values()) == pytest.approx(1.0, abs=1e-9)
@@ -761,7 +753,8 @@ def test_protocol_run_never_forms_the_proof_density(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(StateVector, "density", guarded)
-    for proof in (honest_proof(toy, 3), cheating_proof({"kind": "local_unitaries", "unitary_seed": 2}, toy, l=3)):
+    for strategy in (HONEST_STRATEGY, {"kind": "local_unitaries", "unitary_seed": 2}):
+        proof = cheating_proof(strategy, toy, l=3)
         run = ProtocolRun(proof, toy)
         assert sum(run.exact().branches.values()) == pytest.approx(1.0, abs=1e-9)
         list(run.sample(1, 1))

@@ -1,5 +1,6 @@
 """Experiment runner, report emission, and CLI surface."""
 
+import gc
 import hashlib
 import json
 import os
@@ -155,16 +156,17 @@ def test_lemma_suite_margins():
         assert entry["samples"] == 80
 
 
-def _stub_lemma_instances(monkeypatch, margin):
+def _stub_lemma_instances(monkeypatch, margin, probe=lambda: None):
     """Replace the suite's instance generators and oracles with constant-cost
-    stand-ins; every oracle gets a stack of instances and returns margin()
-    for each."""
+    stand-ins; every oracle gets a stack of instances, calls probe() and
+    returns margin() for each."""
     mixed = {d: np.eye(d) / d for d in range(1, 17)}
     for name in ("random_complex_matrix", "random_density", "random_unitary"):
         monkeypatch.setattr(harness, name, lambda rng, d: mixed[d])
     monkeypatch.setattr(harness, "random_projector", lambda rng, d, rank: 0 * mixed[d])
 
     def stacked(*args):
+        probe()
         return np.array([margin() for _ in args[0]])
 
     for name in ("holder_margin", "triangle_margin", "monotonicity_margin", "gentle_margin",
@@ -188,15 +190,34 @@ def test_lemma_suite_folds_margins_like_min(monkeypatch, margins):
 def test_lemma_suite_memory_does_not_grow_with_trials(monkeypatch):
     # With stand-in instances only the suite's own bookkeeping allocates; a
     # list of the margins would hold about 50 bytes per margin, 11 per trial.
+    # tracemalloc's peak also counts the dead objects CPython keeps on its
+    # free lists (up to 2000 tuples of each size), so the memory is read at
+    # every oracle call instead, each time after a full collection has
+    # emptied them.  Objects older than the run are frozen, which keeps those
+    # collections cheap.
+    highest = [0]
+
+    def probe():
+        gc.collect()
+        highest[0] = max(highest[0], tracemalloc.get_traced_memory()[0])
+
+    # First-use allocations (numpy's lazy imports and caches) are made before
+    # either reading.
     _stub_lemma_instances(monkeypatch, lambda: np.float64(0.25))
+    lemma_suite(400, seed=1, tol=1e-9)
+    _stub_lemma_instances(monkeypatch, lambda: np.float64(0.25), probe)
 
     def peak(trials: int) -> int:
+        highest[0] = 0
+        gc.collect()
+        gc.freeze()
         tracemalloc.start()
         try:
             lemma_suite(trials, seed=1, tol=1e-9)
-            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            gc.unfreeze()
+        return highest[0]
 
     small, large = peak(400), peak(4000)
     assert large - small < 50_000, (small, large)

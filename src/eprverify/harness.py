@@ -467,8 +467,6 @@ def _finite_or_null(value):
         return None
     if isinstance(value, dict):
         return {key: _finite_or_null(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_finite_or_null(item) for item in value]
     return value
 
 

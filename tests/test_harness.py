@@ -57,14 +57,6 @@ def test_config_echoes_the_strategy_it_runs(fields, strategy):
     assert ExperimentConfig.from_dict(fields).to_dict()["strategy"] == strategy
 
 
-def test_cli_completeness_rejects_other_strategies(tmp_path, capsys):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "completeness", "strategy": {"kind": "choi_product", "q": 0.3}}))
-    assert main(["completeness", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err
-    assert "completeness runs only the honest strategy" in err and len(err) < 200
-
-
 @pytest.mark.parametrize(
     "bad",
     [

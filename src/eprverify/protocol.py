@@ -432,7 +432,10 @@ class ProtocolRun:
 
     Exact mode evaluates one tree, on the pair-symmetrized state.  Sampled
     mode draws each trial's ordered pair, which the trial reports, and reads
-    a chunk of trials at a time off the pairs' trees, each built once.
+    a chunk of trials at a time off the pairs' trees.  It builds one tree per
+    distinct two-slot state: ordered pairs whose reductions are equal bit for
+    bit, as a product proof's pairs mostly are, share one.  A tree is a pure
+    function of the reduction and the toy, so sharing changes no report byte.
     """
 
     def __init__(self, proof: ProtocolState, toy: ToyVerifier):
@@ -441,6 +444,7 @@ class ProtocolRun:
         self.proof = proof
         self.toy = toy
         self._trees: dict[tuple[int, int], _PairTree] = {}
+        self._tree_of_state: dict[bytes, _PairTree] = {}
 
     def exact(self) -> BranchBreakdown:
         """Branch masses from one tree on the pair-symmetrized state.
@@ -476,7 +480,10 @@ class ProtocolRun:
                 pair = divmod(c, l)
                 if pair not in self._trees:
                     dm = select_ordered_pair(self.proof.state, self.proof.pairs, *pair)
-                    self._trees[pair] = _pair_tree(dm, self.toy)
+                    key = dm.matrix.tobytes()
+                    if key not in self._tree_of_state:
+                        self._tree_of_state[key] = _pair_tree(dm, self.toy)
+                    self._trees[pair] = self._tree_of_state[key]
                 tree = self._trees[pair]
                 at = np.flatnonzero(code == c)
                 bell = rngmod.choose(u1[at], tree.bell_probs)

@@ -622,6 +622,46 @@ def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strateg
     assert list(run.sample(0, len(draws))) == expected
 
 
+def _sampled_tree_builds(strategy, p, l):
+    """The run after sampling every ordered pair, and how many trees it built."""
+    toy = make_toy_verifier(p)
+    run = ProtocolRun(cheating_proof(strategy, toy, l), toy)
+    with mock.patch.object(protocol, "_pair_tree", wraps=protocol._pair_tree) as build:
+        list(run.sample(1, 2000))
+    assert len(run._trees) == l * (l - 1)
+    return run, build.call_count
+
+
+# Product proofs whose ordered-pair reductions are equal bit for bit.
+@pytest.mark.parametrize("strategy, p", [
+    (HONEST_STRATEGY, 0.5), (HONEST_STRATEGY, 1.0), ({"kind": "idle_epr"}, 0.2),
+    ({"kind": "choi_product", "q": 0.5}, 0.3), ({"kind": "choi_product", "q": 0.3}, 0.3),
+])
+def test_sampled_product_proof_builds_one_tree(strategy, p):
+    assert _sampled_tree_builds(strategy, p, l=4)[1] == 1
+
+
+def test_sampled_local_unitaries_build_a_tree_per_pair():
+    assert _sampled_tree_builds({"kind": "local_unitaries", "unitary_seed": 5}, 0.3, l=3)[1] == 6
+
+
+@pytest.mark.parametrize("l", [2, 3, 4])
+@pytest.mark.parametrize("strategy, p", [
+    (HONEST_STRATEGY, 0.7), ({"kind": "choi_product", "q": 0.1}, 0.3),
+    ({"kind": "local_unitaries", "unitary_seed": -3}, 0.6),
+])
+def test_sampled_trees_are_one_per_distinct_reduction(strategy, p, l):
+    # From l = 3 on, a product proof's reductions can differ in the last bits,
+    # as its amplitudes multiply the pair factors in position order; those
+    # pairs keep trees of their own.
+    run, builds = _sampled_tree_builds(strategy, p, l)
+    states = {}
+    for (i, j), tree in run._trees.items():
+        key = select_ordered_pair(run.proof.state, run.proof.pairs, i, j).matrix.tobytes()
+        assert states.setdefault(key, tree) is tree
+    assert builds == len(states) == len({id(tree) for tree in run._trees.values()})
+
+
 def test_verifier_rejects_bad_inputs():
     toy = make_toy_verifier(0.75)
     proof = cheating_proof(HONEST_STRATEGY, toy, l=2)

@@ -163,6 +163,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {shown(sorted(unknown))}")
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' field")
+        # The suite and the bench read none of these; their reports echo the defaults.
+        unused = sorted({"strategy", "verifier", "l", "mode"} & set(data))
+        if data["experiment"] in ("lemmas", "swap-bench") and unused:
+            raise ConfigError(f"{data['experiment']} takes only trials, seed and tolerances, got {shown(unused)}")
         for name in ("verifier", "strategy", "tolerances"):
             if not isinstance(data.get(name, {}), dict):
                 raise ConfigError(f"{name!r} must be an object, got {shown(data[name])}")

@@ -216,14 +216,14 @@ def test_lemma_suite_memory_does_not_grow_with_trials(monkeypatch):
 
 
 def test_lemmas_experiment_report():
-    report = run_experiment(_config(experiment="lemmas", trials=50, seed=2))
+    report = run_experiment(ExperimentConfig.from_dict({"experiment": "lemmas", "trials": 50, "seed": 2}))
     assert report.lemma_margins is not None
     assert report.details["total_checks"] == 50 * 10
     assert report.failures() == []
 
 
 def test_swap_bench_report():
-    report = run_experiment(_config(experiment="swap-bench", trials=40, seed=3))
+    report = run_experiment(ExperimentConfig.from_dict({"experiment": "swap-bench", "trials": 40, "seed": 3}))
     assert report.details["max_error"] <= 1e-12
     assert report.details["identical_pure"] == pytest.approx(1.0, abs=1e-12)
     assert report.details["orthogonal_pure"] == pytest.approx(0.5, abs=1e-12)
@@ -503,6 +503,10 @@ def test_lemma_and_swap_reports_match_recorded_digests(fields, json_sha, csv_sha
         pytest.param({"experiment": "soundness", "strategy": {"kind": "idle_epr", "q": 5, "junk": 1}},
                      id="strategy-unknown-keys"),
         pytest.param({"experiment": "lemmas", "strategy": {"kind": "custom"}}, id="lemmas-strategy-kind"),
+        pytest.param({"experiment": "lemmas", "strategy": {"kind": "choi_product", "q": 0.3}}, id="lemmas-strategy"),
+        pytest.param({"experiment": "lemmas", "verifier": {"p": 0.5}}, id="lemmas-verifier"),
+        pytest.param({"experiment": "swap-bench", "l": 2}, id="swap-bench-l"),
+        pytest.param({"experiment": "swap-bench", "mode": "exact"}, id="swap-bench-mode"),
         pytest.param({"experiment": "completeness", "verifier": {"p": 0.3}}, id="completeness-p-below-half"),
         pytest.param({"experiment": "completeness", "strategy": {"kind": "choi_product", "q": 0.3}},
                      id="completeness-choi_product"),
@@ -514,6 +518,16 @@ def test_cli_bad_config_value_exit_one(tmp_path, capsys, config):
     cfg.write_text(json.dumps(config))
     assert main([config["experiment"], "--config", str(cfg)]) == 1
     assert "invalid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["lemmas", "swap-bench"])
+def test_cli_lemmas_and_swap_bench_take_no_protocol_fields(tmp_path, capsys, experiment):
+    assert main([experiment, "--mode", "sampled"]) == 1
+    assert f"invalid config: {experiment} takes only trials, seed and tolerances, got ['mode']" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "verifier": {}, "l": 3, "mode": "exact", "trials": 2}))
+    assert main([experiment, "--config", str(cfg)]) == 1
+    assert "got ['l', 'mode', 'verifier']" in capsys.readouterr().err
 
 
 def _cli_process(*args: str) -> subprocess.CompletedProcess:

@@ -266,25 +266,32 @@ def cheating_proof(strategy: dict, toy: ToyVerifier, l: int) -> ProtocolState:
 # SWAP test
 # ---------------------------------------------------------------------------
 
-def swap_test(joint: np.ndarray) -> float:
+def swap_test(joint: np.ndarray) -> float | np.ndarray:
     """Run the SWAP test circuit between the two halves of a 2k-qubit density matrix.
 
     Returns the acceptance probability from the full circuit: ancilla
     Hadamard, controlled swap of the two halves, Hadamard, standard-basis
     measurement, accepting on 0.  The ancilla is prepended as qubit 0; the
-    controlled swap is the identity with the rows of its swap half permuted.
+    controlled swap is the identity with the rows of its swap half permuted,
+    built once per call.  A stack of joints (..., 4^k, 4^k) gives an array of
+    the probabilities, each bit for bit the one its joint gives alone.
     """
-    k = (joint.shape[0].bit_length() - 1) // 2
-    dd = 4**k
+    joint = np.asarray(joint, dtype=complex)
+    dd = joint.shape[-1] if joint.ndim >= 2 else 0
+    k = (dd.bit_length() - 1) // 2
+    if joint.ndim < 2 or joint.shape[-2] != dd or k < 1 or dd != 4**k:
+        raise ValueError(f"swap_test needs a 4^k x 4^k joint with k >= 1, or a stack of them, got shape {joint.shape}")
     swapped = np.arange(dd).reshape(2**k, -1).T.reshape(-1)
     cswap = np.eye(2 * dd, dtype=complex)[np.concatenate([np.arange(dd), dd + swapped])]
     n = 2 * k + 1
-    zero = np.array([1.0, 0.0], dtype=complex)
-    out = tensor(proj(zero), joint)
+    # The ancilla's |0><0| joins as qubit 0: the joint fills the top-left block.
+    out = np.zeros(joint.shape[:-2] + (2 * dd, 2 * dd), dtype=complex)
+    out[..., :dd, :dd] = joint
     out = apply_local(out, HADAMARD, n, [0])
     out = apply_local(out, cswap, n, list(range(n)))
     out = apply_local(out, HADAMARD, n, [0])
-    return float(_partial_trace_positions(out, n, [0])[0, 0].real)
+    accept = _partial_trace_positions(out, n, [0])[..., 0, 0].real
+    return float(accept) if joint.ndim == 2 else accept
 
 
 def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:

@@ -6,13 +6,19 @@ with stand-in draws for it, and so are the general-purpose numpy forms
 the kernel's tensor, apply_local and symmetrize_pairs must match bit for bit.
 The one-matrix forms of the metrics and margin oracles, which the package's
 stack-aware forms must match bit for bit on each matrix of a stack, are here
-as well."""
+as well, and so is the per-case SWAP benchmark that swap-bench's chunked run
+must match byte for byte."""
+
+import math
 
 import numpy as np
 
-from eprverify.kernel import DensityOperator, _check_pairs, select_ordered_pair
-from eprverify.linalg import HERMITIAN_TOL, dagger, is_hermitian, tensor
+from eprverify.harness import ExperimentConfig, ExperimentReport
+from eprverify.kernel import HADAMARD, DensityOperator, _check_pairs, select_ordered_pair
+from eprverify.linalg import HERMITIAN_TOL, dagger, is_hermitian, proj, tensor
 from eprverify.protocol import _KEPT, ProtocolRun, _pair_tree
+from eprverify.rng import stream
+from eprverify.sampling import random_density, random_pure
 
 
 def kron_tensor(*ops: np.ndarray) -> np.ndarray:
@@ -260,3 +266,49 @@ def scalar_mixture_perturbation_margin(rho, sigma, eps: float) -> float:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     mixed = (1.0 - eps) * rho + eps * sigma
     return eps - scalar_trace_distance(mixed, rho)
+
+
+# ---------------------------------------------------------------------------
+# The per-case SWAP benchmark
+# ---------------------------------------------------------------------------
+
+def per_case_swap_test(joint: np.ndarray) -> float:
+    """Acceptance of the SWAP-test circuit on one 4^k x 4^k joint density, by
+    np.kron, np.tensordot and a one-matrix einsum: the ancilla |0><0| prepended
+    as qubit 0, a Hadamard, the controlled swap of the halves, a Hadamard, and
+    the ancilla's 0 outcome."""
+    k = (joint.shape[0].bit_length() - 1) // 2
+    dd = 4**k
+    swapped = np.arange(dd).reshape(2**k, -1).T.reshape(-1)
+    cswap = np.eye(2 * dd, dtype=complex)[np.concatenate([np.arange(dd), dd + swapped])]
+    n = 2 * k + 1
+    out = kron_tensor(proj(np.array([1.0, 0.0])), joint)
+    out = tensordot_apply_local(out, HADAMARD, n, [0])
+    out = tensordot_apply_local(out, cswap, n, list(range(n)))
+    out = tensordot_apply_local(out, HADAMARD, n, [0])
+    return float(np.einsum("ikjk->ij", out.reshape(2, dd, 2, dd))[0, 0].real)
+
+
+def per_case_swap_bench(config: ExperimentConfig) -> ExperimentReport:
+    """swap-bench's report with each case drawn, run and folded on its own."""
+    rng = stream(config.seed, 0)
+    max_error = 0.0
+    for t in range(config.trials):
+        k = 1 if t % 2 == 0 else 2
+        rho, sigma = random_density(rng, 2**k), random_density(rng, 2**k)
+        circuit = per_case_swap_test(kron_tensor(rho, sigma))
+        error = abs(circuit - float((1.0 + np.trace(rho @ sigma).real) / 2.0))
+        if error > max_error or math.isnan(error):
+            max_error = error
+    psi = random_pure(rng, 2)
+    same = per_case_swap_test(kron_tensor(np.outer(psi, psi.conj()), np.outer(psi, psi.conj())))
+    orth = per_case_swap_test(kron_tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+    return ExperimentReport(
+        config=config.to_dict(),
+        accept_probability=None,
+        reject_probability=None,
+        branches=None,
+        lemma_margins=None,
+        details={"max_error": max_error, "identical_pure": same, "orthogonal_pure": orth},
+        trial_rows=None,
+    )

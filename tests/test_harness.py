@@ -26,6 +26,8 @@ from eprverify.harness import (
 )
 from eprverify.rng import stream
 
+from dense_reference import per_case_swap_bench
+
 
 def _config(**overrides):
     base = {"experiment": "completeness", "verifier": {"p": 0.75}, "mode": "exact", "seed": 1}
@@ -230,6 +232,51 @@ def test_swap_bench_report():
     assert report.failures() == []
 
 
+@pytest.mark.parametrize("trials", [1, 2, 3, 255, 256, 257, 513])
+@pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
+def test_swap_bench_bytes_match_the_per_case_run(trials, seed):
+    # 256 cases are one chunk; a one-trial run stacks only a one-qubit case.
+    config = ExperimentConfig.from_dict({"experiment": "swap-bench", "trials": trials, "seed": seed})
+    chunked, per_case = run_experiment(config), per_case_swap_bench(config)
+    for fmt in ("json", "csv"):
+        assert emit_report(chunked, fmt) == emit_report(per_case, fmt)
+
+
+def test_swap_bench_memory_does_not_grow_with_trials(monkeypatch):
+    # A list of the errors would hold about 32 bytes a case, 115 kB more at
+    # 4000 cases than at 400.  As in the lemma suite's test, the memory is
+    # read at every stacked circuit call, after a full collection has emptied
+    # CPython's free lists, with the objects older than the run frozen.
+    highest = [0]
+    real = harness.swap_test
+
+    def probe(joint):
+        gc.collect()
+        highest[0] = max(highest[0], tracemalloc.get_traced_memory()[0])
+        return real(joint)
+
+    def run(trials: int) -> None:
+        run_experiment(ExperimentConfig.from_dict({"experiment": "swap-bench", "trials": trials, "seed": 1}))
+
+    run(400)  # first-use allocations are made before either reading
+    monkeypatch.setattr(harness, "swap_test", probe)
+
+    def peak(trials: int) -> int:
+        highest[0] = 0
+        gc.collect()
+        gc.freeze()
+        tracemalloc.start()
+        try:
+            run(trials)
+        finally:
+            tracemalloc.stop()
+            gc.unfreeze()
+        return highest[0]
+
+    small, large = peak(400), peak(4000)
+    assert large - small < 50_000, (small, large)
+
+
 # ---------------------------------------------------------------------------
 # Report emission
 # ---------------------------------------------------------------------------
@@ -427,17 +474,51 @@ def test_cli_lemmas_nan_margin_exit_two(tmp_path, monkeypatch):
     assert holder["min_margin"] == 1.0 and holder["violations"] == 1
 
 
-def test_cli_swap_bench_nan_error_exit_two(tmp_path, monkeypatch):
-    circuits = iter([0.75, np.nan, 0.75, 0.75])
-    monkeypatch.setattr(harness, "swap_test", lambda joint: next(circuits, 0.75))
+def _swap_circuits_with(monkeypatch, values: dict) -> None:
+    """Make the stacked SWAP circuit return values[m] for the m-th case it is
+    given, counted over its calls; a chunk's one-qubit cases come before its
+    two-qubit ones."""
+    real = harness.swap_test
+    seen = [0]
+
+    def circuit(joint):
+        out = real(joint)
+        if np.ndim(out):
+            for m in range(seen[0], seen[0] + len(out)):
+                out[m - seen[0]] = values.get(m, out[m - seen[0]])
+            seen[0] += len(out)
+        return out
+
+    monkeypatch.setattr(harness, "swap_test", circuit)
+
+
+def _swap_bench_max_error(tmp_path, trials: int):
     out = tmp_path / "r.json"
-    assert main(["swap-bench", "--trials", "4", "--seed", "1", "--out", str(out)]) == 2
+    assert main(["swap-bench", "--trials", str(trials), "--seed", "1", "--out", str(out)]) == 2
 
     def reject(token):
         raise ValueError(f"{token} is not JSON")
 
-    report = json.loads(out.read_text(), parse_constant=reject)
-    assert report["details"]["max_error"] is None
+    return json.loads(out.read_text(), parse_constant=reject)["details"]["max_error"]
+
+
+def test_cli_swap_bench_nan_error_exit_two(tmp_path, monkeypatch):
+    # Of 4 cases, the circuit is given cases 0 and 2, then 1 and 3.
+    _swap_circuits_with(monkeypatch, {2: np.nan})
+    assert _swap_bench_max_error(tmp_path, 4) is None
+
+
+def test_cli_swap_bench_nan_after_a_larger_error_exit_two(tmp_path, monkeypatch):
+    # Case 10, the 6th case given, has an error near 9, and case 261, in the
+    # second chunk after its 22 one-qubit cases, a NaN: the NaN is kept.
+    _swap_circuits_with(monkeypatch, {5: 10.0, 256 + 22 + 2: np.nan})
+    assert _swap_bench_max_error(tmp_path, 300) is None
+
+
+def test_cli_swap_bench_large_error_exit_two(tmp_path, monkeypatch):
+    # The same large error with no NaN after it is the reported maximum.
+    _swap_circuits_with(monkeypatch, {5: 10.0})
+    assert 8.5 < _swap_bench_max_error(tmp_path, 300) < 9.5
 
 
 def test_failures_flag_non_finite_lemma_and_swap_figures():
@@ -450,8 +531,10 @@ def test_failures_flag_non_finite_lemma_and_swap_figures():
 
 
 # sha256 of the JSON and CSV reports of lemmas and swap-bench runs, recorded
-# before the suite was evaluated on stacks; 300 lemma trials cross the
-# boundary between two chunks of LEMMA_CHUNK_TRIALS.  Their margins are floats,
+# before the suite was evaluated on stacks (the lemmas and 40-trial swap-bench
+# entries) and before swap-bench was (the other swap-bench entries); 300 lemma
+# trials and 257 and 513 SWAP cases cross the boundary between two chunks of
+# LEMMA_CHUNK_TRIALS.  Their margins are floats,
 # so they also pin the rounding of numpy 2.4 with OpenBLAS on x86-64.
 LEMMA_AND_SWAP_DIGESTS = [
     ({"experiment": "lemmas", "trials": 80, "seed": 5},
@@ -463,6 +546,15 @@ LEMMA_AND_SWAP_DIGESTS = [
     ({"experiment": "swap-bench", "trials": 40, "seed": 3},
      "5e18aab93ceef778c5b55c144848f2ae1495b425b94b85a5339d329bbf49334a",
      "ced00e720db8d4e37110f2a50f8f90e1998646589256555c9aea400e3b79c4c9"),
+    ({"experiment": "swap-bench", "trials": 1, "seed": 3},
+     "5079aa312205364d626782f783e772f0ed2f2f4badb1b6b86a2946818391fba7",
+     "fea5dfdc166c6c3ccdbdb61b8e231e4ad88b08f6e54accefdebdb0b7719d96a3"),
+    ({"experiment": "swap-bench", "trials": 257, "seed": 4},
+     "d5136d4aaee7304130a38d9d5af073ab9f2be47fee4af15030d674569e77bf12",
+     "092bceb2b064268d8c4e3d7ae4e0d4868b8f8d627edd0d07df559c35bc9e742e"),
+    ({"experiment": "swap-bench", "trials": 513, "seed": 5},
+     "9dfdfa81820a0158291cfd273cd4ea5a4030ff4a7a9abe80a90bdb34eb5fee78",
+     "6f766e90c37d3db456f41b970da3feac9a36cb685cdc1572f29a845bdd0393a1"),
 ]
 
 

@@ -295,6 +295,28 @@ def test_apply_local_bit_exact_with_tensordot_form(case, transposed):
         assert np.array_equal(apply_local(t, op, n, targets), tensordot_apply_local(t, op, n, targets))
 
 
+@settings(max_examples=200, deadline=None)
+@given(local_operator_cases(), st.booleans(),
+       st.one_of(st.tuples(st.integers(1, 9)), st.tuples(st.integers(1, 3), st.integers(1, 3))))
+def test_stacked_kernel_bit_exact_with_a_loop_over_members(case, transposed, shape):
+    n, targets, seed = case
+    rng = np.random.default_rng(seed)
+    op = random_complex_matrix(rng, 2 ** len(targets))
+    if transposed:
+        op = dagger(op)  # a Fortran-ordered view, as dagger(toy.v) reaches the kernel
+    d = 2**n
+    stack = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    members = stack.reshape(-1, d, d)
+    applied = apply_local(stack, op, n, targets)
+    assert applied.shape == stack.shape
+    assert applied.tobytes() == np.array([apply_local(m, op, n, targets) for m in members]).tobytes()
+    # The targets, in their drawn order, stand for the kept qubits.
+    reduced = partial_trace(stack, n, targets)
+    dk = 2 ** len(targets)
+    assert reduced.shape == shape + (dk, dk)
+    assert reduced.tobytes() == np.array([partial_trace(m, n, targets) for m in members]).tobytes()
+
+
 def test_apply_local_rejects_bad_targets():
     psi = np.ones(4, dtype=complex)
     with pytest.raises(ValueError):

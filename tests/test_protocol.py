@@ -50,7 +50,14 @@ from eprverify.protocol import (
 from eprverify.rng import stream
 from eprverify.sampling import random_complex_matrix, random_density, random_pure, random_unitary
 
-from dense_reference import FixedDraws, bell_branch, edge_uniforms, pure_fidelity, scalar_sample
+from dense_reference import (
+    FixedDraws,
+    bell_branch,
+    edge_uniforms,
+    per_case_swap_test,
+    pure_fidelity,
+    scalar_sample,
+)
 from monolithic_oracle import verifier_branch_masses
 
 RNG = np.random.default_rng(424242)
@@ -281,6 +288,23 @@ def test_swap_test_with_spectator_and_groups_out_of_layout_order():
             for reg1, reg2 in ((["D", "A"], ["B"]), (["C"], ["A"])):
                 circuit = swap_test(partial_trace(state, reg1 + reg2).matrix)
                 assert circuit == pytest.approx(swap_test_formula(state, reg1, reg2), abs=1e-12)
+
+
+@pytest.mark.parametrize("k, shape", [(1, (7,)), (2, (3,)), (2, (2, 3)), (3, (1,))])
+def test_swap_test_on_a_stack_is_bit_exact_with_each_joint_alone(k, shape):
+    joints = np.array([random_density(RNG, 4**k) for _ in range(int(np.prod(shape)))])
+    stacked = swap_test(joints.reshape(shape + joints.shape[1:]))
+    assert stacked.shape == shape
+    alone = [swap_test(joint) for joint in joints]
+    assert all(type(x) is float for x in alone)
+    assert stacked.reshape(-1).tolist() == alone == [per_case_swap_test(joint) for joint in joints]
+
+
+@pytest.mark.parametrize("joint", [np.eye(1), np.eye(2), np.eye(8), np.ones((4, 8)), np.ones(16),
+                                   np.ones((3, 2, 2)), np.ones((2, 8, 8))])
+def test_swap_test_rejects_joints_not_4k_square(joint):
+    with pytest.raises(ValueError, match=rf"got shape \({joint.shape[0]},"):
+        swap_test(joint)
 
 
 # ---------------------------------------------------------------------------

@@ -484,8 +484,8 @@ def _swap_circuits_with(monkeypatch, values: dict) -> None:
     def circuit(joint):
         out = real(joint)
         if np.ndim(out):
-            for m in range(seen[0], seen[0] + len(out)):
-                out[m - seen[0]] = values.get(m, out[m - seen[0]])
+            for i in range(len(out)):
+                out[i] = values.get(seen[0] + i, out[i])
             seen[0] += len(out)
         return out
 

@@ -62,8 +62,10 @@ DEFAULT_TOLERANCES = {
 # Completeness and soundness configs whose estimated memory exceeds this are
 # rejected before anything is allocated.
 MEMORY_BUDGET_BYTES = 2**30
-# Bytes one sampled trial's row holds: the row tuple, its trial index and the
-# list slot (tracemalloc over 100 000 trials, CPython 3.11).
+# Bytes a sampled trial needs at the peak of its run and CSV emission: the
+# report's 8-byte outcome, and the encoded rows with their join, each about
+# 22-29 bytes a row (tracemalloc: 52 bytes a trial from 20 000 to 120 000
+# trials, CPython 3.11).
 TRIAL_ROW_BYTES = 128
 
 
@@ -73,7 +75,8 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     The proof vector and its transposed copy (2 x 2^(p+2l) entries), the marginal
     of the primed pair halves (4^l), the toy verifier V (4^(p+a)) and a pair
     tree's state once the ancilla joins it (4^(p+a+3)), at 16 bytes an entry;
-    plus the rows of a sampled run.  Sizes too large for a float give inf.
+    plus a sampled run's trials and their CSV rows.  Sizes too large for a
+    float give inf.
     """
     def entries(log2: int) -> float:
         return 2.0**log2 if log2 < 1000 else math.inf
@@ -190,7 +193,9 @@ class ExperimentReport:
     branches: dict | None
     lemma_margins: dict | None
     details: dict | None
-    trial_rows: list[tuple] | None
+    # A sampled run's outcome of each trial: len(BRANCH_KEYS) * code + branch,
+    # with the code and branch index that ProtocolRun.sample gives it.
+    trial_outcomes: np.ndarray | None
 
     def failures(self) -> list[str]:
         """Invariant violations that should fail the run (CLI exit code 2)."""
@@ -213,6 +218,7 @@ class ExperimentReport:
 
 
 # The CSV fields (b, postsel, verdict) of a sampled trial, by branch key.
+# None of them, nor the pair fields, ever needs quoting.
 _ROW_FIELDS = {
     "b0_postsel_fail": (0, "fail", "accept"),
     "b0_allzero_reject": (0, "success", "reject"),
@@ -234,15 +240,18 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
             branches=dict(result.branches),
             lemma_margins=None,
             details=None,
-            trial_rows=None,
+            trial_outcomes=None,
         )
-    counts = {k: 0 for k in BRANCH_KEYS}
-    rows = []
-    for t, (key, (i, j)) in enumerate(run.sample(config.seed, config.trials)):
-        counts[key] += 1
-        coin, postsel, verdict = _ROW_FIELDS[key]
-        rows.append((t, coin, i, j, postsel, verdict))
     n = config.trials
+    outcomes = np.empty(n, np.intp)
+    counts = np.zeros(len(BRANCH_KEYS), np.intp)
+    start = 0
+    for branch, code in run.sample(config.seed, n):
+        counts += np.bincount(branch, minlength=len(BRANCH_KEYS))
+        outcomes[start:start + code.size] = len(BRANCH_KEYS) * code + branch
+        start += code.size
+    # Python ints, so each ratio below is the one a dict of int counts gives.
+    counts = dict(zip(BRANCH_KEYS, counts.tolist()))
     accepts = n - sum(counts[k] for k in REJECT_KEYS)
     return ExperimentReport(
         config=config.to_dict(),
@@ -251,7 +260,7 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
         branches={k: counts[k] / n for k in BRANCH_KEYS},
         lemma_margins=None,
         details={"trials": n},
-        trial_rows=rows,
+        trial_outcomes=outcomes,
     )
 
 
@@ -408,7 +417,7 @@ def _run_lemma_suite(config: ExperimentConfig) -> ExperimentReport:
         branches=None,
         lemma_margins=margins,
         details={"total_checks": checks},
-        trial_rows=None,
+        trial_outcomes=None,
     )
 
 
@@ -458,7 +467,7 @@ def _run_swap_bench(config: ExperimentConfig) -> ExperimentReport:
             "identical_pure": same,
             "orthogonal_pure": orth,
         },
-        trial_rows=None,
+        trial_outcomes=None,
     )
 
 
@@ -485,6 +494,25 @@ def _finite_or_null(value):
     return value
 
 
+def _trial_rows_csv(outcomes: np.ndarray, l: int) -> bytes:
+    """A sampled run's CSV: one row per trial, the bytes csv.writer would write.
+
+    Each row is its trial index and the suffix of its outcome, from a table
+    of one suffix per (ordered pair, branch).  Rows are encoded a chunk at a
+    time, so the text of only one chunk is held as str.
+    """
+    suffix = {
+        len(BRANCH_KEYS) * (i * l + j) + b: f",{coin},{i + 1},{j + 1},{postsel},{verdict}\n"
+        for i in range(l) for j in range(l) if i != j
+        for b, (coin, postsel, verdict) in enumerate(_ROW_FIELDS[key] for key in BRANCH_KEYS)
+    }
+    chunks = [b"trial,b,pair_i,pair_j,postsel,verdict\n"]
+    for start in range(0, outcomes.size, rngmod.CHUNK_TRIALS):
+        ks = outcomes[start:start + rngmod.CHUNK_TRIALS].tolist()
+        chunks.append("".join([str(t) + suffix[k] for t, k in zip(range(start, start + len(ks)), ks)]).encode())
+    return b"".join(chunks)
+
+
 def emit_report(report: ExperimentReport, fmt: str = "json") -> bytes:
     """Serialize a report with stable field ordering.
 
@@ -502,12 +530,11 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> bytes:
         }
         return (json.dumps(_finite_or_null(obj), indent=2, allow_nan=False) + "\n").encode()
     if fmt == "csv":
+        if report.trial_outcomes is not None:
+            return _trial_rows_csv(report.trial_outcomes, report.config["l"])
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        if report.trial_rows is not None:
-            writer.writerow(["trial", "b", "pair_i", "pair_j", "postsel", "verdict"])
-            writer.writerows(report.trial_rows)
-        elif report.lemma_margins is not None:
+        if report.lemma_margins is not None:
             writer.writerow(["lemma", "min_margin", "violations", "samples"])
             for name, entry in report.lemma_margins.items():
                 writer.writerow([name, repr(entry["min_margin"]), entry["violations"], entry["samples"]])

@@ -141,6 +141,13 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     return (spec.eigenvectors * root[..., None, :]) @ dagger(spec.eigenvectors)
 
 
+def _require_register(t: np.ndarray, n_qubits: int, what: str) -> None:
+    d = 2**n_qubits
+    if t.shape[-2:] != ((d,) if t.ndim == 1 else (d, d)):
+        raise ValueError(f"{what} needs a 2^n vector or (..., 2^n, 2^n) matrices for n_qubits={n_qubits}, "
+                         f"got shape {t.shape}")
+
+
 def _on_axes(t: np.ndarray, op: np.ndarray, axes: list[int], lead: int) -> np.ndarray:
     """Contract op's input indices with the listed axes of a stack of [2]*m
     tensors, in place of them; the first ``lead`` axes of t index the stack and
@@ -173,6 +180,7 @@ def apply_local(t: np.ndarray, op: np.ndarray, n_qubits: int, targets: list[int]
         raise ValueError(f"invalid target qubits {targets} for {n_qubits} qubits")
     if op.shape != (2 ** len(targets), 2 ** len(targets)):
         raise ValueError(f"operator shape {op.shape} does not match {len(targets)} target qubits")
+    _require_register(t, n_qubits, "apply_local")
     if targets == list(range(n_qubits)):
         # Whole-register operators (swap-bench's CSWAP on 3-5 qubits): a matmul is 3-5x faster there.
         return op @ t if t.ndim == 1 else op @ t @ dagger(op)
@@ -199,6 +207,7 @@ def partial_trace(t: np.ndarray, n_qubits: int, keep: list[int]) -> np.ndarray:
     drop = [k for k in range(n_qubits) if k not in keep]
     dk, dd = 2 ** len(keep), 2 ** len(drop)
     t = np.asarray(t, dtype=complex)
+    _require_register(t, n_qubits, "partial_trace")
     if t.ndim == 1:
         m = t.reshape([2] * n_qubits).transpose(keep + drop).reshape(dk, dd)
         return m @ dagger(m)

@@ -439,7 +439,8 @@ class ProtocolRun:
 
     Exact mode evaluates one tree, on the pair-symmetrized state.  Sampled
     mode draws each trial's ordered pair, which the trial reports, and reads
-    a chunk of trials at a time off the pairs' trees.  It builds one tree per
+    a chunk of trials at a time off the pairs' trees, into arrays of branch
+    indices and ordered-pair codes.  It builds one tree per
     distinct two-slot state: ordered pairs whose reductions are equal bit for
     bit, as a product proof's pairs mostly are, share one.  A tree is a pure
     function of the reduction and the toy, so sharing changes no report byte.
@@ -477,8 +478,11 @@ class ProtocolRun:
         return BranchBreakdown(1.0 - reject, reject, masses)
 
     def sample(self, seed: int, trials: int):
-        """Yield (branch key, 1-based ordered pair) for trials 0..trials-1,
-        drawn by rng.trial_draws: trial t from stream(seed, t)."""
+        """Yield, a chunk of trials at a time, the arrays (branch, code) of
+        trials 0..trials-1, drawn by rng.trial_draws: trial t from stream(seed, t).
+
+        branch is each trial's index into BRANCH_KEYS, and code its 0-based
+        ordered pair (i, j) as i * l + j."""
         l = self.proof.l
         for i, j, coin, u1, u2 in rngmod.trial_draws(seed, trials, l):
             code = i * l + j + (j >= i)
@@ -499,5 +503,4 @@ class ProtocolRun:
                     branch[hit] = np.where(rngmod.choose(u2[hit], dist) == 0, 1, 2)
                 swap = at[coin[at] == 1]
                 branch[swap] = np.where(u1[swap] < tree.swap_pass, 3, 4)
-            pairs = zip((code // l + 1).tolist(), (code % l + 1).tolist())
-            yield from zip([BRANCH_KEYS[b] for b in branch.tolist()], pairs)
+            yield branch, code

@@ -1,7 +1,9 @@
 """Dense, brute-force forms that package code is tested against.  They build
 full matrices or sum explicitly, so they are kept out of the package.  The
 per-trial sampler that ProtocolRun.sample's bulk draws replaced is here too,
-with stand-in draws for it, and so are the general-purpose numpy forms
+with stand-in draws for it, as is the sampled run that counted trials in a
+dict and wrote them as tuple rows through csv.writer, which the array
+counting and row table must match byte for byte.  So are the general-purpose numpy forms
 (np.kron, np.tensordot and np.moveaxis, one reduction per ordered pair) that
 the kernel's tensor, apply_local and symmetrize_pairs must match bit for bit.
 The one-matrix forms of the metrics and margin oracles, which the package's
@@ -9,14 +11,24 @@ stack-aware forms must match bit for bit on each matrix of a stack, are here
 as well, and so is the per-case SWAP benchmark that swap-bench's chunked run
 must match byte for byte."""
 
+import csv
+import io
 import math
 
 import numpy as np
 
-from eprverify.harness import ExperimentConfig, ExperimentReport
+from eprverify.harness import ExperimentConfig, ExperimentReport, emit_report
 from eprverify.kernel import HADAMARD, DensityOperator, _check_pairs, select_ordered_pair
 from eprverify.linalg import HERMITIAN_TOL, dagger, is_hermitian, proj, tensor
-from eprverify.protocol import _KEPT, ProtocolRun, _pair_tree
+from eprverify.protocol import (
+    _KEPT,
+    BRANCH_KEYS,
+    REJECT_KEYS,
+    ProtocolRun,
+    _pair_tree,
+    cheating_proof,
+    make_toy_verifier,
+)
 from eprverify.rng import stream
 from eprverify.sampling import random_density, random_pure
 
@@ -179,6 +191,56 @@ def scalar_sample(run: ProtocolRun, rng: np.random.Generator, trees: dict) -> tu
     return ("b0_allzero_reject" if bits == 0 else "b0_measured_accept"), pair
 
 
+def sample_tuples(run: ProtocolRun, seed: int, trials: int) -> list[tuple[str, tuple[int, int]]]:
+    """run.sample's trials as scalar_sample gives them: (branch key, 1-based
+    ordered pair) each."""
+    l = run.proof.l
+    return [
+        (BRANCH_KEYS[b], (c // l + 1, c % l + 1))
+        for branch, code in run.sample(seed, trials)
+        for b, c in zip(branch.tolist(), code.tolist())
+    ]
+
+
+# The CSV fields (b, postsel, verdict) of a sampled trial, by branch key.
+_TUPLE_ROW_FIELDS = {
+    "b0_postsel_fail": (0, "fail", "accept"),
+    "b0_allzero_reject": (0, "success", "reject"),
+    "b0_measured_accept": (0, "success", "accept"),
+    "b1_swap_accept": (1, "", "accept"),
+    "b1_swap_reject": (1, "", "reject"),
+}
+
+
+def tuple_row_reports(config: ExperimentConfig) -> tuple[bytes, bytes]:
+    """The JSON and CSV bytes of a sampled protocol run, its trials counted a
+    trial at a time into a dict and kept as tuple rows for csv.writer."""
+    toy = make_toy_verifier(config.p, config.p_qubits, config.a_qubits)
+    run = ProtocolRun(cheating_proof(config.strategy, toy, config.l), toy)
+    counts = {k: 0 for k in BRANCH_KEYS}
+    rows = []
+    for t, (key, (i, j)) in enumerate(sample_tuples(run, config.seed, config.trials)):
+        counts[key] += 1
+        coin, postsel, verdict = _TUPLE_ROW_FIELDS[key]
+        rows.append((t, coin, i, j, postsel, verdict))
+    n = config.trials
+    accepts = n - sum(counts[k] for k in REJECT_KEYS)
+    report = ExperimentReport(
+        config=config.to_dict(),
+        accept_probability=accepts / n,
+        reject_probability=1.0 - accepts / n,
+        branches={k: counts[k] / n for k in BRANCH_KEYS},
+        lemma_margins=None,
+        details={"trials": n},
+        trial_outcomes=None,
+    )
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["trial", "b", "pair_i", "pair_j", "postsel", "verdict"])
+    writer.writerows(rows)
+    return emit_report(report, "json"), buf.getvalue().encode()
+
+
 # ---------------------------------------------------------------------------
 # One-matrix metrics and margin oracles
 # ---------------------------------------------------------------------------
@@ -310,5 +372,5 @@ def per_case_swap_bench(config: ExperimentConfig) -> ExperimentReport:
         branches=None,
         lemma_margins=None,
         details={"max_error": max_error, "identical_pure": same, "orthogonal_pure": orth},
-        trial_rows=None,
+        trial_outcomes=None,
     )

@@ -17,6 +17,7 @@ from eprverify import harness, protocol
 from eprverify.cli import main
 from eprverify.harness import (
     MEMORY_BUDGET_BYTES,
+    TRIAL_ROW_BYTES,
     ConfigError,
     ExperimentConfig,
     emit_report,
@@ -26,7 +27,7 @@ from eprverify.harness import (
 )
 from eprverify.rng import stream
 
-from dense_reference import per_case_swap_bench
+from dense_reference import per_case_swap_bench, tuple_row_reports
 
 
 def _config(**overrides):
@@ -118,7 +119,7 @@ def test_sampled_run_matches_exact_within_binomial_bound():
     p = exact.accept_probability
     bound = 5 * np.sqrt(p * (1 - p) / 20000)
     assert abs(sampled.accept_probability - p) <= bound
-    assert len(sampled.trial_rows) == 20000
+    assert len(sampled.trial_outcomes) == 20000
 
 
 def test_exact_mode_ignores_trials():
@@ -126,7 +127,7 @@ def test_exact_mode_ignores_trials():
     b = run_experiment(_config(trials=9999))
     assert a.accept_probability == b.accept_probability
     assert a.branches == b.branches
-    assert a.trial_rows is None and b.trial_rows is None
+    assert a.trial_outcomes is None and b.trial_outcomes is None
 
 
 def test_lemma_suite_margins():
@@ -380,6 +381,19 @@ STREAM_CONTRACT = [
       "strategy": {"kind": "local_unitaries", "unitary_seed": 6}, "seed": 37},
      "af1e9e29a4daf2797bafa0665670f465a180dcee05d8b7923b299a69c6896726",
      "1b67415010a50de7fe97a79c65c34b0b22d6ba5d826593c2adb0acd200bc08e3"),
+    # One trial past a chunk of rng.CHUNK_TRIALS (4096), recorded before
+    # sampled runs kept their outcomes as arrays.
+    ({"verifier": {"p": 0.2}, "l": 2, "strategy": {"kind": "idle_epr"}, "seed": 41, "trials": 4097},
+     "632ae696f789c875b07e02abce57c1be410769f01c46b131420dfa4a058a2a73",
+     "29e1b8389611fb315fefaa05eb0fe180716540767e1b0eaac083344c7543bf98"),
+    ({"verifier": {"p": 0.3, "a_qubits": 2}, "l": 3, "strategy": {"kind": "choi_product", "q": 0.4}, "seed": 42,
+      "trials": 4097},
+     "988448077c45a6d7886aa063b6aaaeed1406d981f2bda343f232617b7432fd2f",
+     "6e9f0559e2d21d1a85b2fcdfbab8599d45391901e65d16d89939ac9a39670acf"),
+    ({"verifier": {"p": 0.25}, "l": 3, "strategy": {"kind": "local_unitaries", "unitary_seed": 7}, "seed": 43,
+      "trials": 4097},
+     "20bc3f41244a72510d407dffa2d0637f3201d1603c62dd09646b1a8a45dd4408",
+     "cb7a0e68f80e87f0e43fa9b6193b7dcba7af3a3190d87529ebddb16849107905"),
 ]
 
 
@@ -391,6 +405,81 @@ def test_sampled_reports_match_recorded_digests(fields, json_sha, csv_sha):
     report = run_experiment(config)
     assert hashlib.sha256(emit_report(report, "json")).hexdigest() == json_sha
     assert hashlib.sha256(emit_report(report, "csv")).hexdigest() == csv_sha
+
+
+@pytest.mark.parametrize("fields", [
+    *({"l": 2, "strategy": {"kind": "idle_epr"}, "trials": trials} for trials in (1, 2, 4096, 4097, 8193)),
+    *({"l": 3, "verifier": {"p": 0.3, "a_qubits": 2}, "strategy": {"kind": "local_unitaries", "unitary_seed": 8},
+       "trials": trials} for trials in (1, 2, 4096, 4097, 8193)),
+    # Two-digit pair fields.
+    {"l": 10, "strategy": {"kind": "choi_product", "q": 0.3}, "trials": 20},
+])
+def test_sampled_bytes_match_the_tuple_row_run(fields):
+    # A chunk of draws and of CSV rows is 4096 trials.
+    config = ExperimentConfig.from_dict(
+        {"experiment": "soundness", "mode": "sampled", "verifier": {"p": 0.2}, "seed": 12, **fields}
+    )
+    report = run_experiment(config)
+    assert (emit_report(report, "json"), emit_report(report, "csv")) == tuple_row_reports(config)
+
+
+def _sampled_memory(monkeypatch, fmt: str, trials: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """Two tracemalloc readings of a sampled run emitted as fmt, at each trial
+    count: the highest memory read after a full collection, at each chunk
+    the run samples and once the report is emitted, with the objects older
+    than the run frozen, as in the lemma suite's memory test; and the peak
+    tracemalloc itself saw, which also counts short-lived buffers."""
+    highest = [0]
+    real = protocol.ProtocolRun.sample
+
+    def probe():
+        gc.collect()
+        highest[0] = max(highest[0], tracemalloc.get_traced_memory()[0])
+
+    def sample(self, seed, n):
+        for chunk in real(self, seed, n):
+            probe()
+            yield chunk
+
+    def run(n: int) -> None:
+        config = ExperimentConfig.from_dict({"experiment": "soundness", "mode": "sampled", "l": 3, "trials": n})
+        report = run_experiment(config)
+        payload = emit_report(report, fmt)
+        probe()
+        del payload, report
+
+    run(trials[0])  # first-use allocations are made before either reading
+    monkeypatch.setattr(protocol.ProtocolRun, "sample", sample)
+    out = []
+    for n in trials:
+        highest[0] = 0
+        gc.collect()
+        gc.freeze()
+        tracemalloc.start()
+        try:
+            run(n)
+            out.append((highest[0], tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+            gc.unfreeze()
+    return tuple(out)
+
+
+def test_sampled_json_memory_per_trial(monkeypatch):
+    # The report keeps one 8-byte outcome a trial; a tuple row would hold
+    # about 117 bytes a trial.
+    (small, _), (large, _) = _sampled_memory(monkeypatch, "json", (20_000, 120_000))
+    assert (large - small) / 100_000 <= 16, (small, large)
+
+
+def test_sampled_csv_memory_per_trial_within_trial_row_bytes(monkeypatch):
+    # validate's estimate of a sampled run's memory counts TRIAL_ROW_BYTES a
+    # trial; a run and its CSV emission together must need no more.  The
+    # slope is taken where trial indices have 5-6 digits; at 8 million
+    # trials (7 digits) the emitted bytes and their chunks hold about 4 more
+    # a trial.
+    (_, small), (_, large) = _sampled_memory(monkeypatch, "csv", (20_000, 120_000))
+    assert (large - small) / 100_000 + 4 <= TRIAL_ROW_BYTES, (small, large)
 
 
 def test_exact_csv_schema():
@@ -523,7 +612,7 @@ def test_cli_swap_bench_large_error_exit_two(tmp_path, monkeypatch):
 
 def test_failures_flag_non_finite_lemma_and_swap_figures():
     base = dict(config={}, accept_probability=None, reject_probability=None, branches=None,
-                details=None, trial_rows=None)
+                details=None, trial_outcomes=None)
     entry = {"min_margin": float("nan"), "violations": 0, "samples": 1}
     assert harness.ExperimentReport(**{**base, "lemma_margins": {"holder": entry}}).failures()
     swap = {"max_error": float("nan")}

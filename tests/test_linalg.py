@@ -1,5 +1,7 @@
 """Tensor algebra, partial trace, norms, and eigenpair extraction."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -325,3 +327,18 @@ def test_apply_local_rejects_bad_targets():
         apply_local(psi, np.eye(2), 2, [2])
     with pytest.raises(ValueError):
         apply_local(psi, np.eye(4), 2, [0])
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 4), (4, 8), (8,), (3,), (2, 3, 4), ()])
+@pytest.mark.parametrize("targets", [[0], [0, 1]])
+def test_apply_local_rejects_arrays_not_of_n_qubits(shape, targets):
+    # A (3, 4) array is neither a 2-qubit density nor a stack of 2-qubit vectors.
+    op = np.eye(2 ** len(targets))
+    with pytest.raises(ValueError, match=rf"n_qubits=2, got shape {re.escape(str(shape))}"):
+        apply_local(np.ones(shape), op, 2, targets)
+
+
+@pytest.mark.parametrize("shape", [(3,), (8,), (8, 8), (3, 4), (2, 4, 8), ()])
+def test_partial_trace_rejects_arrays_not_of_n_qubits(shape):
+    with pytest.raises(ValueError, match=rf"n_qubits=2, got shape {re.escape(str(shape))}"):
+        partial_trace(np.ones(shape), 2, [0])

@@ -56,6 +56,7 @@ from dense_reference import (
     edge_uniforms,
     per_case_swap_test,
     pure_fidelity,
+    sample_tuples,
     scalar_sample,
 )
 from monolithic_oracle import verifier_branch_masses
@@ -556,8 +557,8 @@ def test_sampled_runs_deterministic_and_consistent():
     toy = make_toy_verifier(1e-3)
     proof = cheating_proof({"kind": "idle_epr"}, toy, l=2)
     run = ProtocolRun(proof, toy)
-    a = list(run.sample(9, 500))
-    b = list(run.sample(9, 500))
+    a = sample_tuples(run, 9, 500)
+    b = sample_tuples(run, 9, 500)
     assert a == b
     freq = sum(key not in REJECT_KEYS for key, _ in a) / len(a)
     assert abs(freq - 0.75) <= 5 * np.sqrt(0.75 * 0.25 / 500)
@@ -569,7 +570,7 @@ def test_run_outcome_fields_consistent():
     proof = cheating_proof(HONEST_STRATEGY, toy, l=3)
     run = ProtocolRun(proof, toy)
     seen = set()
-    for key, pair in run.sample(11, 200):
+    for key, pair in sample_tuples(run, 11, 200):
         seen.add(key)
         assert pair[0] != pair[1]
         assert 1 <= pair[0] <= 3 and 1 <= pair[1] <= 3
@@ -606,7 +607,7 @@ def test_bulk_sample_matches_scalar_reference(l, a_qubits, p, strategy, seed, ch
     run = ProtocolRun(cheating_proof(strategy, toy, l), toy)
     # a small chunk puts chunk boundaries inside the run
     with mock.patch.object(rngmod, "CHUNK_TRIALS", chunk):
-        bulk = list(run.sample(seed, trials))
+        bulk = sample_tuples(run, seed, trials)
     assert bulk == _scalar_samples(run, seed, trials)
 
 
@@ -614,7 +615,7 @@ def test_bulk_sample_matches_scalar_reference_past_a_full_chunk():
     toy = make_toy_verifier(0.3)
     run = ProtocolRun(cheating_proof({"kind": "choi_product", "q": 0.4}, toy, l=3), toy)
     trials = rngmod.CHUNK_TRIALS + 5
-    assert list(run.sample(-5, trials)) == _scalar_samples(run, -5, trials)
+    assert sample_tuples(run, -5, trials) == _scalar_samples(run, -5, trials)
 
 
 @pytest.mark.parametrize("l", [2, 4])
@@ -624,7 +625,7 @@ def test_redraw_fallback_takes_the_stream_draws(monkeypatch, l):
     # every bounded draw claims a redraw and a wrong value, so every trial's
     # draws must come from its own stream
     monkeypatch.setattr(rngmod, "bounded", lambda u32, n: (np.zeros(len(u32), np.int64), np.ones(len(u32), bool)))
-    assert list(run.sample(3, 60)) == _scalar_samples(run, 3, 60)
+    assert sample_tuples(run, 3, 60) == _scalar_samples(run, 3, 60)
 
 
 @pytest.mark.parametrize("strategy", [{"kind": "choi_product", "q": 0.5}, {"kind": "idle_epr"}])
@@ -643,7 +644,7 @@ def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strateg
     monkeypatch.setattr(rngmod, "trial_draws", lambda seed, trials, l: iter([columns]))
     trees = {}
     expected = [scalar_sample(run, FixedDraws(d[:3], d[3:]), trees) for d in draws]
-    assert list(run.sample(0, len(draws))) == expected
+    assert sample_tuples(run, 0, len(draws)) == expected
 
 
 def _sampled_tree_builds(strategy, p, l):
@@ -651,7 +652,7 @@ def _sampled_tree_builds(strategy, p, l):
     toy = make_toy_verifier(p)
     run = ProtocolRun(cheating_proof(strategy, toy, l), toy)
     with mock.patch.object(protocol, "_pair_tree", wraps=protocol._pair_tree) as build:
-        list(run.sample(1, 2000))
+        sample_tuples(run, 1, 2000)
     assert len(run._trees) == l * (l - 1)
     return run, build.call_count
 
@@ -821,4 +822,4 @@ def test_protocol_run_never_forms_the_proof_density(monkeypatch):
         proof = cheating_proof(strategy, toy, l=3)
         run = ProtocolRun(proof, toy)
         assert sum(run.exact().branches.values()) == pytest.approx(1.0, abs=1e-9)
-        list(run.sample(1, 1))
+        sample_tuples(run, 1, 1)

@@ -244,14 +244,14 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
         )
     n = config.trials
     outcomes = np.empty(n, np.intp)
-    counts = np.zeros(len(BRANCH_KEYS), np.intp)
+    tally = np.zeros(len(BRANCH_KEYS), np.intp)
     start = 0
     for branch, code in run.sample(config.seed, n):
-        counts += np.bincount(branch, minlength=len(BRANCH_KEYS))
+        tally += np.bincount(branch, minlength=len(BRANCH_KEYS))
         outcomes[start:start + code.size] = len(BRANCH_KEYS) * code + branch
         start += code.size
     # Python ints, so each ratio below is the one a dict of int counts gives.
-    counts = dict(zip(BRANCH_KEYS, counts.tolist()))
+    counts = dict(zip(BRANCH_KEYS, tally.tolist()))
     accepts = n - sum(counts[k] for k in REJECT_KEYS)
     return ExperimentReport(
         config=config.to_dict(),

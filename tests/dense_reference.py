@@ -3,8 +3,8 @@ full matrices or sum explicitly, so they are kept out of the package.  The
 per-trial sampler that ProtocolRun.sample's bulk draws replaced is here too,
 with stand-in draws for it, as is the sampled run that counted trials in a
 dict and wrote them as tuple rows through csv.writer, which the array
-counting and row table must match byte for byte.  So are the general-purpose numpy forms
-(np.kron, np.tensordot and np.moveaxis, one reduction per ordered pair) that
+counting and row table must match byte for byte.  So are the general-purpose
+numpy forms (np.kron, np.tensordot and np.moveaxis, one reduction per ordered pair) that
 the kernel's tensor, apply_local and symmetrize_pairs must match bit for bit.
 The one-matrix forms of the metrics and margin oracles, which the package's
 stack-aware forms must match bit for bit on each matrix of a stack, are here

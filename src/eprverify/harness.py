@@ -6,8 +6,6 @@ Reports are deterministic functions of (config, seed); they hold no timing.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import sys
@@ -218,7 +216,6 @@ class ExperimentReport:
 
 
 # The CSV fields (b, postsel, verdict) of a sampled trial, by branch key.
-# None of them, nor the pair fields, ever needs quoting.
 _ROW_FIELDS = {
     "b0_postsel_fail": (0, "fail", "accept"),
     "b0_allzero_reject": (0, "success", "reject"),
@@ -495,7 +492,7 @@ def _finite_or_null(value):
 
 
 def _trial_rows_csv(outcomes: np.ndarray, l: int) -> bytes:
-    """A sampled run's CSV: one row per trial, the bytes csv.writer would write.
+    """A sampled run's CSV: one row per trial.
 
     Each row is its trial index and the suffix of its outcome, from a table
     of one suffix per (ordered pair, branch).  Rows are encoded a chunk at a
@@ -516,7 +513,9 @@ def _trial_rows_csv(outcomes: np.ndarray, l: int) -> bytes:
 def emit_report(report: ExperimentReport, fmt: str = "json") -> bytes:
     """Serialize a report with stable field ordering.
 
-    JSON is strict: a non-finite float is written as null.
+    JSON is strict: a non-finite float is written as null.  A CSV row is its
+    fields joined by commas: every field is a fixed identifier, an int or a
+    float's repr, so none ever needs quoting.
     """
     if fmt == "json":
         obj = {
@@ -532,28 +531,15 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> bytes:
     if fmt == "csv":
         if report.trial_outcomes is not None:
             return _trial_rows_csv(report.trial_outcomes, report.config["l"])
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
         if report.lemma_margins is not None:
-            writer.writerow(["lemma", "min_margin", "violations", "samples"])
-            for name, entry in report.lemma_margins.items():
-                writer.writerow([name, repr(entry["min_margin"]), entry["violations"], entry["samples"]])
+            rows = [("lemma", "min_margin", "violations", "samples")]
+            rows += [(name, repr(e["min_margin"]), e["violations"], e["samples"])
+                     for name, e in report.lemma_margins.items()]
         elif report.branches is not None:
-            writer.writerow(
-                ["experiment", "mode", "accept_probability", "reject_probability", *BRANCH_KEYS]
-            )
-            writer.writerow(
-                [
-                    report.config["experiment"],
-                    report.config["mode"],
-                    repr(report.accept_probability),
-                    repr(report.reject_probability),
-                    *(repr(report.branches[k]) for k in BRANCH_KEYS),
-                ]
-            )
+            rows = [("experiment", "mode", "accept_probability", "reject_probability", *BRANCH_KEYS),
+                    (report.config["experiment"], report.config["mode"], repr(report.accept_probability),
+                     repr(report.reject_probability), *(repr(report.branches[k]) for k in BRANCH_KEYS))]
         else:
-            writer.writerow(["check", "value"])
-            for key, value in (report.details or {}).items():
-                writer.writerow([key, repr(value)])
-        return buf.getvalue().encode()
+            rows = [("check", "value")] + [(key, repr(value)) for key, value in (report.details or {}).items()]
+        return "".join(",".join(map(str, row)) + "\n" for row in rows).encode()
     raise ValueError(f"unknown report format {fmt!r}")

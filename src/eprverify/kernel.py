@@ -249,22 +249,31 @@ def _swap_slots(m: np.ndarray, n_qubits: int, slot: int) -> np.ndarray:
     return m.reshape([2] * (2 * n_qubits)).transpose(axes).reshape(m.shape)
 
 
+def _both_orders(
+    state: State, pairs: list[tuple[str, str]], i: int, j: int
+) -> tuple[DensityOperator, DensityOperator]:
+    """select_ordered_pair's (i, j) and (j, i) reductions, for i < j, from one
+    reduction: the reverse order is the same matrix with the two slots
+    exchanged, which moves entries and so equals its own reduction bit for bit.
+    """
+    dm = select_ordered_pair(state, pairs, i, j)
+    slot = sum(state.layout.size(r) for r in pairs[i])
+    return dm, DensityOperator(dm.layout, _swap_slots(dm.matrix, dm.layout.total_qubits, slot))
+
+
 def symmetrize_pairs(state: State, pairs: list[tuple[str, str]]) -> DensityOperator:
     """Uniformly permute structurally identical register pairs.
 
     Returns the permutation average restricted to the first two pair slots:
     the mean of the l(l-1) ordered-pair reductions, as a density operator.
-    Each unordered pair is reduced once; its reverse order is the same matrix
-    with the two slots exchanged, and the terms are summed in ordered-pair order.
+    Each unordered pair is reduced once (_both_orders), and the terms are
+    summed in ordered-pair order.
     """
     pairs = _check_pairs(state, pairs)
     count = len(pairs)
-    slot = sum(state.layout.size(r) for r in pairs[0])
     reduced = {}
     for i in range(count):
         for j in range(i + 1, count):
-            dm = select_ordered_pair(state, pairs, i, j)
-            reduced[i, j] = dm.matrix
-            reduced[j, i] = _swap_slots(dm.matrix, dm.layout.total_qubits, slot)
-    terms = [reduced[i, j] for i in range(count) for j in range(count) if i != j]
-    return DensityOperator(dm.layout, sum(terms) / len(terms))
+            reduced[i, j], reduced[j, i] = _both_orders(state, pairs, i, j)
+    terms = [reduced[i, j].matrix for i in range(count) for j in range(count) if i != j]
+    return DensityOperator(reduced[0, 1].layout, sum(terms) / len(terms))

@@ -3,10 +3,9 @@ standard inequalities relating them.
 
 Every inequality oracle returns its slack (lhs-to-rhs margin) rather than a
 boolean, so property tests can assert ``margin >= -tol`` and log worst cases.
-Inputs may be raw matrices or :class:`~eprverify.kernel.DensityOperator`.
-Each function also takes stacks of matrices (..., d, d), with scalar
-parameters given one per matrix or once for all, and returns one value per
-matrix; each value is bit for bit the one its matrices would give alone.
+Inputs are arrays: a matrix, or a stack of matrices (..., d, d) with scalar
+parameters given one per matrix or once for all.  Each function returns one
+value per matrix, bit for bit the one its matrices would give alone.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .linalg import dagger, hermitian_sqrt, trace_norm, operator_norm
 
 
 def _mat(x) -> np.ndarray:
-    return np.asarray(getattr(x, "matrix", x), dtype=complex)
+    return np.asarray(x, dtype=complex)
 
 
 def _trace(a: np.ndarray) -> np.ndarray:

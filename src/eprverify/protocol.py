@@ -27,8 +27,8 @@ from .kernel import (
     apply_unitary,
     layout,
     partial_trace,
+    _both_orders,
     rx_prob,
-    select_ordered_pair,
     symmetrize_pairs,
     tensor_product,
     zero_state,
@@ -272,9 +272,10 @@ def swap_test(joint: np.ndarray) -> float | np.ndarray:
     Returns the acceptance probability from the full circuit: ancilla
     Hadamard, controlled swap of the two halves, Hadamard, standard-basis
     measurement, accepting on 0.  The ancilla is prepended as qubit 0; the
-    controlled swap is the identity with the rows of its swap half permuted,
-    built once per call.  A stack of joints (..., 4^k, 4^k) gives an array of
-    the probabilities, each bit for bit the one its joint gives alone.
+    controlled swap permutes basis states, so it is applied by indexing rows
+    and columns with that permutation, which moves entries with no arithmetic.
+    A stack of joints (..., 4^k, 4^k) gives an array of the probabilities, each
+    bit for bit the one its joint gives alone.
     """
     joint = np.asarray(joint, dtype=complex)
     dd = joint.shape[-1] if joint.ndim >= 2 else 0
@@ -282,13 +283,13 @@ def swap_test(joint: np.ndarray) -> float | np.ndarray:
     if joint.ndim < 2 or joint.shape[-2] != dd or k < 1 or dd != 4**k:
         raise ValueError(f"swap_test needs a 4^k x 4^k joint with k >= 1, or a stack of them, got shape {joint.shape}")
     swapped = np.arange(dd).reshape(2**k, -1).T.reshape(-1)
-    cswap = np.eye(2 * dd, dtype=complex)[np.concatenate([np.arange(dd), dd + swapped])]
+    perm = np.concatenate([np.arange(dd), dd + swapped])  # the controlled swap
     n = 2 * k + 1
     # The ancilla's |0><0| joins as qubit 0: the joint fills the top-left block.
     out = np.zeros(joint.shape[:-2] + (2 * dd, 2 * dd), dtype=complex)
     out[..., :dd, :dd] = joint
     out = apply_local(out, HADAMARD, n, [0])
-    out = apply_local(out, cswap, n, list(range(n)))
+    out = out[..., perm, :][..., perm]
     out = apply_local(out, HADAMARD, n, [0])
     accept = _partial_trace_positions(out, n, [0])[..., 0, 0].real
     return float(accept) if joint.ndim == 2 else accept
@@ -440,7 +441,8 @@ class ProtocolRun:
     Exact mode evaluates one tree, on the pair-symmetrized state.  Sampled
     mode draws each trial's ordered pair, which the trial reports, and reads
     a chunk of trials at a time off the pairs' trees, into arrays of branch
-    indices and ordered-pair codes.  It builds one tree per
+    indices and ordered-pair codes.  It reduces each unordered pair once,
+    for both of its orders, and builds one tree per
     distinct two-slot state: ordered pairs whose reductions are equal bit for
     bit, as a product proof's pairs mostly are, share one.  A tree is a pure
     function of the reduction and the toy, so sharing changes no report byte.
@@ -490,11 +492,13 @@ class ProtocolRun:
             for c in set(code.tolist()):
                 pair = divmod(c, l)
                 if pair not in self._trees:
-                    dm = select_ordered_pair(self.proof.state, self.proof.pairs, *pair)
-                    key = dm.matrix.tobytes()
-                    if key not in self._tree_of_state:
-                        self._tree_of_state[key] = _pair_tree(dm, self.toy)
-                    self._trees[pair] = self._tree_of_state[key]
+                    i, j = sorted(pair)
+                    both = _both_orders(self.proof.state, self.proof.pairs, i, j)
+                    for ordered, dm in zip(((i, j), (j, i)), both):
+                        key = dm.matrix.tobytes()
+                        if key not in self._tree_of_state:
+                            self._tree_of_state[key] = _pair_tree(dm, self.toy)
+                        self._trees[ordered] = self._tree_of_state[key]
                 tree = self._trees[pair]
                 at = np.flatnonzero(code == c)
                 bell = rngmod.choose(u1[at], tree.bell_probs)

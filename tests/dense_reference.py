@@ -3,7 +3,8 @@ full matrices or sum explicitly, so they are kept out of the package.  The
 per-trial sampler that ProtocolRun.sample's bulk draws replaced is here too,
 with stand-in draws for it, as is the sampled run that counted trials in a
 dict and wrote them as tuple rows through csv.writer, which the array
-counting and row table must match byte for byte.  So are the general-purpose
+counting and row table must match byte for byte, and the csv.writer form of
+the other CSV reports, which their comma joins must match.  So are the general-purpose
 numpy forms (np.kron, np.tensordot and np.moveaxis, one reduction per ordered pair) that
 the kernel's tensor, apply_local and symmetrize_pairs must match bit for bit.
 The one-matrix forms of the metrics and margin oracles, which the package's
@@ -48,13 +49,10 @@ def _tensordot_on_axes(t: np.ndarray, op: np.ndarray, axes: list[int]) -> np.nda
 
 
 def tensordot_apply_local(t: np.ndarray, op: np.ndarray, n_qubits: int, targets: list[int]) -> np.ndarray:
-    """op psi or op rho op† on the listed qubits, by np.tensordot and np.moveaxis
-    (a plain matmul when the targets are all qubits in order)."""
+    """op psi or op rho op† on the listed qubits, by np.tensordot and np.moveaxis."""
     op = np.asarray(op, dtype=complex)
     t = np.asarray(t, dtype=complex)
     targets = list(targets)
-    if targets == list(range(n_qubits)):
-        return op @ t if t.ndim == 1 else op @ t @ dagger(op)
     if t.ndim == 1:
         return _tensordot_on_axes(t.reshape([2] * n_qubits), op, targets).reshape(-1)
     out = _tensordot_on_axes(t.reshape([2] * (2 * n_qubits)), op, targets)
@@ -241,6 +239,25 @@ def tuple_row_reports(config: ExperimentConfig) -> tuple[bytes, bytes]:
     return emit_report(report, "json"), buf.getvalue().encode()
 
 
+def csv_writer_summary(report: ExperimentReport) -> bytes:
+    """The CSV of an exact, lemmas or swap-bench report, written by csv.writer."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if report.lemma_margins is not None:
+        writer.writerow(["lemma", "min_margin", "violations", "samples"])
+        for name, entry in report.lemma_margins.items():
+            writer.writerow([name, repr(entry["min_margin"]), entry["violations"], entry["samples"]])
+    elif report.branches is not None:
+        writer.writerow(["experiment", "mode", "accept_probability", "reject_probability", *BRANCH_KEYS])
+        writer.writerow([report.config["experiment"], report.config["mode"], repr(report.accept_probability),
+                         repr(report.reject_probability), *(repr(report.branches[k]) for k in BRANCH_KEYS)])
+    else:
+        writer.writerow(["check", "value"])
+        for key, value in (report.details or {}).items():
+            writer.writerow([key, repr(value)])
+    return buf.getvalue().encode()
+
+
 # ---------------------------------------------------------------------------
 # One-matrix metrics and margin oracles
 # ---------------------------------------------------------------------------
@@ -336,9 +353,9 @@ def scalar_mixture_perturbation_margin(rho, sigma, eps: float) -> float:
 
 def per_case_swap_test(joint: np.ndarray) -> float:
     """Acceptance of the SWAP-test circuit on one 4^k x 4^k joint density, by
-    np.kron, np.tensordot and a one-matrix einsum: the ancilla |0><0| prepended
-    as qubit 0, a Hadamard, the controlled swap of the halves, a Hadamard, and
-    the ancilla's 0 outcome."""
+    np.kron, np.tensordot, matmul and a one-matrix einsum: the ancilla |0><0|
+    prepended as qubit 0, a Hadamard, the controlled swap of the halves as a
+    2 * 4^k square matrix, a Hadamard, and the ancilla's 0 outcome."""
     k = (joint.shape[0].bit_length() - 1) // 2
     dd = 4**k
     swapped = np.arange(dd).reshape(2**k, -1).T.reshape(-1)
@@ -346,7 +363,7 @@ def per_case_swap_test(joint: np.ndarray) -> float:
     n = 2 * k + 1
     out = kron_tensor(proj(np.array([1.0, 0.0])), joint)
     out = tensordot_apply_local(out, HADAMARD, n, [0])
-    out = tensordot_apply_local(out, cswap, n, list(range(n)))
+    out = cswap @ out @ dagger(cswap)
     out = tensordot_apply_local(out, HADAMARD, n, [0])
     return float(np.einsum("ikjk->ij", out.reshape(2, dd, 2, dd))[0, 0].real)
 

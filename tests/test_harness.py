@@ -3,11 +3,13 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from eprverify.harness import (
 )
 from eprverify.rng import stream
 
-from dense_reference import per_case_swap_bench, tuple_row_reports
+from dense_reference import csv_writer_summary, per_case_swap_bench, tuple_row_reports
 
 
 def _config(**overrides):
@@ -486,6 +488,20 @@ def test_exact_csv_schema():
     lines = emit_report(run_experiment(_config()), "csv").decode().splitlines()
     assert lines[0].startswith("experiment,mode,accept_probability,reject_probability,")
     assert len(lines) == 2
+
+
+def test_summary_csv_matches_csv_writer():
+    reports = [
+        run_experiment(_config()),
+        run_experiment(_config(experiment="soundness", strategy={"kind": "local_unitaries", "unitary_seed": 4})),
+        run_experiment(ExperimentConfig.from_dict({"experiment": "lemmas", "trials": 3, "seed": 2})),
+        run_experiment(ExperimentConfig.from_dict({"experiment": "swap-bench", "trials": 3, "seed": 2})),
+    ]
+    # Non-finite values, as a failing run can report them.
+    reports.append(replace(reports[2], lemma_margins={"holder": {"min_margin": math.nan, "violations": 1, "samples": 2}}))
+    reports.append(replace(reports[3], details={"max_error": math.inf, "identical_pure": -0.0}))
+    for report in reports:
+        assert emit_report(report, "csv") == csv_writer_summary(report)
 
 
 # ---------------------------------------------------------------------------

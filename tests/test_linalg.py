@@ -259,7 +259,8 @@ def test_embed_unitary_reorders_targets():
 @st.composite
 def local_operator_cases(draw):
     """(n, targets, seed): a random target subset of n <= 6 qubits in random order,
-    or the same subset reversed, or all qubits in order."""
+    or the same subset reversed, or all qubits in order (a whole-register
+    operator, which apply_local contracts like any other)."""
     n = draw(st.integers(1, 6))
     targets = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
     shape = draw(st.sampled_from(("as drawn", "reversed", "all in order")))

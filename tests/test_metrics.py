@@ -197,16 +197,6 @@ def test_monotonicity_under_unitary_conjugation():
         assert abs(margin) <= 1e-9
 
 
-def test_metrics_accept_density_operator_wrappers():
-    from eprverify.kernel import DensityOperator, layout
-
-    lay = layout(("R", 1))
-    a = DensityOperator(lay, proj(ZERO))
-    b = DensityOperator(lay, proj(ONE))
-    assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(a, b) == pytest.approx(0.0, abs=1e-9)
-
-
 def test_hadamard_basis_states_match_gate():
     assert np.allclose(HADAMARD @ ZERO, PLUS)
     assert np.allclose(HADAMARD @ ONE, MINUS)

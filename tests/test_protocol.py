@@ -25,7 +25,7 @@ from eprverify.kernel import (
 )
 from eprverify.linalg import dagger, is_unitary, max_eigpair, operator_norm, proj, tensor
 from eprverify.metrics import trace_distance
-from eprverify import protocol
+from eprverify import kernel, protocol
 from eprverify import rng as rngmod
 from eprverify.protocol import (
     BRANCH_KEYS,
@@ -685,6 +685,29 @@ def test_sampled_trees_are_one_per_distinct_reduction(strategy, p, l):
         key = select_ordered_pair(run.proof.state, run.proof.pairs, i, j).matrix.tobytes()
         assert states.setdefault(key, tree) is tree
     assert builds == len(states) == len({id(tree) for tree in run._trees.values()})
+
+
+@pytest.mark.parametrize("strategy, p", [
+    (HONEST_STRATEGY, 0.7), ({"kind": "local_unitaries", "unitary_seed": -3}, 0.6),
+])
+def test_sampled_run_reduces_each_unordered_pair_once(monkeypatch, strategy, p):
+    direct = kernel.select_ordered_pair
+    calls = []
+
+    def counted(state, pairs, i, j):
+        calls.append((i, j))
+        return direct(state, pairs, i, j)
+
+    # Bound in protocol too, so that a direct call from the run counts.
+    monkeypatch.setattr(kernel, "select_ordered_pair", counted)
+    monkeypatch.setattr(protocol, "select_ordered_pair", counted, raising=False)
+    toy = make_toy_verifier(p)
+    run = ProtocolRun(cheating_proof(strategy, toy, 4), toy)
+    sample_tuples(run, 1, 2000)
+    assert len(run._trees) == 12
+    assert sorted(calls) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for (i, j), tree in run._trees.items():
+        assert tree == _pair_tree(direct(run.proof.state, run.proof.pairs, i, j), toy)
 
 
 def test_verifier_rejects_bad_inputs():

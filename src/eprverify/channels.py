@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import BELL_STATES, DensityOperator, StateVector, layout
+from .kernel import BELL_STATES, StateVector, layout
 from .linalg import apply_local, is_unitary, proj, tensor
 
 # Projectors onto span{phi+, psi+} and span{phi-, psi-}.
@@ -31,10 +31,8 @@ def pinch_phi(a: np.ndarray) -> np.ndarray:
     return PI_PLUS @ a @ PI_PLUS + PI_MINUS @ a @ PI_MINUS
 
 
-def apply_pinch(dm: DensityOperator, pair: tuple[str, str]) -> DensityOperator:
-    """Pinch one named register pair inside a larger density operator."""
-    n = dm.layout.total_qubits
-    positions = dm.layout.positions(list(pair))
-    out = apply_local(dm.matrix, PI_PLUS, n, positions) + apply_local(dm.matrix, PI_MINUS, n, positions)
-    return DensityOperator(dm.layout, out)
+def apply_pinch(t: np.ndarray, n_qubits: int, pair: list[int]) -> np.ndarray:
+    """Pinch the qubit pair (in that order) of a 2^n x 2^n density matrix, or
+    of each of a stack (..., 2^n, 2^n), identity elsewhere."""
+    return apply_local(t, PI_PLUS, n_qubits, pair) + apply_local(t, PI_MINUS, n_qubits, pair)
 

@@ -97,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"eprverify: invalid config: {exc}", file=sys.stderr)
         return 1
     start = time.perf_counter()
-    report = run_experiment(config)
+    report = run_experiment(config, args.format == "csv")
     wall_ms = (time.perf_counter() - start) * 1000.0
     payload = emit_report(report, fmt=args.format)
     if args.out is not None:

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .channels import pinch_phi
-from .linalg import dagger, partial_trace as partial_trace_positions, tensor
+from .linalg import MAX_STACK, dagger, partial_trace as partial_trace_positions, tensor
 from .metrics import (
     additive_perturbation_margin,
     fvg_margins,
@@ -67,20 +67,23 @@ MEMORY_BUDGET_BYTES = 2**30
 TRIAL_ROW_BYTES = 128
 
 
-def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -> float:
+def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0, sampled: bool = False) -> float:
     """Bytes of the largest allocations of a protocol run, each counted once.
 
     The proof vector and its transposed copy (2 x 2^(p+2l) entries), the marginal
-    of the primed pair halves (4^l), the toy verifier V (4^(p+a)) and a pair
-    tree's state once the ancilla joins it (4^(p+a+3)), at 16 bytes an entry;
-    plus a sampled run's trials and their CSV rows.  Sizes too large for a
-    float give inf.
+    of the primed pair halves (4^l), the toy verifier V (4^(p+a)) and the pair
+    trees' states once the ancilla joins them (4^(p+a+3) each), at 16 bytes an
+    entry; plus a sampled run's trials and their CSV rows.  An exact run builds
+    one tree; a sampled run builds its trees in stacks of up to
+    min(MAX_STACK, l(l-1)), its distinct two-slot states.  Sizes too large for
+    a float give inf.
     """
     def entries(log2: int) -> float:
         return 2.0**log2 if log2 < 1000 else math.inf
 
     p, a = p_qubits, a_qubits
-    total = 2 * entries(p + 2 * l) + entries(2 * l) + entries(2 * (p + a)) + entries(2 * (p + a + 3))
+    trees = min(MAX_STACK, l * (l - 1)) if sampled else 1
+    total = 2 * entries(p + 2 * l) + entries(2 * l) + entries(2 * (p + a)) + trees * entries(2 * (p + a + 3))
     rows = trial_rows if trial_rows < 2**1000 else math.inf
     return 16 * total + TRIAL_ROW_BYTES * rows
 
@@ -130,8 +133,9 @@ class ExperimentConfig:
             if not _is_number(value) or not 0 <= value <= sys.float_info.max:
                 raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {shown(value)}")
         if self.experiment in ("completeness", "soundness"):
-            rows = self.trials if self.mode == "sampled" else 0
-            need = memory_estimate(self.p_qubits, self.a_qubits, self.l, rows)
+            sampled = self.mode == "sampled"
+            rows = self.trials if sampled else 0
+            need = memory_estimate(self.p_qubits, self.a_qubits, self.l, rows, sampled)
             if need > MEMORY_BUDGET_BYTES:
                 raise ConfigError(
                     f"l={self.l}, p_qubits={self.p_qubits}, a_qubits={self.a_qubits}, {rows} trial rows "
@@ -225,7 +229,7 @@ _ROW_FIELDS = {
 }
 
 
-def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
+def _run_protocol_experiment(config: ExperimentConfig, trial_rows: bool) -> ExperimentReport:
     toy = make_toy_verifier(config.p, config.p_qubits, config.a_qubits)
     run = ProtocolRun(cheating_proof(config.strategy, toy, config.l), toy)
     if config.mode == "exact":
@@ -240,12 +244,13 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
             trial_outcomes=None,
         )
     n = config.trials
-    outcomes = np.empty(n, np.intp)
+    outcomes = np.empty(n, np.intp) if trial_rows else None
     tally = np.zeros(len(BRANCH_KEYS), np.intp)
     start = 0
     for branch, code in run.sample(config.seed, n):
         tally += np.bincount(branch, minlength=len(BRANCH_KEYS))
-        outcomes[start:start + code.size] = len(BRANCH_KEYS) * code + branch
+        if trial_rows:
+            outcomes[start:start + code.size] = len(BRANCH_KEYS) * code + branch
         start += code.size
     # Python ints, so each ratio below is the one a dict of int counts gives.
     counts = dict(zip(BRANCH_KEYS, tally.tolist()))
@@ -267,10 +272,9 @@ def _run_protocol_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 # Lemma instances and SWAP cases are drawn one at a time, this many before
 # they are evaluated, so memory does not grow with trials.  Instances of equal
-# shape are evaluated in stacks of at most LEMMA_STACK, so the memory of one
-# evaluation does not depend on how the drawn dimensions fall either.
+# shape are evaluated in stacks of at most linalg.MAX_STACK, so the memory of
+# one evaluation does not depend on how the drawn dimensions fall either.
 LEMMA_CHUNK_TRIALS = 256
-LEMMA_STACK = 8
 
 
 def _dim(rng: np.random.Generator) -> int:
@@ -366,8 +370,8 @@ def _stacked_margins(instances: list[tuple], names: tuple, margins) -> np.ndarra
         groups.setdefault(tuple(map(np.shape, instance)), []).append(k)
     out = np.empty((len(names), len(instances)))
     for group in groups.values():
-        for start in range(0, len(group), LEMMA_STACK):
-            ks = group[start:start + LEMMA_STACK]
+        for start in range(0, len(group), MAX_STACK):
+            ks = group[start:start + MAX_STACK]
             fields = [np.array([instances[k][f] for k in ks]) for f in range(len(instances[ks[0]]))]
             out[:, ks] = np.reshape(margins(*fields), (len(names), len(ks)))
     return out
@@ -440,14 +444,19 @@ def _run_swap_bench(config: ExperimentConfig) -> ExperimentReport:
     max_error = 0.0
     for start in range(0, config.trials, LEMMA_CHUNK_TRIALS):
         stop = min(start + LEMMA_CHUNK_TRIALS, config.trials)
-        # Case t draws rho's Ginibre matrix, then sigma's.
-        cases = [_ginibre_pair(rng, 2 if t % 2 == 0 else 4) for t in range(start, stop)]
+        # One draw of the chunk's normals, sliced as _ginibre_pair would draw
+        # them case by case: rho's real and imaginary parts, then sigma's.
+        dims = [2 if t % 2 == 0 else 4 for t in range(start, stop)]
+        sizes = [4 * d * d for d in dims]
+        normals = np.split(rng.normal(size=sum(sizes)), np.cumsum(sizes)[:-1])
+        parts = [x.reshape(4, d, d) for x, d in zip(normals, dims)]
+        cases = [(x[0] + 1j * x[1], x[2] + 1j * x[3]) for x in parts]
         for error in _stacked_margins(cases, ("error",), _swap_errors)[0].tolist():
             # As max() but a NaN error, once seen, is kept.
             if error > max_error or math.isnan(error):
                 max_error = error
         # Freed before the next chunk is drawn, not after.
-        del cases
+        del cases, normals, parts
     psi = random_pure(rng, 2)
     same = swap_test(tensor(np.outer(psi, psi.conj()), np.outer(psi, psi.conj())))
     zero = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -472,11 +481,16 @@ def _run_swap_bench(config: ExperimentConfig) -> ExperimentReport:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Deterministic report for the configured experiment; exact mode ignores trials."""
+def run_experiment(config: ExperimentConfig, trial_rows: bool = True) -> ExperimentReport:
+    """Deterministic report for the configured experiment; exact mode ignores trials.
+
+    A sampled run keeps each trial's outcome for its CSV rows unless
+    trial_rows is false; its memory then does not grow with trials, and its
+    CSV is the summary row, as an exact run's is.
+    """
     config.validate()
     if config.experiment in ("completeness", "soundness"):
-        return _run_protocol_experiment(config)
+        return _run_protocol_experiment(config, trial_rows)
     if config.experiment == "lemmas":
         return _run_lemma_suite(config)
     return _run_swap_bench(config)

@@ -15,7 +15,6 @@ from .linalg import (
     apply_local,
     partial_trace as _partial_trace_positions,
     proj,
-    tensor,
 )
 
 NORM_TOL = 1e-10
@@ -116,31 +115,9 @@ class DensityOperator:
 State = StateVector | DensityOperator
 
 
-def to_density(state: State) -> DensityOperator:
-    return state if isinstance(state, DensityOperator) else state.density()
-
-
 def _array(state: State) -> np.ndarray:
     """Amplitudes of a pure state, matrix of a density operator."""
     return state.amplitudes if isinstance(state, StateVector) else state.matrix
-
-
-def zero_state(lay: RegisterLayout) -> StateVector:
-    """The all-zero computational basis state over the whole layout."""
-    amps = np.zeros(lay.dim, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(lay, amps)
-
-
-def tensor_product(a: State, b: State) -> State:
-    """Concatenate two states side by side; register names must not clash."""
-    clash = set(a.layout.names) & set(b.layout.names)
-    if clash:
-        raise ValueError(f"register names clash in tensor product: {sorted(clash)}")
-    lay = RegisterLayout(a.layout.registers + b.layout.registers)
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(lay, tensor(a.amplitudes, b.amplitudes))
-    return DensityOperator(lay, tensor(to_density(a).matrix, to_density(b).matrix))
 
 
 def partial_trace(state: State, keep_names: list[str]) -> DensityOperator:

@@ -14,6 +14,10 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-10
 EIG_RESIDUAL_TOL = 1e-9
+# The package evaluates matrices in stacks of at most this many (lemma
+# instances, SWAP cases, a sampled run's pair trees), so the memory of one
+# call does not depend on how many are waiting.
+MAX_STACK = 8
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

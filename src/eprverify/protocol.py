@@ -20,21 +20,18 @@ from .kernel import (
     BELL_LABELS,
     BELL_STATES,
     BELL_TO_COMPUTATIONAL,
-    DensityOperator,
     RegisterLayout,
     State,
     StateVector,
     apply_unitary,
-    layout,
     partial_trace,
     _both_orders,
     rx_prob,
     symmetrize_pairs,
-    tensor_product,
-    zero_state,
     HADAMARD,
 )
 from .linalg import (
+    MAX_STACK,
     apply_local,
     dagger,
     is_hermitian,
@@ -295,43 +292,47 @@ def swap_test(joint: np.ndarray) -> float | np.ndarray:
     return float(accept) if joint.ndim == 2 else accept
 
 
-def swap_test_formula(state: State, reg1: list[str], reg2: list[str]) -> float:
-    """Closed form (1 + Tr(rho S))/2 for the joint state and the group-swap S.
-
-    Tr(rho S) only needs the reduced state of the two groups: the sum of its
-    entries <ab|rho|ba>.
+def swap_test_formula(joint: np.ndarray) -> float | np.ndarray:
+    """Closed form (1 + Tr(rho S))/2 of the SWAP test on a 4^k x 4^k joint
+    density rho of two k-qubit halves, S the swap of the halves: Tr(rho S) is
+    the sum of its entries <ab|rho|ba>.  A stack of joints (..., 4^k, 4^k)
+    gives an array of the probabilities, each the one its joint gives alone.
     """
-    reduced = partial_trace(state, list(reg1) + list(reg2))
-    d = 2 ** (reduced.layout.total_qubits // 2)
-    overlap = np.einsum("abba->", reduced.matrix.reshape(d, d, d, d)).real
-    return float((1.0 + overlap) / 2.0)
+    joint = np.asarray(joint, dtype=complex)
+    dd = joint.shape[-1]
+    d = 2 ** ((dd.bit_length() - 1) // 2)
+    if joint.ndim == 2:
+        overlap = np.einsum("abba->", joint.reshape(d, d, d, d)).real
+        return float((1.0 + overlap) / 2.0)
+    members = joint.reshape(-1, dd, dd)
+    return np.reshape([swap_test_formula(m) for m in members], joint.shape[:-2])
 
 
 # ---------------------------------------------------------------------------
 # Teleportation through a shared pair, keeping two Bell outcomes
 # ---------------------------------------------------------------------------
 
-def teleport(state: State, rest: tuple[str, ...]) -> list[np.ndarray]:
-    """What a Bell measurement of (S2', S1) leaves on (*rest, S2).
+def teleport(t: np.ndarray, n_qubits: int, bridge: int, source: int, kept: list[int]) -> list[np.ndarray]:
+    """What a Bell measurement of the qubits (bridge, source) leaves on the
+    kept qubits, in the order listed, of a 2^n state vector or a 2^n x 2^n
+    density matrix, or of each of a stack (..., 2^n, 2^n).
 
-    Returns one unnormalized density per outcome, in BELL_LABELS order; the
-    trace of each is the outcome's probability.  The psi+ state carries the X
-    correction on S2, so both kept outcomes (phi+ and psi+) deliver the
-    teleported S1.  The Bell basis of (S2', S1) is rotated onto the standard
-    basis, so one reduction to (S2', S1, *rest, S2) holds every outcome as a
-    diagonal block.
+    Returns one unnormalized density (or stack of them) per outcome, in
+    BELL_LABELS order; the trace of each is the outcome's probability.  The
+    last kept qubit is the pair's other half (S2 of the pair (S2, bridge)):
+    the psi+ state carries the X correction on it, so both kept outcomes
+    (phi+ and psi+) deliver the teleported source.  The Bell basis of
+    (bridge, source) is rotated onto the standard basis, so one reduction to
+    (bridge, source, *kept) holds every outcome as a diagonal block.
     """
-    out_reg, bridge, source = "S2", "S2'", "S1"
-    for r in (out_reg, bridge, source):
-        if state.layout.size(r) != 1:
-            raise ValueError(f"teleport registers must be single qubits, {r} is not")
-    rotated = apply_unitary(state, BELL_STATES.conj(), [bridge, source])
-    reduced = partial_trace(rotated, [bridge, source, *rest, out_reg]).matrix
-    d = reduced.shape[0] // 4
-    blocks = [reduced[k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(4)]
-    # X on S2, the last qubit of the block: reverse its bit on both sides.
-    flipped = blocks[_PSI_PLUS].reshape(d // 2, 2, d // 2, 2)[:, ::-1, :, ::-1]
-    blocks[_PSI_PLUS] = flipped.reshape(d, d)
+    rotated = apply_local(t, BELL_STATES.conj(), n_qubits, [bridge, source])
+    reduced = _partial_trace_positions(rotated, n_qubits, [bridge, source, *kept])
+    d = reduced.shape[-1] // 4
+    blocks = [reduced[..., k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(4)]
+    # X on the last kept qubit, the last of the block: reverse its bit on both sides.
+    lead = reduced.shape[:-2]
+    flipped = blocks[_PSI_PLUS].reshape(lead + (d // 2, 2, d // 2, 2))[..., :, ::-1, :, ::-1]
+    blocks[_PSI_PLUS] = flipped.reshape(lead + (d, d))
     return blocks
 
 
@@ -409,30 +410,56 @@ class _PairTree:
     swap_pass: float
 
 
-def _pair_tree(dm: DensityOperator, toy: ToyVerifier) -> _PairTree:
-    """Outcome distributions of both coins' branches on a (P, S1, S1', S2, S2') state."""
-    dm = apply_pinch(dm, ("S1", "S1'"))
-    dm = apply_pinch(dm, ("S2", "S2'"))
-    swap_pass = swap_test_formula(dm, ["S1", "S1'"], ["S2", "S2'"])
+def _pair_tree(rho: np.ndarray, toy: ToyVerifier) -> _PairTree | list[_PairTree]:
+    """Outcome distributions of both coins' branches on a (P, S1, S1', S2, S2')
+    density matrix: one tree for a matrix, and a list of trees, one a member,
+    for a stack (k, d, d) of them.
 
-    w = apply_unitary(dm, BELL_TO_COMPUTATIONAL, ["S1", "S1'"])
-    w = partial_trace(w, ["P", "S1", "S2", "S2'"])
-    ancilla = zero_state(layout(("A", toy.a_qubits)))
-    w = tensor_product(w, ancilla.density())
-    w = apply_unitary(w, toy.v, ["P", "A"])
-    w = apply_unitary(w, toy.flip, ["P", "A", "S1"])
-    w = apply_unitary(w, dagger(toy.v), ["P", "A"])
+    Each step has one owner, which takes the matrix or the stack: the pinches
+    (channels.apply_pinch), the SWAP closed form (swap_test_formula), the
+    decode, V, flip and V† (linalg.apply_local), the reductions
+    (linalg.partial_trace) and the teleportation read (teleport).  On a stack
+    every contraction makes, member by member, the BLAS call that the member
+    alone makes, so each tree is bit for bit the one its matrix gives alone.
+    """
+    p, a = toy.p_qubits, toy.a_qubits
+    s1, s1p, s2, s2p = p, p + 1, p + 2, p + 3
+    n = p + 4
+    w = apply_pinch(apply_pinch(rho, n, [s1, s1p]), n, [s2, s2p])
+    swap_pass = swap_test_formula(_partial_trace_positions(w, n, [s1, s1p, s2, s2p]))
 
-    # Each outcome's block diagonal is the distribution of the (A, S2) bits.
+    w = apply_local(w, BELL_TO_COMPUTATIONAL, n, [s1, s1p])
+    w = _partial_trace_positions(w, n, [*range(p), s1, s2, s2p])
+    # The ancilla's |0><0| joins as A after (P, S1, S2, S2'): one product an
+    # entry, as tensor makes it.
+    da, dw = 2**a, w.shape[-1]
+    ancilla = np.zeros((da, da), dtype=complex)
+    ancilla[0, 0] = 1.0
+    w = (w[..., :, None, :, None] * ancilla[None, :, None, :]).reshape(w.shape[:-2] + (dw * da, dw * da))
+    n = p + 3 + a
+    pa = [*range(p), *range(p + 3, n)]
+    w = apply_local(w, toy.v, n, pa)
+    w = apply_local(w, toy.flip, n, [*pa, p])
+    w = apply_local(w, dagger(toy.v), n, pa)
+    # (S2', S1) is measured; A and S2 keep the bits the verifier reads.
+    blocks = teleport(w, n, p + 2, p, [*range(p + 3, n), p + 1])
+    if rho.ndim == 2:
+        return _read_tree(blocks, swap_pass)
+    return [_read_tree([block[m] for block in blocks], swap_pass[m]) for m in range(len(rho))]
+
+
+def _read_tree(blocks: list[np.ndarray], swap_pass) -> _PairTree:
+    """A tree's outcome probabilities from its teleport blocks: each outcome's
+    block diagonal is the distribution of the (A, S2) bits."""
     bell_probs: list[float] = []
     bit_dists: dict[int, list[float]] = {}
-    for k, block in enumerate(teleport(w, rest=("A",))):
+    for k, block in enumerate(blocks):
         diag = block.diagonal().real
         p_bell = float(diag.sum())
         bell_probs.append(p_bell if p_bell >= PROB_FLOOR else 0.0)
         if k in _KEPT and p_bell >= PROB_FLOOR:
             bit_dists[k] = [float(p) if p >= PROB_FLOOR else 0.0 for p in diag / p_bell]
-    return _PairTree(bell_probs, bit_dists, swap_pass)
+    return _PairTree(bell_probs, bit_dists, float(swap_pass))
 
 
 class ProtocolRun:
@@ -441,11 +468,16 @@ class ProtocolRun:
     Exact mode evaluates one tree, on the pair-symmetrized state.  Sampled
     mode draws each trial's ordered pair, which the trial reports, and reads
     a chunk of trials at a time off the pairs' trees, into arrays of branch
-    indices and ordered-pair codes.  It reduces each unordered pair once,
-    for both of its orders, and builds one tree per
+    indices and ordered-pair codes.  It reduces each unordered pair once, for
+    both of its orders, when either is first drawn, and builds one tree per
     distinct two-slot state: ordered pairs whose reductions are equal bit for
-    bit, as a product proof's pairs mostly are, share one.  A tree is a pure
-    function of the reduction and the toy, so sharing changes no report byte.
+    bit, as a product proof's pairs mostly are, share one.  The new states of
+    a chunk are built together, as one stack on raw arrays (at most
+    MAX_STACK a call); a tree is a pure function of the reduction and the
+    toy, bit for bit the same alone or in a stack, so neither sharing nor
+    stacking changes a report byte.
+
+    Each step of a tree has one owner: see _pair_tree.
     """
 
     def __init__(self, proof: ProtocolState, toy: ToyVerifier):
@@ -466,7 +498,7 @@ class ProtocolRun:
         reductions.  This holds for any proof: the reductions need not be
         equal, and nothing assumes they are.
         """
-        tree = _pair_tree(symmetrize_pairs(self.proof.state, self.proof.pairs), self.toy)
+        tree = _pair_tree(symmetrize_pairs(self.proof.state, self.proof.pairs).matrix, self.toy)
         masses = {k: 0.0 for k in BRANCH_KEYS}
         masses["b1_swap_accept"] = 0.5 * tree.swap_pass
         masses["b1_swap_reject"] = 0.5 * (1.0 - tree.swap_pass)
@@ -479,6 +511,34 @@ class ProtocolRun:
         reject = sum(masses[key] for key in REJECT_KEYS)
         return BranchBreakdown(1.0 - reject, reject, masses)
 
+    def _add_trees(self, pairs: set[tuple[int, int]]) -> None:
+        """Give each ordered pair its tree: reduce each unordered pair not yet
+        reduced once, and build the distinct states no tree has yet in
+        stacks of at most MAX_STACK."""
+        new: dict[bytes, np.ndarray] = {}
+        key_of: dict[tuple[int, int], bytes] = {}
+
+        def build() -> None:
+            trees = _pair_tree(np.array(list(new.values())), self.toy)
+            self._tree_of_state.update(zip(new, trees))
+            new.clear()
+
+        for pair in sorted(pairs):
+            if pair in self._trees or pair in key_of:
+                continue
+            i, j = sorted(pair)
+            both = _both_orders(self.proof.state, self.proof.pairs, i, j)
+            for ordered, dm in zip(((i, j), (j, i)), both):
+                key = key_of[ordered] = dm.matrix.tobytes()
+                if key not in self._tree_of_state and key not in new:
+                    new[key] = dm.matrix
+                    if len(new) == MAX_STACK:
+                        build()
+        if new:
+            build()
+        for ordered, key in key_of.items():
+            self._trees[ordered] = self._tree_of_state[key]
+
     def sample(self, seed: int, trials: int):
         """Yield, a chunk of trials at a time, the arrays (branch, code) of
         trials 0..trials-1, drawn by rng.trial_draws: trial t from stream(seed, t).
@@ -488,18 +548,11 @@ class ProtocolRun:
         l = self.proof.l
         for i, j, coin, u1, u2 in rngmod.trial_draws(seed, trials, l):
             code = i * l + j + (j >= i)
+            codes = set(code.tolist())
+            self._add_trees({divmod(c, l) for c in codes})
             branch = np.zeros(code.size, int)  # BRANCH_KEYS index
-            for c in set(code.tolist()):
-                pair = divmod(c, l)
-                if pair not in self._trees:
-                    i, j = sorted(pair)
-                    both = _both_orders(self.proof.state, self.proof.pairs, i, j)
-                    for ordered, dm in zip(((i, j), (j, i)), both):
-                        key = dm.matrix.tobytes()
-                        if key not in self._tree_of_state:
-                            self._tree_of_state[key] = _pair_tree(dm, self.toy)
-                        self._trees[ordered] = self._tree_of_state[key]
-                tree = self._trees[pair]
+            for c in codes:
+                tree = self._trees[divmod(c, l)]
                 at = np.flatnonzero(code == c)
                 bell = rngmod.choose(u1[at], tree.bell_probs)
                 for k, dist in tree.bit_dists.items():

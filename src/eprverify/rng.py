@@ -23,9 +23,10 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 _LO32 = 0xFFFFFFFF
 
-# Philox4x64 multipliers and Weyl key increments, as in numpy's philox.h.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64 multipliers and Weyl key increments, as in numpy's philox.h, as
+# columns: the two products of a round are made together, on a (2, n) array.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 
 # Trials whose draws are made together; each chunk's first trial is also drawn
@@ -50,13 +51,14 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, in 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & _LO32), np.uint64(m >> 32)
+def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, in 32-bit
+    halves; m broadcasts against x."""
+    m_lo, m_hi = m & _LO32, m >> 32
     x_lo, x_hi = x & _LO32, x >> 32
     lh, hl = x_lo * m_hi, x_hi * m_lo
     mid = ((x_lo * m_lo) >> 32) + (lh & _LO32) + (hl & _LO32)
-    return x_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), x * np.uint64(m)
+    return x_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), x * m
 
 
 def first_blocks(seed: int, start: int, n: int) -> tuple[np.ndarray, ...]:
@@ -65,17 +67,21 @@ def first_blocks(seed: int, start: int, n: int) -> tuple[np.ndarray, ...]:
 
     Philox4x64-10 keyed by (seed mod 2**64, t).  numpy's Philox starts its
     counter at 0 and increments it before making a block, so the first block
-    is the one at counter (1, 0, 0, 0).
+    is the one at counter (1, 0, 0, 0).  The counter words are kept as two
+    lanes, (c0, c2) that a round multiplies and (c1, c3) that it does not,
+    with the key words (k0, k1) beside them; integer arithmetic, so the lanes
+    give every word that one array a word gives.
     """
-    k0, k1 = int(seed) & _MASK64, np.arange(start, start + n, dtype=np.uint64)
-    c0, c1, c2, c3 = np.ones(n, dtype=np.uint64), *np.zeros((3, n), dtype=np.uint64)
-    for r in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _MASK64)
-        key1 = k1 + np.uint64(r * _PHILOX_W[1] & _MASK64)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
-    return c0, c1, c2, c3
+    even = np.zeros((2, n), dtype=np.uint64)
+    even[0] = 1
+    odd = np.zeros((2, n), dtype=np.uint64)
+    key = np.empty((2, n), dtype=np.uint64)
+    key[0], key[1] = int(seed) & _MASK64, np.arange(start, start + n, dtype=np.uint64)
+    for _ in range(_PHILOX_ROUNDS):
+        hi, lo = _mulhilo(_PHILOX_M, even)
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+        key += _PHILOX_W  # wraps mod 2**64
+    return even[0], odd[0], even[1], odd[1]
 
 
 def bounded(u32: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

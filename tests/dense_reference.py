@@ -18,21 +18,121 @@ import math
 
 import numpy as np
 
+from eprverify.channels import PI_MINUS, PI_PLUS
 from eprverify.harness import ExperimentConfig, ExperimentReport, emit_report
-from eprverify.kernel import HADAMARD, DensityOperator, _check_pairs, select_ordered_pair
-from eprverify.linalg import HERMITIAN_TOL, dagger, is_hermitian, proj, tensor
+from eprverify.kernel import (
+    BELL_STATES,
+    BELL_TO_COMPUTATIONAL,
+    HADAMARD,
+    DensityOperator,
+    RegisterLayout,
+    StateVector,
+    _check_pairs,
+    apply_unitary,
+    layout,
+    partial_trace,
+    select_ordered_pair,
+)
+from eprverify.linalg import HERMITIAN_TOL, apply_local, dagger, is_hermitian, proj, tensor
 from eprverify.protocol import (
     _KEPT,
+    _PSI_PLUS,
     BRANCH_KEYS,
+    PROB_FLOOR,
     REJECT_KEYS,
     ProtocolRun,
-    _pair_tree,
+    _PairTree,
     cheating_proof,
     make_toy_verifier,
 )
 from eprverify.rng import stream
 from eprverify.sampling import random_density, random_pure
 
+
+# ---------------------------------------------------------------------------
+# The pair tree on named registers
+# ---------------------------------------------------------------------------
+
+def to_density(state) -> DensityOperator:
+    return state if isinstance(state, DensityOperator) else state.density()
+
+
+def zero_state(lay: RegisterLayout) -> StateVector:
+    """The all-zero computational basis state over the whole layout."""
+    amps = np.zeros(lay.dim, dtype=complex)
+    amps[0] = 1.0
+    return StateVector(lay, amps)
+
+
+def tensor_product(a, b):
+    """Concatenate two states side by side; register names must not clash."""
+    clash = set(a.layout.names) & set(b.layout.names)
+    if clash:
+        raise ValueError(f"register names clash in tensor product: {sorted(clash)}")
+    lay = RegisterLayout(a.layout.registers + b.layout.registers)
+    if isinstance(a, StateVector) and isinstance(b, StateVector):
+        return StateVector(lay, tensor(a.amplitudes, b.amplitudes))
+    return DensityOperator(lay, tensor(to_density(a).matrix, to_density(b).matrix))
+
+
+def named_pinch(dm: DensityOperator, pair: tuple[str, str]) -> DensityOperator:
+    """Pinch one named register pair inside a larger density operator."""
+    n = dm.layout.total_qubits
+    positions = dm.layout.positions(list(pair))
+    out = apply_local(dm.matrix, PI_PLUS, n, positions) + apply_local(dm.matrix, PI_MINUS, n, positions)
+    return DensityOperator(dm.layout, out)
+
+
+def named_swap_formula(state, reg1: list[str], reg2: list[str]) -> float:
+    """Closed form (1 + Tr(rho S))/2 for the joint state and the swap S of two named groups."""
+    reduced = partial_trace(state, list(reg1) + list(reg2))
+    d = 2 ** (reduced.layout.total_qubits // 2)
+    overlap = np.einsum("abba->", reduced.matrix.reshape(d, d, d, d)).real
+    return float((1.0 + overlap) / 2.0)
+
+
+def named_teleport(state, rest: tuple[str, ...]) -> list[np.ndarray]:
+    """What a Bell measurement of (S2', S1) leaves on (*rest, S2), one block
+    an outcome in BELL_LABELS order, psi+ with the X correction on S2."""
+    out_reg, bridge, source = "S2", "S2'", "S1"
+    rotated = apply_unitary(state, BELL_STATES.conj(), [bridge, source])
+    reduced = partial_trace(rotated, [bridge, source, *rest, out_reg]).matrix
+    d = reduced.shape[0] // 4
+    blocks = [reduced[k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(4)]
+    flipped = blocks[_PSI_PLUS].reshape(d // 2, 2, d // 2, 2)[:, ::-1, :, ::-1]
+    blocks[_PSI_PLUS] = flipped.reshape(d, d)
+    return blocks
+
+
+def reference_pair_tree(dm: DensityOperator, toy) -> _PairTree:
+    """The pair tree of a (P, S1, S1', S2, S2') density operator, a step at a
+    time on named registers, each step building a new state."""
+    dm = named_pinch(dm, ("S1", "S1'"))
+    dm = named_pinch(dm, ("S2", "S2'"))
+    swap_pass = named_swap_formula(dm, ["S1", "S1'"], ["S2", "S2'"])
+
+    w = apply_unitary(dm, BELL_TO_COMPUTATIONAL, ["S1", "S1'"])
+    w = partial_trace(w, ["P", "S1", "S2", "S2'"])
+    ancilla = zero_state(layout(("A", toy.a_qubits)))
+    w = tensor_product(w, ancilla.density())
+    w = apply_unitary(w, toy.v, ["P", "A"])
+    w = apply_unitary(w, toy.flip, ["P", "A", "S1"])
+    w = apply_unitary(w, dagger(toy.v), ["P", "A"])
+
+    bell_probs: list[float] = []
+    bit_dists: dict[int, list[float]] = {}
+    for k, block in enumerate(named_teleport(w, rest=("A",))):
+        diag = block.diagonal().real
+        p_bell = float(diag.sum())
+        bell_probs.append(p_bell if p_bell >= PROB_FLOOR else 0.0)
+        if k in _KEPT and p_bell >= PROB_FLOOR:
+            bit_dists[k] = [float(p) if p >= PROB_FLOOR else 0.0 for p in diag / p_bell]
+    return _PairTree(bell_probs, bit_dists, swap_pass)
+
+
+# ---------------------------------------------------------------------------
+# General-purpose numpy forms
+# ---------------------------------------------------------------------------
 
 def kron_tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of the factors, left to right, by np.kron."""
@@ -177,7 +277,7 @@ def scalar_sample(run: ProtocolRun, rng: np.random.Generator, trees: dict) -> tu
         j += 1
     coin = int(rng.integers(2))
     if (i, j) not in trees:
-        trees[i, j] = _pair_tree(select_ordered_pair(run.proof.state, run.proof.pairs, i, j), run.toy)
+        trees[i, j] = reference_pair_tree(select_ordered_pair(run.proof.state, run.proof.pairs, i, j), run.toy)
     tree = trees[i, j]
     pair = (i + 1, j + 1)
     if coin == 1:

@@ -15,10 +15,7 @@ from eprverify.kernel import (
     BELL_STATES,
     BELL_TO_COMPUTATIONAL,
     StateVector,
-    layout,
     rx_prob,
-    tensor_product,
-    to_density,
 )
 from eprverify.linalg import dagger, proj, tensor
 from eprverify.protocol import (
@@ -35,7 +32,7 @@ from eprverify.protocol import (
 )
 from eprverify.sampling import random_density, random_pure, random_unitary
 
-from dense_reference import pure_fidelity
+from dense_reference import pure_fidelity, to_density
 from monolithic_oracle import verifier_branch_masses
 
 P_GRID = np.linspace(0.5, 1.0, 11)
@@ -59,10 +56,10 @@ def test_criterion_2_post_selection_lemma():
     for _ in range(50):
         q = float(rng.uniform(0.0, 1.0))
         phi = random_pure(rng, 2)
-        pair = StateVector(layout(("S2", 1), ("S2'", 1)), choi_state(dagger(rx_prob(q))).amplitudes)
-        state = tensor_product(pair, StateVector(layout(("S1", 1)), phi))
-        # the verifier's own read: the phi+ and psi+ outcomes are kept
-        blocks = teleport(state, ())
+        # qubits (S2, S2', S1): the pair, then phi
+        state = tensor(choi_state(dagger(rx_prob(q))).amplitudes, phi)
+        # the verifier's own read: a Bell measurement of (S2', S1), the phi+ and psi+ outcomes kept
+        blocks = teleport(state, 3, 1, 2, [0])
         kept = [blocks[BELL_LABELS.index("phi+")], blocks[BELL_LABELS.index("psi+")]]
         success = sum(np.trace(out).real for out in kept)
         assert abs(success - 0.5) <= 1e-12

@@ -7,17 +7,14 @@ from eprverify.channels import PI_MINUS, PI_PLUS, apply_pinch, choi_state, pinch
 from eprverify.kernel import (
     BELL_STATES,
     BELL_TO_COMPUTATIONAL,
-    DensityOperator,
-    layout,
     partial_trace,
     rx_prob,
-    to_density,
 )
-from eprverify.linalg import dagger, is_projector, proj, tensor
+from eprverify.linalg import dagger, is_projector, partial_trace as partial_trace_positions, proj, tensor
 from eprverify.metrics import trace_distance
 from eprverify.sampling import random_complex_matrix, random_density, random_unitary
 
-from dense_reference import choi_density
+from dense_reference import choi_density, to_density
 
 RNG = np.random.default_rng(77)
 
@@ -134,16 +131,16 @@ def test_choi_density_of_unitary_channel_is_pure():
 
 
 def test_apply_pinch_on_embedded_pair():
-    lay = layout(("P", 1), ("S", 1), ("S'", 1))
-    joint = DensityOperator(lay, random_density(RNG, 8))
-    pinched = apply_pinch(joint, ("S", "S'"))
+    # qubits (P, S, S'), the pair (S, S') pinched
+    joint = random_density(RNG, 8)
+    pinched = apply_pinch(joint, 3, [1, 2])
     # agrees with pinching the reduced pair state
-    reduced = partial_trace(pinched, ["S", "S'"])
-    direct = pinch_phi(partial_trace(joint, ["S", "S'"]).matrix)
-    assert trace_distance(reduced.matrix, direct) <= 1e-12
+    reduced = partial_trace_positions(pinched, 3, [1, 2])
+    direct = pinch_phi(partial_trace_positions(joint, 3, [1, 2]))
+    assert trace_distance(reduced, direct) <= 1e-12
     # and is idempotent in place
-    again = apply_pinch(pinched, ("S", "S'"))
-    assert trace_distance(again.matrix, pinched.matrix) <= 1e-12
+    again = apply_pinch(pinched, 3, [1, 2])
+    assert trace_distance(again, pinched) <= 1e-12
 
 
 def test_pinch_rejects_wrong_dims():

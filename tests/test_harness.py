@@ -445,7 +445,8 @@ def _sampled_memory(monkeypatch, fmt: str, trials: tuple[int, int]) -> tuple[tup
 
     def run(n: int) -> None:
         config = ExperimentConfig.from_dict({"experiment": "soundness", "mode": "sampled", "l": 3, "trials": n})
-        report = run_experiment(config)
+        # As the CLI runs it: trial outcomes are kept only for CSV rows.
+        report = run_experiment(config, fmt == "csv")
         payload = emit_report(report, fmt)
         probe()
         del payload, report
@@ -468,10 +469,10 @@ def _sampled_memory(monkeypatch, fmt: str, trials: tuple[int, int]) -> tuple[tup
 
 
 def test_sampled_json_memory_per_trial(monkeypatch):
-    # The report keeps one 8-byte outcome a trial; a tuple row would hold
-    # about 117 bytes a trial.
+    # A JSON report keeps no outcome of a trial; an outcome would be 8 bytes
+    # a trial, and a tuple row about 117.
     (small, _), (large, _) = _sampled_memory(monkeypatch, "json", (20_000, 120_000))
-    assert (large - small) / 100_000 <= 16, (small, large)
+    assert (large - small) / 100_000 <= 1, (small, large)
 
 
 def test_sampled_csv_memory_per_trial_within_trial_row_bytes(monkeypatch):
@@ -834,6 +835,42 @@ def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkey
     assert main(["soundness", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert "10000000000 trial rows need an estimated 1.19e+03 GiB" in err and "1 GiB budget" in err
+
+
+def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
+    # At p + a = 9 a pair tree's state is 4^12 entries, 256 MiB.  A two-pair
+    # sampled run counts both of its trees, and one trial row more than fits
+    # puts it over the budget.
+    base = {"experiment": "soundness", "mode": "sampled", "l": 2, "verifier": {"p": 0.2, "p_qubits": 1, "a_qubits": 8}}
+    fixed = 16 * (2 * 2 ** (1 + 4) + 4**2 + 4**9 + 2 * 4**12)
+    most = (MEMORY_BUDGET_BYTES - fixed) // TRIAL_ROW_BYTES
+    assert memory_estimate(1, 8, 2, most, sampled=True) == fixed + most * TRIAL_ROW_BYTES <= MEMORY_BUDGET_BYTES
+    ExperimentConfig.from_dict({**base, "trials": most})
+    with pytest.raises(ConfigError, match=f"{most + 1} trial rows need"):
+        ExperimentConfig.from_dict({**base, "trials": most + 1})
+    # Three pairs count min(MAX_STACK, 6) = 6 trees in a sampled run, 1.5 GiB,
+    # and one in an exact run.
+    with pytest.raises(ConfigError, match="over the 1 GiB budget"):
+        ExperimentConfig.from_dict({**base, "l": 3, "trials": 1})
+    ExperimentConfig.from_dict({**base, "l": 3, "mode": "exact"})
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_cli_keeps_sampled_trial_outcomes_only_for_csv(tmp_path, monkeypatch, fmt):
+    reports = []
+
+    def recorded(*args):
+        reports.append(run_experiment(*args))
+        return reports[-1]
+
+    monkeypatch.setattr("eprverify.cli.run_experiment", recorded)
+    monkeypatch.delenv("EPRVERIFY_SEED", raising=False)
+    out = tmp_path / f"report.{fmt}"
+    assert main(["soundness", "--mode", "sampled", "--trials", "50", "--format", fmt, "--out", str(out)]) == 0
+    assert (reports[0].trial_outcomes is not None) == (fmt == "csv")
+    # The bytes are those of the run that keeps the outcomes.
+    config = ExperimentConfig.from_dict({"experiment": "soundness", "mode": "sampled", "trials": 50})
+    assert out.read_bytes() == emit_report(run_experiment(config), fmt)
 
 
 def test_benchmark_sized_configs_are_well_under_memory_budget():

@@ -16,15 +16,13 @@ from eprverify.kernel import (
     partial_trace,
     rx_prob,
     symmetrize_pairs,
-    tensor_product,
-    zero_state,
 )
 from eprverify.linalg import dagger, is_unitary, tensor
 from eprverify.metrics import trace_distance
 from eprverify.protocol import cheating_proof, make_toy_verifier
 from eprverify.sampling import random_density, random_pure, random_unitary
 
-from dense_reference import ordered_pair_mean
+from dense_reference import ordered_pair_mean, tensor_product, zero_state
 
 RNG = np.random.default_rng(911)
 

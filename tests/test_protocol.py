@@ -19,11 +19,17 @@ from eprverify.kernel import (
     rx_prob,
     select_ordered_pair,
     symmetrize_pairs,
-    tensor_product,
-    to_density,
-    zero_state,
 )
-from eprverify.linalg import dagger, is_unitary, max_eigpair, operator_norm, proj, tensor
+from eprverify.linalg import (
+    MAX_STACK,
+    dagger,
+    is_unitary,
+    max_eigpair,
+    operator_norm,
+    partial_trace as partial_trace_positions,
+    proj,
+    tensor,
+)
 from eprverify.metrics import trace_distance
 from eprverify import kernel, protocol
 from eprverify import rng as rngmod
@@ -54,10 +60,15 @@ from dense_reference import (
     FixedDraws,
     bell_branch,
     edge_uniforms,
+    named_pinch,
     per_case_swap_test,
     pure_fidelity,
+    reference_pair_tree,
     sample_tuples,
     scalar_sample,
+    tensor_product,
+    to_density,
+    zero_state,
 )
 from monolithic_oracle import verifier_branch_masses
 
@@ -265,7 +276,7 @@ def test_swap_test_circuit_matches_product_formula():
         state = _product_state(rho, sigma, k)
         circuit = swap_test(state.matrix)
         assert circuit == pytest.approx((1 + np.trace(rho @ sigma).real) / 2, abs=1e-12)
-        assert circuit == pytest.approx(swap_test_formula(state, ["L"], ["R"]), abs=1e-12)
+        assert circuit == pytest.approx(swap_test_formula(state.matrix), abs=1e-12)
 
 
 def test_swap_test_on_correlated_joint_state():
@@ -273,7 +284,7 @@ def test_swap_test_on_correlated_joint_state():
     lay = layout(("L", 1), ("R", 1))
     for _ in range(20):
         dm = DensityOperator(lay, random_density(RNG, 4))
-        assert swap_test(dm.matrix) == pytest.approx(swap_test_formula(dm, ["L"], ["R"]), abs=1e-12)
+        assert swap_test(dm.matrix) == pytest.approx(swap_test_formula(dm.matrix), abs=1e-12)
 
 
 def test_swap_test_with_spectator_and_groups_out_of_layout_order():
@@ -287,8 +298,8 @@ def test_swap_test_with_spectator_and_groups_out_of_layout_order():
             DensityOperator(lay, random_density(RNG, lay.dim)),
         ):
             for reg1, reg2 in ((["D", "A"], ["B"]), (["C"], ["A"])):
-                circuit = swap_test(partial_trace(state, reg1 + reg2).matrix)
-                assert circuit == pytest.approx(swap_test_formula(state, reg1, reg2), abs=1e-12)
+                joint = partial_trace(state, reg1 + reg2).matrix
+                assert swap_test(joint) == pytest.approx(swap_test_formula(joint), abs=1e-12)
 
 
 @pytest.mark.parametrize("k, shape", [(1, (7,)), (2, (3,)), (2, (2, 3)), (3, (1,))])
@@ -315,13 +326,18 @@ def test_swap_test_rejects_joints_not_4k_square(joint):
 KEPT = (BELL_LABELS.index("phi+"), BELL_LABELS.index("psi+"))
 
 
-def _teleport_input(q: float, phi: np.ndarray):
-    pair = StateVector(layout(("S2", 1), ("S2'", 1)), choi_state(dagger(rx_prob(q))).amplitudes)
-    return tensor_product(pair, StateVector(layout(("S1", 1)), phi))
+def _teleport_input(q: float, phi: np.ndarray) -> np.ndarray:
+    """Amplitudes on (S2, S2', S1): the rotated pair, then phi."""
+    return tensor(choi_state(dagger(rx_prob(q))).amplitudes, phi)
 
 
-def _kept_mass(state) -> float:
-    blocks = teleport(state, ())
+def _teleport(t: np.ndarray) -> list[np.ndarray]:
+    """The Bell measurement of (S2', S1) of a state on (S2, S2', S1), read on S2."""
+    return teleport(t, 3, 1, 2, [0])
+
+
+def _kept_mass(t: np.ndarray) -> float:
+    blocks = _teleport(t)
     return float(sum(np.trace(blocks[k]).real for k in KEPT))
 
 
@@ -330,7 +346,7 @@ def test_post_selection_choi_pair_lemma():
     for _ in range(20):
         q = float(RNG.uniform(0, 1))
         phi = random_pure(RNG, 2)
-        blocks = teleport(_teleport_input(q, phi), ())
+        blocks = _teleport(_teleport_input(q, phi))
         assert sum(np.trace(blocks[k]).real for k in KEPT) == pytest.approx(0.5, abs=1e-12)
         expected = dagger(rx_prob(q)) @ phi
         for k in KEPT:
@@ -340,7 +356,7 @@ def test_post_selection_choi_pair_lemma():
 
 def test_post_selection_identity_pair_teleports_exactly():
     phi = random_pure(RNG, 2)
-    blocks = teleport(_teleport_input(0.0, phi), ())
+    blocks = _teleport(_teleport_input(0.0, phi))
     for k in KEPT:
         out = blocks[k] / np.trace(blocks[k]).real
         assert trace_distance(out, proj(phi)) <= 1e-12
@@ -353,19 +369,18 @@ def test_post_selection_phi_minus_pair_brute_force():
     # amplitude (phi+ all but certain, psi- at 1e-20); a random pure and a
     # random mixed state
     rng = np.random.default_rng(255)
-    lay = layout(("S2", 1), ("S2'", 1), ("S1", 1))
     zero = np.array([1.0, 0.0], dtype=complex)
     near_epr = BELL_STATES[0] + 1e-10 * BELL_STATES[3]
     inputs = [
-        StateVector(lay, tensor(BELL_STATES[1], zero)),
-        StateVector(lay, tensor(zero, near_epr / np.linalg.norm(near_epr))),
-        StateVector(lay, random_pure(rng, 8)),
-        DensityOperator(lay, random_density(rng, 8)),
+        tensor(BELL_STATES[1], zero),
+        tensor(zero, near_epr / np.linalg.norm(near_epr)),
+        random_pure(rng, 8),
+        random_density(rng, 8),
     ]
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     for n, state in enumerate(inputs):
-        rho = to_density(state).matrix
-        blocks = teleport(state, ())
+        rho = proj(state) if state.ndim == 1 else state
+        blocks = _teleport(state)
         assert len(blocks) == len(BELL_LABELS)
         for label, block, bell in zip(BELL_LABELS, blocks, BELL_STATES):
             out = bell_branch(rho, 3, [1, 2], [0], bell)
@@ -379,16 +394,15 @@ def test_post_selection_phi_minus_pair_brute_force():
                 assert trace_distance(block / np.trace(block).real, out / prob) <= 1e-12
         # the outcomes together, the correction undone, leave S2's reduced state
         undone = [x @ b @ x if label == "psi+" else b for label, b in zip(BELL_LABELS, blocks)]
-        assert trace_distance(sum(undone), partial_trace(state, ["S2"]).matrix) <= 1e-12
+        assert trace_distance(sum(undone), partial_trace_positions(state, 3, [0])) <= 1e-12
 
 
 def test_postsel_success_prob_choi_pair_times_anything():
     for _ in range(10):
         q = float(RNG.uniform(0, 1))
         zeta = random_density(RNG, 2)
-        pair = StateVector(layout(("S2", 1), ("S2'", 1)), choi_state(dagger(rx_prob(q))).amplitudes)
-        state = tensor_product(to_density(pair), DensityOperator(layout(("S1", 1)), zeta))
-        assert _kept_mass(state) == pytest.approx(0.5, abs=1e-12)
+        pair = choi_state(dagger(rx_prob(q))).amplitudes
+        assert _kept_mass(tensor(proj(pair), zeta)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_postsel_success_prob_hadamard_basis_form():
@@ -399,13 +413,7 @@ def test_postsel_success_prob_hadamard_basis_form():
         sigma = random_density(RNG, 2)
         a, b = random_pure(RNG, 2)
         psi = a * plus + b * minus
-        state = tensor_product(
-            tensor_product(
-                DensityOperator(layout(("S2", 1)), random_density(RNG, 2)),
-                DensityOperator(layout(("S2'", 1)), sigma),
-            ),
-            StateVector(layout(("S1", 1)), psi / np.linalg.norm(psi)),
-        )
+        state = tensor(random_density(RNG, 2), sigma, proj(psi / np.linalg.norm(psi)))
         got = _kept_mass(state)
         plus_w = np.real(np.vdot(plus, sigma @ plus))
         minus_w = np.real(np.vdot(minus, sigma @ minus))
@@ -418,13 +426,7 @@ def test_postsel_success_prob_balanced_sigma_gives_half():
     sigma = proj(np.array([1.0, 0.0]))  # |0><0| is Hadamard-balanced
     for _ in range(5):
         zeta = random_density(RNG, 2)
-        state = tensor_product(
-            tensor_product(
-                DensityOperator(layout(("S2", 1)), random_density(RNG, 2)),
-                DensityOperator(layout(("S2'", 1)), sigma),
-            ),
-            DensityOperator(layout(("S1", 1)), zeta),
-        )
+        state = tensor(random_density(RNG, 2), sigma, zeta)
         assert _kept_mass(state) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -548,9 +550,10 @@ def test_step_one_two_fixed_point_for_honest_proof():
     for l in (2, 3):
         proof = cheating_proof(HONEST_STRATEGY, toy, l)
         sym = symmetrize_pairs(proof.state, proof.pairs)
-        pinched = apply_pinch(apply_pinch(sym, ("S1", "S1'")), ("S2", "S2'"))
+        # qubits (P, S1, S1', S2, S2')
+        pinched = apply_pinch(apply_pinch(sym.matrix, 5, [1, 2]), 5, [3, 4])
         reference = partial_trace(proof.state, ["P", "S1", "S1'", "S2", "S2'"])
-        assert trace_distance(pinched.matrix, reference.matrix) <= 1e-10
+        assert trace_distance(pinched, reference.matrix) <= 1e-10
 
 
 def test_sampled_runs_deterministic_and_consistent():
@@ -636,7 +639,7 @@ def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strateg
     for i in range(3):
         for drawn_j in range(2):
             j = drawn_j + (drawn_j >= i)
-            tree = _pair_tree(select_ordered_pair(run.proof.state, run.proof.pairs, i, j), toy)
+            tree = _pair_tree(select_ordered_pair(run.proof.state, run.proof.pairs, i, j).matrix, toy)
             u1s = [0.0, *edge_uniforms(tree.bell_probs), *edge_uniforms([tree.swap_pass, 1.0 - tree.swap_pass])]
             u2s = [u for dist in tree.bit_dists.values() for u in edge_uniforms(dist)]
             draws += [(i, drawn_j, coin, u1, u2) for coin in (0, 1) for u1 in u1s for u2 in u2s]
@@ -647,14 +650,22 @@ def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strateg
     assert sample_tuples(run, 0, len(draws)) == expected
 
 
+def _tree_calls(run, trials):
+    """The shapes of the matrices or stacks run's _pair_tree calls get while
+    it samples trials trials."""
+    with mock.patch.object(protocol, "_pair_tree", wraps=protocol._pair_tree) as build:
+        sample_tuples(run, 1, trials)
+    return [call.args[0].shape for call in build.call_args_list]
+
+
 def _sampled_tree_builds(strategy, p, l):
-    """The run after sampling every ordered pair, and how many trees it built."""
+    """The run after sampling every ordered pair, and how many trees it built:
+    the members of the stacks its _pair_tree calls got."""
     toy = make_toy_verifier(p)
     run = ProtocolRun(cheating_proof(strategy, toy, l), toy)
-    with mock.patch.object(protocol, "_pair_tree", wraps=protocol._pair_tree) as build:
-        sample_tuples(run, 1, 2000)
+    shapes = _tree_calls(run, 2000)
     assert len(run._trees) == l * (l - 1)
-    return run, build.call_count
+    return run, sum(shape[0] if len(shape) == 3 else 1 for shape in shapes)
 
 
 # Product proofs whose ordered-pair reductions are equal bit for bit.
@@ -668,6 +679,19 @@ def test_sampled_product_proof_builds_one_tree(strategy, p):
 
 def test_sampled_local_unitaries_build_a_tree_per_pair():
     assert _sampled_tree_builds({"kind": "local_unitaries", "unitary_seed": 5}, 0.3, l=3)[1] == 6
+
+
+def test_sampled_run_builds_its_trees_in_one_stacked_call():
+    toy = make_toy_verifier(0.3)
+    run = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 5}, toy, l=3), toy)
+    # Six distinct two-slot states on (P, S1, S1', S2, S2'), all drawn in the first chunk.
+    assert _tree_calls(run, 2000) == [(6, 32, 32)]
+
+
+def test_sampled_stacks_hold_at_most_max_stack_trees():
+    toy = make_toy_verifier(0.3)
+    run = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 5}, toy, l=4), toy)
+    assert _tree_calls(run, 2000) == [(MAX_STACK, 32, 32), (12 - MAX_STACK, 32, 32)]
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])
@@ -707,7 +731,7 @@ def test_sampled_run_reduces_each_unordered_pair_once(monkeypatch, strategy, p):
     assert len(run._trees) == 12
     assert sorted(calls) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
     for (i, j), tree in run._trees.items():
-        assert tree == _pair_tree(direct(run.proof.state, run.proof.pairs, i, j), toy)
+        assert tree == _pair_tree(direct(run.proof.state, run.proof.pairs, i, j).matrix, toy)
 
 
 def test_verifier_rejects_bad_inputs():
@@ -777,7 +801,7 @@ def _circuit_tree(dm, toy):
     """The pair tree's coin-0 distributions by brute force: the verifier steps,
     each Bell projection of (S2', S1) summed out of the full density, then the
     (A, S2) diagonal of each kept outcome's normalized state."""
-    dm = apply_pinch(apply_pinch(dm, ("S1", "S1'")), ("S2", "S2'"))
+    dm = named_pinch(named_pinch(dm, ("S1", "S1'")), ("S2", "S2'"))
     w = apply_unitary(dm, BELL_TO_COMPUTATIONAL, ["S1", "S1'"])
     w = partial_trace(w, ["P", "S1", "S2", "S2'"])
     w = tensor_product(w, zero_state(layout(("A", toy.a_qubits))).density())
@@ -821,7 +845,7 @@ def test_pair_tree_diagonal_read_matches_post_selection(p_qubits, a_qubits, p, k
         # deterministic bits: most conditional probabilities sit on PROB_FLOOR
         proof = cheating_proof({"kind": "idle_epr"}, toy, l=2)
         dm = select_ordered_pair(proof.state, proof.pairs, 0, 1)
-    tree = _pair_tree(dm, toy)
+    tree = _pair_tree(dm.matrix, toy)
     bell_probs, bit_dists = _circuit_tree(dm, toy)
     assert len(tree.bell_probs) == len(bell_probs) == 4
     assert np.max(np.abs(np.asarray(tree.bell_probs) - bell_probs)) <= 1e-12
@@ -829,6 +853,51 @@ def test_pair_tree_diagonal_read_matches_post_selection(p_qubits, a_qubits, p, k
     for k, probs in bit_dists.items():
         assert len(tree.bit_dists[k]) == len(probs) == 2 ** (a_qubits + 1)
         assert np.max(np.abs(np.asarray(tree.bit_dists[k]) - probs)) <= 1e-12
+
+
+def _two_slot_members(rng, toy, kinds: list[str]) -> list[np.ndarray]:
+    """A (P, S1, S1', S2, S2') density for each kind: a random mixed one, or the
+    reduction of a random pure three-pair state or of a local_unitaries proof
+    to a random ordered pair."""
+    lay = proof_layout(toy.p_qubits, 3)
+    members = []
+    for kind in kinds:
+        if kind == "density":
+            members.append(random_density(rng, 2 ** (toy.p_qubits + 4)))
+            continue
+        if kind == "pure_proof":
+            state, pairs = StateVector(lay, random_pure(rng, lay.dim)), [(f"S{i}", f"S{i}'") for i in (1, 2, 3)]
+        else:
+            seed = int(rng.integers(2**63))
+            proof = cheating_proof({"kind": "local_unitaries", "unitary_seed": seed}, toy, 3)
+            state, pairs = proof.state, proof.pairs
+        i, j = rng.choice(3, size=2, replace=False)
+        members.append(select_ordered_pair(state, pairs, int(i), int(j)).matrix)
+    return members
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p_qubits=st.integers(1, 2),
+    a_qubits=st.integers(1, 2),
+    p=st.floats(0.05, 1.0),
+    kinds=st.lists(st.sampled_from(["density", "pure_proof", "local_unitaries"]), min_size=1, max_size=4),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=MAX_STACK),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_pair_tree_is_bit_exact_with_the_reference_tree(p_qubits, a_qubits, p, kinds, picks, seed):
+    toy = make_toy_verifier(p, p_qubits, a_qubits)
+    members = _two_slot_members(np.random.default_rng(seed), toy, kinds)
+    # A stack of 1-8 members, some of them repeated.
+    stack = np.array([members[k % len(members)] for k in picks])
+    lay = proof_layout(p_qubits, 2)
+    expected = [reference_pair_tree(DensityOperator(lay, m), toy) for m in stack]
+    trees = _pair_tree(stack, toy)
+    assert isinstance(trees, list) and len(trees) == len(stack)
+    assert repr(trees) == repr(expected)
+    # The one-matrix call, as exact() makes it, gives one tree.
+    alone = _pair_tree(stack[0], toy)
+    assert isinstance(alone, protocol._PairTree) and repr(alone) == repr(expected[0])
 
 
 def test_protocol_run_never_forms_the_proof_density(monkeypatch):

@@ -21,6 +21,19 @@ def test_first_blocks_match_numpy_philox(seed, start):
         np.testing.assert_array_equal(words[k], np.random.Philox(key=key).random_raw(4))
 
 
+@pytest.mark.parametrize("seed", [0, -1, -(2**63), 2**63, 2**64 - 1])
+@pytest.mark.parametrize("start", [0, 2**32 - 2])
+@pytest.mark.parametrize("n", [1, 900, 4096])
+def test_two_lane_first_blocks_match_numpy_philox(seed, start, n):
+    # The two lanes of a round against numpy's own Philox at each t, also
+    # where the counter word t crosses 2**32.
+    words = np.stack(first_blocks(seed, start, n), axis=1)
+    assert words.dtype == np.uint64 and words.shape == (n, 4)
+    for k in range(n):
+        key = np.array([seed & _MASK64, start + k], dtype=np.uint64)
+        assert words[k].tolist() == np.random.Philox(key=key).random_raw(4).tolist(), (seed, start, k)
+
+
 def _philox_with_buffer(words: list[int]) -> np.random.Generator:
     """A generator whose next draws come from words (four uint64s)."""
     bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))

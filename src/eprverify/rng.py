@@ -52,13 +52,14 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 
 def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, in 32-bit
-    halves; m broadcasts against x."""
+    """High and low 64-bit words of the 128-bit products m * x, from 32-bit
+    halves (Warren, Hacker's Delight, mulhu); m broadcasts against x.  No sum
+    below reaches 2**64."""
     m_lo, m_hi = m & _LO32, m >> 32
     x_lo, x_hi = x & _LO32, x >> 32
-    lh, hl = x_lo * m_hi, x_hi * m_lo
-    mid = ((x_lo * m_lo) >> 32) + (lh & _LO32) + (hl & _LO32)
-    return x_hi * m_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), x * m
+    t = x_hi * m_lo + ((x_lo * m_lo) >> 32)
+    mid = (t & _LO32) + x_lo * m_hi
+    return x_hi * m_hi + (t >> 32) + (mid >> 32), x * m
 
 
 def first_blocks(seed: int, start: int, n: int) -> tuple[np.ndarray, ...]:

@@ -10,7 +10,10 @@ the kernel's tensor, apply_local and symmetrize_pairs must match bit for bit.
 The one-matrix forms of the metrics and margin oracles, which the package's
 stack-aware forms must match bit for bit on each matrix of a stack, are here
 as well, and so is the per-case SWAP benchmark that swap-bench's chunked run
-must match byte for byte."""
+must match byte for byte.  So is the pair tree a step at a time on named
+registers, with the state helpers it needs (zero_state, tensor_product,
+to_density), which the raw-array tree must match bit for bit, alone and on
+stacks."""
 
 import csv
 import io

@@ -39,6 +39,7 @@ from .protocol import (
     make_toy_verifier,
     shown,
     swap_test,
+    tree_stack,
 )
 from .sampling import (
     ginibre_density,
@@ -67,22 +68,22 @@ MEMORY_BUDGET_BYTES = 2**30
 TRIAL_ROW_BYTES = 128
 
 
-def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0, sampled: bool = False) -> float:
+def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -> float:
     """Bytes of the largest allocations of a protocol run, each counted once.
 
     The proof vector and its transposed copy (2 x 2^(p+2l) entries), the marginal
     of the primed pair halves (4^l), the toy verifier V (4^(p+a)) and the pair
     trees' states once the ancilla joins them (4^(p+a+3) each), at 16 bytes an
-    entry; plus a sampled run's trials and their CSV rows.  An exact run builds
-    one tree; a sampled run builds its trees in stacks of up to
-    min(MAX_STACK, l(l-1)), its distinct two-slot states.  Sizes too large for
-    a float give inf.
+    entry; plus a sampled run's trials and their CSV rows.  An exact run, the
+    one with no trial rows, builds one tree; a sampled run builds its trees in
+    stacks of up to min(tree_stack(p, a), l(l-1)), its distinct two-slot
+    states.  Sizes too large for a float give inf.
     """
     def entries(log2: int) -> float:
         return 2.0**log2 if log2 < 1000 else math.inf
 
     p, a = p_qubits, a_qubits
-    trees = min(MAX_STACK, l * (l - 1)) if sampled else 1
+    trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
     total = 2 * entries(p + 2 * l) + entries(2 * l) + entries(2 * (p + a)) + trees * entries(2 * (p + a + 3))
     rows = trial_rows if trial_rows < 2**1000 else math.inf
     return 16 * total + TRIAL_ROW_BYTES * rows
@@ -133,9 +134,8 @@ class ExperimentConfig:
             if not _is_number(value) or not 0 <= value <= sys.float_info.max:
                 raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {shown(value)}")
         if self.experiment in ("completeness", "soundness"):
-            sampled = self.mode == "sampled"
-            rows = self.trials if sampled else 0
-            need = memory_estimate(self.p_qubits, self.a_qubits, self.l, rows, sampled)
+            rows = self.trials if self.mode == "sampled" else 0
+            need = memory_estimate(self.p_qubits, self.a_qubits, self.l, rows)
             if need > MEMORY_BUDGET_BYTES:
                 raise ConfigError(
                     f"l={self.l}, p_qubits={self.p_qubits}, a_qubits={self.a_qubits}, {rows} trial rows "
@@ -485,8 +485,8 @@ def run_experiment(config: ExperimentConfig, trial_rows: bool = True) -> Experim
     """Deterministic report for the configured experiment; exact mode ignores trials.
 
     A sampled run keeps each trial's outcome for its CSV rows unless
-    trial_rows is false; its memory then does not grow with trials, and its
-    CSV is the summary row, as an exact run's is.
+    trial_rows is false; its memory then does not grow with trials, and
+    emit_report writes it only as JSON.
     """
     config.validate()
     if config.experiment in ("completeness", "soundness"):
@@ -545,6 +545,8 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> bytes:
     if fmt == "csv":
         if report.trial_outcomes is not None:
             return _trial_rows_csv(report.trial_outcomes, report.config["l"])
+        if report.branches is not None and report.config.get("mode") == "sampled":
+            raise ValueError("a sampled report's CSV is its trial rows, and this run kept none (trial_rows=False)")
         if report.lemma_margins is not None:
             rows = [("lemma", "min_margin", "violations", "samples")]
             rows += [(name, repr(e["min_margin"]), e["violations"], e["samples"])

@@ -462,6 +462,16 @@ def _read_tree(blocks: list[np.ndarray], swap_pass) -> _PairTree:
     return _PairTree(bell_probs, bit_dists, float(swap_pass))
 
 
+def tree_stack(p_qubits: int, a_qubits: int) -> int:
+    """Most trees a sampled run builds in one stacked call: MAX_STACK at the
+    smallest shape (p_qubits = a_qubits = 1), a quarter as many for each
+    further qubit, and at least one.  A stack's tree states (4^(p+a+3)
+    entries each) so stay within those of MAX_STACK smallest trees, 128 KiB;
+    larger stacks of larger trees measured slower than building them one or
+    two at a time."""
+    return max(1, MAX_STACK >> 2 * (p_qubits + a_qubits - 2))
+
+
 class ProtocolRun:
     """Verifier evaluation against a fixed proof, exact or sampled.
 
@@ -473,7 +483,7 @@ class ProtocolRun:
     distinct two-slot state: ordered pairs whose reductions are equal bit for
     bit, as a product proof's pairs mostly are, share one.  The new states of
     a chunk are built together, as one stack on raw arrays (at most
-    MAX_STACK a call); a tree is a pure function of the reduction and the
+    tree_stack(p_qubits, a_qubits) a call); a tree is a pure function of the reduction and the
     toy, bit for bit the same alone or in a stack, so neither sharing nor
     stacking changes a report byte.
 
@@ -514,7 +524,8 @@ class ProtocolRun:
     def _add_trees(self, pairs: set[tuple[int, int]]) -> None:
         """Give each ordered pair its tree: reduce each unordered pair not yet
         reduced once, and build the distinct states no tree has yet in
-        stacks of at most MAX_STACK."""
+        stacks of at most tree_stack(p_qubits, a_qubits)."""
+        most = tree_stack(self.toy.p_qubits, self.toy.a_qubits)
         new: dict[bytes, np.ndarray] = {}
         key_of: dict[tuple[int, int], bytes] = {}
 
@@ -532,7 +543,7 @@ class ProtocolRun:
                 key = key_of[ordered] = dm.matrix.tobytes()
                 if key not in self._tree_of_state and key not in new:
                     new[key] = dm.matrix
-                    if len(new) == MAX_STACK:
+                    if len(new) == most:
                         build()
         if new:
             build()

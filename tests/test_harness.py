@@ -27,6 +27,7 @@ from eprverify.harness import (
     memory_estimate,
     run_experiment,
 )
+from eprverify.linalg import MAX_STACK
 from eprverify.rng import stream
 
 from dense_reference import csv_writer_summary, per_case_swap_bench, tuple_row_reports
@@ -838,21 +839,19 @@ def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkey
 
 
 def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
-    # At p + a = 9 a pair tree's state is 4^12 entries, 256 MiB.  A two-pair
-    # sampled run counts both of its trees, and one trial row more than fits
-    # puts it over the budget.
-    base = {"experiment": "soundness", "mode": "sampled", "l": 2, "verifier": {"p": 0.2, "p_qubits": 1, "a_qubits": 8}}
-    fixed = 16 * (2 * 2 ** (1 + 4) + 4**2 + 4**9 + 2 * 4**12)
-    most = (MEMORY_BUDGET_BYTES - fixed) // TRIAL_ROW_BYTES
-    assert memory_estimate(1, 8, 2, most, sampled=True) == fixed + most * TRIAL_ROW_BYTES <= MEMORY_BUDGET_BYTES
-    ExperimentConfig.from_dict({**base, "trials": most})
-    with pytest.raises(ConfigError, match=f"{most + 1} trial rows need"):
-        ExperimentConfig.from_dict({**base, "trials": most + 1})
-    # Three pairs count min(MAX_STACK, 6) = 6 trees in a sampled run, 1.5 GiB,
-    # and one in an exact run.
-    with pytest.raises(ConfigError, match="over the 1 GiB budget"):
-        ExperimentConfig.from_dict({**base, "l": 3, "trials": 1})
-    ExperimentConfig.from_dict({**base, "l": 3, "mode": "exact"})
+    # A sampled run counts the tree states of its largest stacked call,
+    # min(tree_stack(p, a), l(l-1)) of them at 4^(p+a+3) entries each, and
+    # one trial row more than fits puts it over the budget.
+    for p, a, l, trees in ((1, 1, 3, 6), (1, 1, 4, MAX_STACK), (1, 2, 3, 2), (1, 8, 3, 1)):
+        base = {"experiment": "soundness", "mode": "sampled", "l": l, "verifier": {"p": 0.2, "p_qubits": p, "a_qubits": a}}
+        fixed = 16 * (2 * 2 ** (p + 2 * l) + 4**l + 4 ** (p + a) + trees * 4 ** (p + a + 3))
+        most = (MEMORY_BUDGET_BYTES - fixed) // TRIAL_ROW_BYTES
+        assert memory_estimate(p, a, l, most) == fixed + most * TRIAL_ROW_BYTES <= MEMORY_BUDGET_BYTES
+        ExperimentConfig.from_dict({**base, "trials": most})
+        with pytest.raises(ConfigError, match=f"{most + 1} trial rows need"):
+            ExperimentConfig.from_dict({**base, "trials": most + 1})
+    # An exact run, with no trial rows, counts one tree.
+    assert memory_estimate(1, 1, 4) == 16 * (2 * 2**9 + 4**4 + 4**2 + 4**5)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -871,6 +870,15 @@ def test_cli_keeps_sampled_trial_outcomes_only_for_csv(tmp_path, monkeypatch, fm
     # The bytes are those of the run that keeps the outcomes.
     config = ExperimentConfig.from_dict({"experiment": "soundness", "mode": "sampled", "trials": 50})
     assert out.read_bytes() == emit_report(run_experiment(config), fmt)
+
+
+def test_sampled_report_without_trial_outcomes_refuses_csv():
+    config = ExperimentConfig.from_dict({"experiment": "soundness", "mode": "sampled", "trials": 50})
+    report = run_experiment(config, False)
+    assert report.trial_outcomes is None
+    assert json.loads(emit_report(report, "json")) == json.loads(emit_report(run_experiment(config), "json"))
+    with pytest.raises(ValueError, match="kept none"):
+        emit_report(report, "csv")
 
 
 def test_benchmark_sized_configs_are_well_under_memory_budget():

@@ -50,6 +50,7 @@ from eprverify.protocol import (
     swap_test,
     swap_test_formula,
     teleport,
+    tree_stack,
     verifier_marginal_distance,
     _pair_tree,
 )
@@ -692,6 +693,18 @@ def test_sampled_stacks_hold_at_most_max_stack_trees():
     toy = make_toy_verifier(0.3)
     run = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 5}, toy, l=4), toy)
     assert _tree_calls(run, 2000) == [(MAX_STACK, 32, 32), (12 - MAX_STACK, 32, 32)]
+
+
+@pytest.mark.parametrize("p_qubits, a_qubits, calls", [
+    (1, 2, [(2, 32, 32)] * 3), (2, 1, [(2, 64, 64)] * 3), (2, 2, [(1, 64, 64)] * 6),
+])
+def test_sampled_stacks_of_larger_trees_hold_fewer(p_qubits, a_qubits, calls):
+    # Each qubit past p_qubits = a_qubits = 1 quarters the stack, so a
+    # stack's tree states stay within those of MAX_STACK smallest trees.
+    assert tree_stack(1, 1) == MAX_STACK and tree_stack(1, 8) == 1
+    toy = make_toy_verifier(0.3, p_qubits=p_qubits, a_qubits=a_qubits)
+    run = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 5}, toy, l=3), toy)
+    assert _tree_calls(run, 2000) == calls
 
 
 @pytest.mark.parametrize("l", [2, 3, 4])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernel import BELL_STATES, StateVector, layout
+from .kernel import BELL_STATES
 from .linalg import apply_local, is_unitary, proj, tensor
 
 # Projectors onto span{phi+, psi+} and span{phi-, psi-}.
@@ -12,14 +12,14 @@ PI_PLUS = proj(BELL_STATES[0]) + proj(BELL_STATES[2])
 PI_MINUS = proj(BELL_STATES[1]) + proj(BELL_STATES[3])
 
 
-def choi_state(u: np.ndarray) -> StateVector:
-    """(u (x) I)|phi+> for a single-qubit unitary u, on a (S, S') layout."""
+def choi_state(u: np.ndarray) -> np.ndarray:
+    """(u (x) I)|phi+> for a single-qubit unitary u: the 4-vector of a pair (S, S')."""
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError(f"choi_state takes a 2x2 unitary, got shape {u.shape}")
     if not is_unitary(u):
         raise ValueError("choi_state requires a unitary within tolerance")
-    return StateVector(layout(("S", 1), ("S'", 1)), tensor(u, np.eye(2)) @ BELL_STATES[0])
+    return tensor(u, np.eye(2)) @ BELL_STATES[0]
 
 
 def pinch_phi(a: np.ndarray) -> np.ndarray:

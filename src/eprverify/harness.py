@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .channels import pinch_phi
-from .linalg import MAX_STACK, dagger, partial_trace as partial_trace_positions, tensor
+from .linalg import MAX_STACK, dagger, partial_trace, tensor
 from .metrics import (
     additive_perturbation_margin,
     fvg_margins,
@@ -303,7 +303,7 @@ def _partial_trace_margins(g: np.ndarray, h: np.ndarray, keeps: np.ndarray) -> n
 
     def channel(m: np.ndarray) -> np.ndarray:
         # One einsum per instance, each with its own kept qubits.
-        return np.stack([partial_trace_positions(x, n, list(keep)) for x, keep in zip(m, keeps)])
+        return np.stack([partial_trace(x, n, list(keep)) for x, keep in zip(m, keeps)])
 
     return monotonicity_margin(ginibre_density(g), ginibre_density(h), channel)
 

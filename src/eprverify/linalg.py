@@ -1,9 +1,10 @@
 """Dense complex linear algebra on raw numpy arrays.
 
-Everything here operates on plain ``np.ndarray`` values; register-aware
-wrappers live in :mod:`eprverify.kernel`.  Qubit convention throughout the
-package: qubit 0 is the most significant index bit, so a basis index reads
-left-to-right as a bit string.
+Everything here operates on plain ``np.ndarray`` values and qubit positions;
+the package applies every operator with ``apply_local`` and reduces every
+state with ``partial_trace``.  Qubit convention throughout the package: qubit
+0 is the most significant index bit, so a basis index reads left-to-right as
+a bit string.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 the teleportation read that post-selects two Bell outcomes, the rewinding
 identity, and the two-coin verifier circuit that ties them together.
 
-Proof states live on the canonical layout (P, S1, S1', ..., Sl, Sl'): P holds
-the witness, each (Si, Si') is an EPR pair the prover may have acted on through
-the Si half only.
+A proof is a raw array on the fixed layout (P, S1, S1', ..., Sl, Sl'): P
+holds the witness, each (Si, Si') is an EPR pair the prover may have acted on
+through the Si half only (positions in kernel).
 """
 
 from __future__ import annotations
@@ -20,12 +20,8 @@ from .kernel import (
     BELL_LABELS,
     BELL_STATES,
     BELL_TO_COMPUTATIONAL,
-    RegisterLayout,
-    State,
-    StateVector,
-    apply_unitary,
-    partial_trace,
     _both_orders,
+    _pair_qubits,
     rx_prob,
     symmetrize_pairs,
     HADAMARD,
@@ -37,12 +33,13 @@ from .linalg import (
     is_hermitian,
     is_projector,
     max_eigpair,
-    partial_trace as _partial_trace_positions,
+    partial_trace,
     proj,
     tensor,
 )
 from .sampling import random_unitary
 
+NORM_TOL = 1e-10
 MARGINAL_TOL = 1e-9
 HALF_EIG_TOL = 1e-9
 # Outcome probabilities below this are reported as 0, with no post state.
@@ -129,55 +126,48 @@ def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVeri
 # Proof states
 # ---------------------------------------------------------------------------
 
-def pair_names(i: int) -> tuple[str, str]:
-    return f"S{i}", f"S{i}'"
-
-
-def proof_layout(p_qubits: int, l: int) -> RegisterLayout:
-    regs: list[tuple[str, int]] = [("P", p_qubits)]
-    for i in range(1, l + 1):
-        regs.extend((name, 1) for name in pair_names(i))
-    return RegisterLayout(tuple(regs))
-
-
 @dataclass(frozen=True)
 class ProtocolState:
-    """Joint prover/verifier state over (P, S1, S1', ..., Sl, Sl').
+    """Joint prover/verifier state: a 2^n vector or 2^n x 2^n matrix, n =
+    p_qubits + 2l, on (P, S1, S1', ..., Sl, Sl') (positions in kernel).
 
-    Construction checks the canonical layout and the shared-pair marginal, so
-    every proof, built by a strategy or by hand, is checked once, when it is
-    made.
+    Construction checks l >= 2, p_qubits >= 1, the shape, a vector's unit
+    norm and the shared-pair marginal, so every proof, built by a strategy or
+    by hand, is checked once, when it is made.
     """
 
-    state: State
+    state: np.ndarray
+    p_qubits: int
     l: int
 
     def __post_init__(self) -> None:
         if self.l < 2:
             raise ValueError("protocol needs at least 2 shared pairs")
-        expected = proof_layout(self.state.layout.size("P"), self.l)
-        if self.state.layout.registers != expected.registers:
-            raise ValueError(
-                f"layout {self.state.layout.registers} does not match the canonical "
-                f"proof layout {expected.registers}"
-            )
+        if self.p_qubits < 1:
+            raise ValueError(f"proof needs p_qubits >= 1, got {self.p_qubits}")
+        state = np.asarray(self.state, dtype=complex)
+        object.__setattr__(self, "state", state)
+        d = 2 ** (self.p_qubits + 2 * self.l)
+        if state.shape not in ((d,), (d, d)):
+            raise ValueError(f"proof shape {state.shape} is neither ({d},) nor ({d}, {d}) for "
+                             f"p_qubits={self.p_qubits}, l={self.l}")
+        if state.ndim == 1:
+            norm = np.linalg.norm(state)
+            if abs(norm - 1.0) > NORM_TOL:
+                raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         # Whatever the prover does to P and the Si halves, the verifier's
         # halves (S1', ..., Sl') stay maximally mixed.
         dist = verifier_marginal_distance(self)
         if dist > MARGINAL_TOL:
             raise ValueError(f"shared-pair marginal is off by trace distance {dist:.3e}")
 
-    @property
-    def pairs(self) -> list[tuple[str, str]]:
-        return [pair_names(i) for i in range(1, self.l + 1)]
-
 
 def verifier_marginal_distance(proof: ProtocolState) -> float:
     """Trace distance of the (S1', ..., Sl') marginal from the maximally mixed state."""
-    primed = [pair_names(i)[1] for i in range(1, proof.l + 1)]
-    marg = partial_trace(proof.state, primed)
-    d = marg.layout.dim
-    diff = marg.matrix - np.eye(d) / d
+    p, l = proof.p_qubits, proof.l
+    marg = partial_trace(proof.state, p + 2 * l, [_pair_qubits(p, i)[1] for i in range(l)])
+    d = marg.shape[0]
+    diff = marg - np.eye(d) / d
     if not is_hermitian(diff):
         raise ValueError("shared-pair marginal is not Hermitian within tolerance")
     # Half the trace norm; for a Hermitian difference the singular values are |eigenvalues|.
@@ -246,17 +236,17 @@ def cheating_proof(strategy: dict, toy: ToyVerifier, l: int) -> ProtocolState:
     check_strategy(strategy)
     kind = strategy["kind"]
     q = _clamped_q(toy.max_accept) if kind == "honest" else strategy.get("q", 0.0)
-    pair = choi_state(dagger(rx_prob(q))).amplitudes
+    pair = choi_state(dagger(rx_prob(q)))
     amps = toy.witness
     for _ in range(l):
         amps = tensor(amps, pair)
-    sv = StateVector(proof_layout(toy.p_qubits, l), amps)
+    p, n = toy.p_qubits, toy.p_qubits + 2 * l
     if kind == "local_unitaries":
         seed = strategy["unitary_seed"]
-        sv = apply_unitary(sv, random_unitary(rngmod.stream(seed, 0), 2**toy.p_qubits), ["P"])
-        for i in range(1, l + 1):
-            sv = apply_unitary(sv, random_unitary(rngmod.stream(seed, i), 2), [pair_names(i)[0]])
-    return ProtocolState(sv, l)
+        amps = apply_local(amps, random_unitary(rngmod.stream(seed, 0), 2**p), n, list(range(p)))
+        for i in range(l):
+            amps = apply_local(amps, random_unitary(rngmod.stream(seed, i + 1), 2), n, [_pair_qubits(p, i)[0]])
+    return ProtocolState(amps, p, l)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +278,7 @@ def swap_test(joint: np.ndarray) -> float | np.ndarray:
     out = apply_local(out, HADAMARD, n, [0])
     out = out[..., perm, :][..., perm]
     out = apply_local(out, HADAMARD, n, [0])
-    accept = _partial_trace_positions(out, n, [0])[..., 0, 0].real
+    accept = partial_trace(out, n, [0])[..., 0, 0].real
     return float(accept) if joint.ndim == 2 else accept
 
 
@@ -326,7 +316,7 @@ def teleport(t: np.ndarray, n_qubits: int, bridge: int, source: int, kept: list[
     (bridge, source, *kept) holds every outcome as a diagonal block.
     """
     rotated = apply_local(t, BELL_STATES.conj(), n_qubits, [bridge, source])
-    reduced = _partial_trace_positions(rotated, n_qubits, [bridge, source, *kept])
+    reduced = partial_trace(rotated, n_qubits, [bridge, source, *kept])
     d = reduced.shape[-1] // 4
     blocks = [reduced[..., k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(4)]
     # X on the last kept qubit, the last of the block: reverse its bit on both sides.
@@ -426,10 +416,10 @@ def _pair_tree(rho: np.ndarray, toy: ToyVerifier) -> _PairTree | list[_PairTree]
     s1, s1p, s2, s2p = p, p + 1, p + 2, p + 3
     n = p + 4
     w = apply_pinch(apply_pinch(rho, n, [s1, s1p]), n, [s2, s2p])
-    swap_pass = swap_test_formula(_partial_trace_positions(w, n, [s1, s1p, s2, s2p]))
+    swap_pass = swap_test_formula(partial_trace(w, n, [s1, s1p, s2, s2p]))
 
     w = apply_local(w, BELL_TO_COMPUTATIONAL, n, [s1, s1p])
-    w = _partial_trace_positions(w, n, [*range(p), s1, s2, s2p])
+    w = partial_trace(w, n, [*range(p), s1, s2, s2p])
     # The ancilla's |0><0| joins as A after (P, S1, S2, S2'): one product an
     # entry, as tensor makes it.
     da, dw = 2**a, w.shape[-1]
@@ -491,7 +481,7 @@ class ProtocolRun:
     """
 
     def __init__(self, proof: ProtocolState, toy: ToyVerifier):
-        if proof.state.layout.size("P") != toy.p_qubits:
+        if proof.p_qubits != toy.p_qubits:
             raise ValueError("proof P register does not match the verifier")
         self.proof = proof
         self.toy = toy
@@ -508,7 +498,8 @@ class ProtocolRun:
         reductions.  This holds for any proof: the reductions need not be
         equal, and nothing assumes they are.
         """
-        tree = _pair_tree(symmetrize_pairs(self.proof.state, self.proof.pairs).matrix, self.toy)
+        proof = self.proof
+        tree = _pair_tree(symmetrize_pairs(proof.state, proof.p_qubits, proof.l), self.toy)
         masses = {k: 0.0 for k in BRANCH_KEYS}
         masses["b1_swap_accept"] = 0.5 * tree.swap_pass
         masses["b1_swap_reject"] = 0.5 * (1.0 - tree.swap_pass)
@@ -538,11 +529,11 @@ class ProtocolRun:
             if pair in self._trees or pair in key_of:
                 continue
             i, j = sorted(pair)
-            both = _both_orders(self.proof.state, self.proof.pairs, i, j)
+            both = _both_orders(self.proof.state, self.proof.p_qubits, self.proof.l, i, j)
             for ordered, dm in zip(((i, j), (j, i)), both):
-                key = key_of[ordered] = dm.matrix.tobytes()
+                key = key_of[ordered] = dm.tobytes()
                 if key not in self._tree_of_state and key not in new:
-                    new[key] = dm.matrix
+                    new[key] = dm
                     if len(new) == most:
                         build()
         if new:

@@ -10,10 +10,9 @@ the kernel's tensor, apply_local and symmetrize_pairs must match bit for bit.
 The one-matrix forms of the metrics and margin oracles, which the package's
 stack-aware forms must match bit for bit on each matrix of a stack, are here
 as well, and so is the per-case SWAP benchmark that swap-bench's chunked run
-must match byte for byte.  So is the pair tree a step at a time on named
-registers, with the state helpers it needs (zero_state, tensor_product,
-to_density), which the raw-array tree must match bit for bit, alone and on
-stacks."""
+must match byte for byte.  So is the pair tree a step at a time on one
+matrix, each step its own call on the fixed qubit positions, which the
+stacked tree must match bit for bit, alone and on stacks."""
 
 import csv
 import io
@@ -23,20 +22,8 @@ import numpy as np
 
 from eprverify.channels import PI_MINUS, PI_PLUS
 from eprverify.harness import ExperimentConfig, ExperimentReport, emit_report
-from eprverify.kernel import (
-    BELL_STATES,
-    BELL_TO_COMPUTATIONAL,
-    HADAMARD,
-    DensityOperator,
-    RegisterLayout,
-    StateVector,
-    _check_pairs,
-    apply_unitary,
-    layout,
-    partial_trace,
-    select_ordered_pair,
-)
-from eprverify.linalg import HERMITIAN_TOL, apply_local, dagger, is_hermitian, proj, tensor
+from eprverify.kernel import BELL_STATES, BELL_TO_COMPUTATIONAL, HADAMARD
+from eprverify.linalg import HERMITIAN_TOL, apply_local, dagger, is_hermitian, partial_trace, proj, tensor
 from eprverify.protocol import (
     _KEPT,
     _PSI_PLUS,
@@ -53,53 +40,36 @@ from eprverify.sampling import random_density, random_pure
 
 
 # ---------------------------------------------------------------------------
-# The pair tree on named registers
+# The pair tree a step at a time
 # ---------------------------------------------------------------------------
 
-def to_density(state) -> DensityOperator:
-    return state if isinstance(state, DensityOperator) else state.density()
+def ordered_pair(state: np.ndarray, p_qubits: int, l: int, i: int, j: int) -> np.ndarray:
+    """The (P, S1, S1', S2, S2') reduction of a proof on (P, S1, S1', ..., Sl,
+    Sl') holding pair i (from 0) in slot 1 and pair j in slot 2."""
+    p = p_qubits
+    return partial_trace(state, p + 2 * l, [*range(p), p + 2 * i, p + 2 * i + 1, p + 2 * j, p + 2 * j + 1])
 
 
-def zero_state(lay: RegisterLayout) -> StateVector:
-    """The all-zero computational basis state over the whole layout."""
-    amps = np.zeros(lay.dim, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(lay, amps)
+def pinch_pair(m: np.ndarray, n_qubits: int, pair: list[int]) -> np.ndarray:
+    """Pinch one qubit pair of a 2^n x 2^n density matrix."""
+    return apply_local(m, PI_PLUS, n_qubits, pair) + apply_local(m, PI_MINUS, n_qubits, pair)
 
 
-def tensor_product(a, b):
-    """Concatenate two states side by side; register names must not clash."""
-    clash = set(a.layout.names) & set(b.layout.names)
-    if clash:
-        raise ValueError(f"register names clash in tensor product: {sorted(clash)}")
-    lay = RegisterLayout(a.layout.registers + b.layout.registers)
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(lay, tensor(a.amplitudes, b.amplitudes))
-    return DensityOperator(lay, tensor(to_density(a).matrix, to_density(b).matrix))
-
-
-def named_pinch(dm: DensityOperator, pair: tuple[str, str]) -> DensityOperator:
-    """Pinch one named register pair inside a larger density operator."""
-    n = dm.layout.total_qubits
-    positions = dm.layout.positions(list(pair))
-    out = apply_local(dm.matrix, PI_PLUS, n, positions) + apply_local(dm.matrix, PI_MINUS, n, positions)
-    return DensityOperator(dm.layout, out)
-
-
-def named_swap_formula(state, reg1: list[str], reg2: list[str]) -> float:
-    """Closed form (1 + Tr(rho S))/2 for the joint state and the swap S of two named groups."""
-    reduced = partial_trace(state, list(reg1) + list(reg2))
-    d = 2 ** (reduced.layout.total_qubits // 2)
-    overlap = np.einsum("abba->", reduced.matrix.reshape(d, d, d, d)).real
+def swap_formula_of(m: np.ndarray, n_qubits: int, group1: list[int], group2: list[int]) -> float:
+    """Closed form (1 + Tr(rho S))/2 for the joint state of two qubit groups
+    and their swap S."""
+    reduced = partial_trace(m, n_qubits, group1 + group2)
+    d = 2 ** len(group1)
+    overlap = np.einsum("abba->", reduced.reshape(d, d, d, d)).real
     return float((1.0 + overlap) / 2.0)
 
 
-def named_teleport(state, rest: tuple[str, ...]) -> list[np.ndarray]:
-    """What a Bell measurement of (S2', S1) leaves on (*rest, S2), one block
-    an outcome in BELL_LABELS order, psi+ with the X correction on S2."""
-    out_reg, bridge, source = "S2", "S2'", "S1"
-    rotated = apply_unitary(state, BELL_STATES.conj(), [bridge, source])
-    reduced = partial_trace(rotated, [bridge, source, *rest, out_reg]).matrix
+def teleport_read(m: np.ndarray, n_qubits: int, bridge: int, source: int, kept: list[int]) -> list[np.ndarray]:
+    """What a Bell measurement of (bridge, source) leaves on the kept qubits,
+    one block an outcome in BELL_LABELS order, psi+ with the X correction on
+    the last kept qubit."""
+    rotated = apply_local(m, BELL_STATES.conj(), n_qubits, [bridge, source])
+    reduced = partial_trace(rotated, n_qubits, [bridge, source, *kept])
     d = reduced.shape[0] // 4
     blocks = [reduced[k * d:(k + 1) * d, k * d:(k + 1) * d] for k in range(4)]
     flipped = blocks[_PSI_PLUS].reshape(d // 2, 2, d // 2, 2)[:, ::-1, :, ::-1]
@@ -107,24 +77,30 @@ def named_teleport(state, rest: tuple[str, ...]) -> list[np.ndarray]:
     return blocks
 
 
-def reference_pair_tree(dm: DensityOperator, toy) -> _PairTree:
-    """The pair tree of a (P, S1, S1', S2, S2') density operator, a step at a
-    time on named registers, each step building a new state."""
-    dm = named_pinch(dm, ("S1", "S1'"))
-    dm = named_pinch(dm, ("S2", "S2'"))
-    swap_pass = named_swap_formula(dm, ["S1", "S1'"], ["S2", "S2'"])
+def reference_pair_tree(dm: np.ndarray, toy) -> _PairTree:
+    """The pair tree of one (P, S1, S1', S2, S2') density matrix, a step at a
+    time, each step a call of its own that builds a new matrix."""
+    p, a = toy.p_qubits, toy.a_qubits
+    s1, s1p, s2, s2p = p, p + 1, p + 2, p + 3
+    dm = pinch_pair(dm, p + 4, [s1, s1p])
+    dm = pinch_pair(dm, p + 4, [s2, s2p])
+    swap_pass = swap_formula_of(dm, p + 4, [s1, s1p], [s2, s2p])
 
-    w = apply_unitary(dm, BELL_TO_COMPUTATIONAL, ["S1", "S1'"])
-    w = partial_trace(w, ["P", "S1", "S2", "S2'"])
-    ancilla = zero_state(layout(("A", toy.a_qubits)))
-    w = tensor_product(w, ancilla.density())
-    w = apply_unitary(w, toy.v, ["P", "A"])
-    w = apply_unitary(w, toy.flip, ["P", "A", "S1"])
-    w = apply_unitary(w, dagger(toy.v), ["P", "A"])
+    w = apply_local(dm, BELL_TO_COMPUTATIONAL, p + 4, [s1, s1p])
+    w = partial_trace(w, p + 4, [*range(p), s1, s2, s2p])
+    ancilla = np.zeros((2**a, 2**a), dtype=complex)
+    ancilla[0, 0] = 1.0
+    # (P, S1, S2, S2', A): S1 is qubit p, S2 p + 1, S2' p + 2 and A the last a.
+    w = tensor(w, ancilla)
+    n = p + 3 + a
+    pa = [*range(p), *range(p + 3, n)]
+    w = apply_local(w, toy.v, n, pa)
+    w = apply_local(w, toy.flip, n, [*pa, p])
+    w = apply_local(w, dagger(toy.v), n, pa)
 
     bell_probs: list[float] = []
     bit_dists: dict[int, list[float]] = {}
-    for k, block in enumerate(named_teleport(w, rest=("A",))):
+    for k, block in enumerate(teleport_read(w, n, p + 2, p, [*range(p + 3, n), p + 1])):
         diag = block.diagonal().real
         p_bell = float(diag.sum())
         bell_probs.append(p_bell if p_bell >= PROB_FLOOR else 0.0)
@@ -163,12 +139,10 @@ def tensordot_apply_local(t: np.ndarray, op: np.ndarray, n_qubits: int, targets:
     return out.reshape(2**n_qubits, 2**n_qubits)
 
 
-def ordered_pair_mean(state, pairs: list[tuple[str, str]]) -> DensityOperator:
+def ordered_pair_mean(state: np.ndarray, p_qubits: int, l: int) -> np.ndarray:
     """Mean of all l(l-1) ordered-pair reductions, each reduced on its own."""
-    pairs = _check_pairs(state, pairs)
-    count = len(pairs)
-    terms = [select_ordered_pair(state, pairs, i, j) for i in range(count) for j in range(count) if i != j]
-    return DensityOperator(terms[0].layout, sum(t.matrix for t in terms) / len(terms))
+    terms = [ordered_pair(state, p_qubits, l, i, j) for i in range(l) for j in range(l) if i != j]
+    return sum(terms) / len(terms)
 
 
 def permute_qubits(t: np.ndarray, n_qubits: int, order: list[int]) -> np.ndarray:
@@ -280,7 +254,7 @@ def scalar_sample(run: ProtocolRun, rng: np.random.Generator, trees: dict) -> tu
         j += 1
     coin = int(rng.integers(2))
     if (i, j) not in trees:
-        trees[i, j] = reference_pair_tree(select_ordered_pair(run.proof.state, run.proof.pairs, i, j), run.toy)
+        trees[i, j] = reference_pair_tree(ordered_pair(run.proof.state, run.proof.p_qubits, l, i, j), run.toy)
     tree = trees[i, j]
     pair = (i + 1, j + 1)
     if coin == 1:

@@ -14,7 +14,6 @@ from eprverify.kernel import (
     BELL_LABELS,
     BELL_STATES,
     BELL_TO_COMPUTATIONAL,
-    StateVector,
     rx_prob,
 )
 from eprverify.linalg import dagger, proj, tensor
@@ -25,14 +24,13 @@ from eprverify.protocol import (
     cheating_proof,
     honest_rewinding_instance,
     make_toy_verifier,
-    proof_layout,
     rewinding_residual,
     swap_test,
     teleport,
 )
 from eprverify.sampling import random_density, random_pure, random_unitary
 
-from dense_reference import pure_fidelity, to_density
+from dense_reference import pure_fidelity
 from monolithic_oracle import verifier_branch_masses
 
 P_GRID = np.linspace(0.5, 1.0, 11)
@@ -57,7 +55,7 @@ def test_criterion_2_post_selection_lemma():
         q = float(rng.uniform(0.0, 1.0))
         phi = random_pure(rng, 2)
         # qubits (S2, S2', S1): the pair, then phi
-        state = tensor(choi_state(dagger(rx_prob(q))).amplitudes, phi)
+        state = tensor(choi_state(dagger(rx_prob(q))), phi)
         # the verifier's own read: a Bell measurement of (S2', S1), the phi+ and psi+ outcomes kept
         blocks = teleport(state, 3, 1, 2, [0])
         kept = [blocks[BELL_LABELS.index("phi+")], blocks[BELL_LABELS.index("psi+")]]
@@ -111,7 +109,7 @@ def test_criterion_5_choi_and_decoder_identities():
     decoder = BELL_TO_COMPUTATIONAL
     zero = np.array([1.0, 0.0], dtype=complex)
     for q in Q_GRID:
-        got = choi_state(dagger(rx_prob(float(q)))).amplitudes
+        got = choi_state(dagger(rx_prob(float(q))))
         closed = np.sqrt(1 - q) * BELL_STATES[0] + 1j * np.sqrt(q) * BELL_STATES[2]
         assert np.max(np.abs(got - closed)) <= 1e-12
         decoded = decoder @ got
@@ -146,7 +144,7 @@ def test_criterion_7_soundness_oracle_equivalence():
             result = ProtocolRun(proof, toy).exact()
             oracle = verifier_branch_masses(
                 toy.v, toy.acc_projector, toy.p_qubits, toy.a_qubits,
-                to_density(proof.state).matrix,
+                proj(proof.state),
             )
             oracle_accept = (
                 oracle["b0_postsel_fail"] + oracle["b0_measured_accept"] + oracle["b1_swap_accept"]
@@ -162,13 +160,13 @@ def test_criterion_7_soundness_oracle_equivalence():
         u1, u2 = random_unitary(rng, 2), random_unitary(rng, 2)
         amps = tensor(
             np.array([0.0, 1.0], dtype=complex),
-            choi_state(u1).amplitudes,
-            choi_state(u2).amplitudes,
+            choi_state(u1),
+            choi_state(u2),
         )
-        proof = ProtocolState(StateVector(proof_layout(1, 2), amps), 2)
+        proof = ProtocolState(amps, 1, 2)
         result = ProtocolRun(proof, toy).exact()
-        rho1 = pinch_phi(proj(choi_state(u1).amplitudes))
-        rho2 = pinch_phi(proj(choi_state(u2).amplitudes))
+        rho1 = pinch_phi(proj(choi_state(u1)))
+        rho2 = pinch_phi(proj(choi_state(u2)))
         expected = (1 - np.trace(rho1 @ rho2).real) / 2
         assert abs(result.branches["b1_swap_reject"] * 2 - expected) <= 1e-9
     elapsed = time.perf_counter() - start

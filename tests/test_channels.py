@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from eprverify.channels import PI_MINUS, PI_PLUS, apply_pinch, choi_state, pinch_phi
-from eprverify.kernel import (
-    BELL_STATES,
-    BELL_TO_COMPUTATIONAL,
-    partial_trace,
-    rx_prob,
-)
-from eprverify.linalg import dagger, is_projector, partial_trace as partial_trace_positions, proj, tensor
+from eprverify.kernel import BELL_STATES, BELL_TO_COMPUTATIONAL, rx_prob
+from eprverify.linalg import dagger, is_projector, partial_trace, proj, tensor
 from eprverify.metrics import trace_distance
 from eprverify.sampling import random_complex_matrix, random_density, random_unitary
 
-from dense_reference import choi_density, to_density
+from dense_reference import choi_density
 
 RNG = np.random.default_rng(77)
 
@@ -45,19 +40,19 @@ def test_bell_subspaces_partition():
 
 
 def test_choi_state_identity_and_x():
-    assert np.allclose(choi_state(np.eye(2)).amplitudes, BELL_STATES[0])
+    assert np.allclose(choi_state(np.eye(2)), BELL_STATES[0])
     # 4-dim matrix-vector oracle for X (x) I acting on phi+
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     oracle = np.kron(x, np.eye(2)) @ BELL_STATES[0]
-    assert np.allclose(choi_state(x).amplitudes, oracle)
-    assert np.allclose(choi_state(x).amplitudes, BELL_STATES[2])
+    assert np.allclose(choi_state(x), oracle)
+    assert np.allclose(choi_state(x), BELL_STATES[2])
 
 
 def test_choi_state_of_inverse_rotation_closed_form():
     for q in np.linspace(0, 1, 11):
         got = choi_state(dagger(rx_prob(q)))
         expected = np.sqrt(1 - q) * BELL_STATES[0] + 1j * np.sqrt(q) * BELL_STATES[2]
-        assert np.allclose(got.amplitudes, expected, atol=1e-12)
+        assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_choi_state_rejects_non_unitary():
@@ -69,18 +64,17 @@ def test_choi_state_rejects_non_unitary():
 
 def test_choi_marginals_maximally_mixed():
     for _ in range(20):
-        sv = choi_state(random_unitary(RNG, 2))
-        dm = to_density(sv)
-        for keep in ("S", "S'"):
-            reduced = partial_trace(dm, [keep])
-            assert trace_distance(reduced.matrix, np.eye(2) / 2) <= 1e-12
+        dm = proj(choi_state(random_unitary(RNG, 2)))
+        for keep in (0, 1):
+            reduced = partial_trace(dm, 2, [keep])
+            assert trace_distance(reduced, np.eye(2) / 2) <= 1e-12
 
 
 def test_decoder_turns_choi_into_rotated_zero():
     # the step that consumes one Choi copy: W J(R(q)†) = (R(q)|0>) (x) |0>
     w = BELL_TO_COMPUTATIONAL
     for q in np.linspace(0, 1, 11):
-        decoded = w @ choi_state(dagger(rx_prob(q))).amplitudes
+        decoded = w @ choi_state(dagger(rx_prob(q)))
         expected = np.kron(rx_prob(q) @ np.array([1.0, 0.0]), np.array([1.0, 0.0]))
         assert np.allclose(decoded, expected, atol=1e-12)
 
@@ -88,7 +82,7 @@ def test_decoder_turns_choi_into_rotated_zero():
 def test_pinch_fixes_plus_subspace_states():
     assert np.allclose(pinch_phi(proj(BELL_STATES[0])), proj(BELL_STATES[0]), atol=1e-12)
     for q in (0.25, 0.5, 0.9):
-        rho = proj(choi_state(dagger(rx_prob(q))).amplitudes)
+        rho = proj(choi_state(dagger(rx_prob(q))))
         assert np.allclose(pinch_phi(rho), rho, atol=1e-12)
 
 
@@ -126,8 +120,7 @@ def test_choi_density_of_unitary_channel_is_pure():
     vals = np.linalg.eigvalsh(rho)
     assert vals[-1] == pytest.approx(1.0, abs=1e-12)
     # and it matches the pure Choi state built directly
-    sv = choi_state(u)
-    assert trace_distance(rho, proj(sv.amplitudes)) <= 1e-12
+    assert trace_distance(rho, proj(choi_state(u))) <= 1e-12
 
 
 def test_apply_pinch_on_embedded_pair():
@@ -135,8 +128,8 @@ def test_apply_pinch_on_embedded_pair():
     joint = random_density(RNG, 8)
     pinched = apply_pinch(joint, 3, [1, 2])
     # agrees with pinching the reduced pair state
-    reduced = partial_trace_positions(pinched, 3, [1, 2])
-    direct = pinch_phi(partial_trace_positions(joint, 3, [1, 2]))
+    reduced = partial_trace(pinched, 3, [1, 2])
+    direct = pinch_phi(partial_trace(joint, 3, [1, 2]))
     assert trace_distance(reduced, direct) <= 1e-12
     # and is idempotent in place
     again = apply_pinch(pinched, 3, [1, 2])

@@ -11,22 +11,18 @@ from eprverify.kernel import (
     BELL_LABELS,
     BELL_STATES,
     BELL_TO_COMPUTATIONAL,
-    DensityOperator,
-    StateVector,
-    apply_unitary,
-    layout,
-    partial_trace,
     rx_prob,
     select_ordered_pair,
     symmetrize_pairs,
 )
 from eprverify.linalg import (
     MAX_STACK,
+    apply_local,
     dagger,
     is_unitary,
     max_eigpair,
     operator_norm,
-    partial_trace as partial_trace_positions,
+    partial_trace,
     proj,
     tensor,
 )
@@ -45,7 +41,6 @@ from eprverify.protocol import (
     cheating_proof,
     honest_rewinding_instance,
     make_toy_verifier,
-    proof_layout,
     rewinding_residual,
     swap_test,
     swap_test_formula,
@@ -61,15 +56,12 @@ from dense_reference import (
     FixedDraws,
     bell_branch,
     edge_uniforms,
-    named_pinch,
     per_case_swap_test,
+    pinch_pair,
     pure_fidelity,
     reference_pair_tree,
     sample_tuples,
     scalar_sample,
-    tensor_product,
-    to_density,
-    zero_state,
 )
 from monolithic_oracle import verifier_branch_masses
 
@@ -124,13 +116,13 @@ def test_honest_proof_pair_closed_forms():
     # amplitudes as sqrt(1-q), so the comparison tolerance sits at sqrt(eps).
     toy = make_toy_verifier(0.5)
     proof = cheating_proof(HONEST_STRATEGY, toy, l=2)
-    pair = partial_trace(to_density(proof.state), ["S1", "S1'"])
-    assert trace_distance(pair.matrix, proj(1j * BELL_STATES[2])) <= 1e-7
+    pair = partial_trace(proj(proof.state), 5, [1, 2])
+    assert trace_distance(pair, proj(1j * BELL_STATES[2])) <= 1e-7
     toy = make_toy_verifier(1.0)
     proof = cheating_proof(HONEST_STRATEGY, toy, l=2)
-    pair = partial_trace(to_density(proof.state), ["S1", "S1'"])
+    pair = partial_trace(proj(proof.state), 5, [1, 2])
     expected = (BELL_STATES[0] + 1j * BELL_STATES[2]) / np.sqrt(2)
-    assert trace_distance(pair.matrix, proj(expected)) <= 1e-9
+    assert trace_distance(pair, proj(expected)) <= 1e-9
 
 
 def test_proof_marginal_is_maximally_mixed():
@@ -149,21 +141,20 @@ def test_marginal_distance_matches_trace_distance(l, p_qubits, seed):
     # A valid proof (distance about 0) and a random state on its layout (distance
     # far from 0), which ProtocolState would reject, so it is passed in a stand-in.
     proof = cheating_proof(strategy, toy, l)
-    lay = proof_layout(p_qubits, l)
-    stand_in = mock.Mock(state=StateVector(lay, random_pure(rng, lay.dim)), l=l)
-    primed = [f"S{i}'" for i in range(1, l + 1)]
+    n = p_qubits + 2 * l
+    stand_in = mock.Mock(state=random_pure(rng, 2**n), p_qubits=p_qubits, l=l)
+    primed = [p_qubits + 2 * i - 1 for i in range(1, l + 1)]
     for candidate in (proof, stand_in):
-        marg = partial_trace(candidate.state, primed).matrix
+        marg = partial_trace(candidate.state, n, primed)
         expected = trace_distance(marg, np.eye(2**l) / 2**l)
         assert abs(verifier_marginal_distance(candidate) - expected) <= 1e-12
 
 
 def test_marginal_distance_rejects_a_non_hermitian_marginal():
-    lay = proof_layout(1, 2)
-    skew = random_complex_matrix(RNG, lay.dim)
-    rho = np.eye(lay.dim) / lay.dim + 1e-6 * (skew - dagger(skew))
+    skew = random_complex_matrix(RNG, 32)
+    rho = np.eye(32) / 32 + 1e-6 * (skew - dagger(skew))
     with pytest.raises(ValueError, match="not Hermitian"):
-        ProtocolState(DensityOperator(lay, rho), 2)
+        ProtocolState(rho, 1, 2)
 
 
 def test_strategies_build_and_validate():
@@ -181,12 +172,11 @@ def test_strategies_build_and_validate():
 def test_idle_epr_pairs_are_epr():
     toy = make_toy_verifier(1e-3)
     proof = cheating_proof({"kind": "idle_epr"}, toy, l=2)
-    pair = partial_trace(to_density(proof.state), ["S2", "S2'"])
-    assert trace_distance(pair.matrix, proj(BELL_STATES[0])) <= 1e-12
+    pair = partial_trace(proj(proof.state), 5, [3, 4])
+    assert trace_distance(pair, proj(BELL_STATES[0])) <= 1e-12
 
 
 def test_custom_state_marginal_rejection():
-    lay = proof_layout(1, 2)
     # prover halves entangled correctly but one verifier half forced to |0>
     bad = tensor(
         np.array([0.0, 1.0], dtype=complex),  # P
@@ -194,9 +184,9 @@ def test_custom_state_marginal_rejection():
         BELL_STATES[0],
     )
     with pytest.raises(ValueError, match="marginal"):
-        ProtocolState(StateVector(lay, bad), 2)
+        ProtocolState(bad, 1, 2)
     with pytest.raises(ValueError, match="marginal"):
-        ProtocolState(StateVector(lay, bad).density(), 2)
+        ProtocolState(proj(bad), 1, 2)
 
 
 @pytest.mark.parametrize(
@@ -250,56 +240,45 @@ def test_marginal_check_runs_once_per_proof(monkeypatch):
 # SWAP test
 # ---------------------------------------------------------------------------
 
-def _product_state(rho, sigma, k):
-    return DensityOperator(layout(("L", k), ("R", k)), tensor(rho, sigma))
-
-
 def test_swap_test_identical_pure_accepts_surely():
     psi = random_pure(RNG, 2)
-    state = _product_state(proj(psi), proj(psi), 1)
-    assert swap_test(state.matrix) == pytest.approx(1.0, abs=1e-12)
+    assert swap_test(tensor(proj(psi), proj(psi))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_swap_test_orthogonal_pure_half():
-    state = _product_state(proj(np.array([1.0, 0.0])), proj(np.array([0.0, 1.0])), 1)
-    assert swap_test(state.matrix) == pytest.approx(0.5, abs=1e-12)
+    state = tensor(proj(np.array([1.0, 0.0])), proj(np.array([0.0, 1.0])))
+    assert swap_test(state) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_swap_test_maximally_mixed_three_quarters():
-    state = _product_state(np.eye(2) / 2, np.eye(2) / 2, 1)
-    assert swap_test(state.matrix) == pytest.approx(0.75, abs=1e-12)
+    assert swap_test(tensor(np.eye(2) / 2, np.eye(2) / 2)) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_swap_test_circuit_matches_product_formula():
     for _ in range(50):
         k = int(RNG.integers(1, 3))
         rho, sigma = random_density(RNG, 2**k), random_density(RNG, 2**k)
-        state = _product_state(rho, sigma, k)
-        circuit = swap_test(state.matrix)
+        state = tensor(rho, sigma)
+        circuit = swap_test(state)
         assert circuit == pytest.approx((1 + np.trace(rho @ sigma).real) / 2, abs=1e-12)
-        assert circuit == pytest.approx(swap_test_formula(state.matrix), abs=1e-12)
+        assert circuit == pytest.approx(swap_test_formula(state), abs=1e-12)
 
 
 def test_swap_test_on_correlated_joint_state():
     # formula route (1 + Tr(rho S))/2 must match the circuit beyond product inputs
-    lay = layout(("L", 1), ("R", 1))
     for _ in range(20):
-        dm = DensityOperator(lay, random_density(RNG, 4))
-        assert swap_test(dm.matrix) == pytest.approx(swap_test_formula(dm.matrix), abs=1e-12)
+        dm = random_density(RNG, 4)
+        assert swap_test(dm) == pytest.approx(swap_test_formula(dm), abs=1e-12)
 
 
 def test_swap_test_with_spectator_and_groups_out_of_layout_order():
-    # The formula takes each group against layout order or before the other in
-    # the layout, with spectators in no group; the circuit gets the reduced
-    # state of the two groups, in the order listed.
-    lay = layout(("A", 1), ("X", 1), ("B", 2), ("C", 1), ("D", 1))
+    # The formula takes each group against qubit order or before the other,
+    # with spectators in no group; the circuit gets the reduced state of the
+    # two groups, in the order listed.  Qubits: A 0, X 1, B 2-3, C 4, D 5.
     for _ in range(10):
-        for state in (
-            StateVector(lay, random_pure(RNG, lay.dim)),
-            DensityOperator(lay, random_density(RNG, lay.dim)),
-        ):
-            for reg1, reg2 in ((["D", "A"], ["B"]), (["C"], ["A"])):
-                joint = partial_trace(state, reg1 + reg2).matrix
+        for state in (random_pure(RNG, 64), random_density(RNG, 64)):
+            for reg1, reg2 in (([5, 0], [2, 3]), ([4], [0])):
+                joint = partial_trace(state, 6, reg1 + reg2)
                 assert swap_test(joint) == pytest.approx(swap_test_formula(joint), abs=1e-12)
 
 
@@ -329,7 +308,7 @@ KEPT = (BELL_LABELS.index("phi+"), BELL_LABELS.index("psi+"))
 
 def _teleport_input(q: float, phi: np.ndarray) -> np.ndarray:
     """Amplitudes on (S2, S2', S1): the rotated pair, then phi."""
-    return tensor(choi_state(dagger(rx_prob(q))).amplitudes, phi)
+    return tensor(choi_state(dagger(rx_prob(q))), phi)
 
 
 def _teleport(t: np.ndarray) -> list[np.ndarray]:
@@ -395,14 +374,14 @@ def test_post_selection_phi_minus_pair_brute_force():
                 assert trace_distance(block / np.trace(block).real, out / prob) <= 1e-12
         # the outcomes together, the correction undone, leave S2's reduced state
         undone = [x @ b @ x if label == "psi+" else b for label, b in zip(BELL_LABELS, blocks)]
-        assert trace_distance(sum(undone), partial_trace_positions(state, 3, [0])) <= 1e-12
+        assert trace_distance(sum(undone), partial_trace(state, 3, [0])) <= 1e-12
 
 
 def test_postsel_success_prob_choi_pair_times_anything():
     for _ in range(10):
         q = float(RNG.uniform(0, 1))
         zeta = random_density(RNG, 2)
-        pair = choi_state(dagger(rx_prob(q))).amplitudes
+        pair = choi_state(dagger(rx_prob(q)))
         assert _kept_mass(tensor(proj(pair), zeta)) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -531,14 +510,13 @@ def test_asymmetric_custom_state_swap_branch_formula():
     # pair 1 != pair 2 as a product: conditional b=1 reject = (1 - Tr(rho1 rho2))/2
     # with rho1, rho2 the pinched pair states
     toy = make_toy_verifier(1e-3)
-    lay = proof_layout(1, 2)
     u1, u2 = random_unitary(RNG, 2), random_unitary(RNG, 2)
     witness = np.array([0.0, 1.0], dtype=complex)
-    amps = tensor(witness, choi_state(u1).amplitudes, choi_state(u2).amplitudes)
-    proof = ProtocolState(StateVector(lay, amps), 2)
+    amps = tensor(witness, choi_state(u1), choi_state(u2))
+    proof = ProtocolState(amps, 1, 2)
     result = ProtocolRun(proof, toy).exact()
-    rho1 = pinch_phi(proj(choi_state(u1).amplitudes))
-    rho2 = pinch_phi(proj(choi_state(u2).amplitudes))
+    rho1 = pinch_phi(proj(choi_state(u1)))
+    rho2 = pinch_phi(proj(choi_state(u2)))
     expected = (1 - np.trace(rho1 @ rho2).real) / 2
     conditional_reject = result.branches["b1_swap_reject"] * 2
     assert conditional_reject == pytest.approx(expected, abs=1e-9)
@@ -550,11 +528,11 @@ def test_step_one_two_fixed_point_for_honest_proof():
     # proof (exchangeable, pairs in the kept Bell subspaces) untouched
     for l in (2, 3):
         proof = cheating_proof(HONEST_STRATEGY, toy, l)
-        sym = symmetrize_pairs(proof.state, proof.pairs)
+        sym = symmetrize_pairs(proof.state, 1, l)
         # qubits (P, S1, S1', S2, S2')
-        pinched = apply_pinch(apply_pinch(sym.matrix, 5, [1, 2]), 5, [3, 4])
-        reference = partial_trace(proof.state, ["P", "S1", "S1'", "S2", "S2'"])
-        assert trace_distance(pinched, reference.matrix) <= 1e-10
+        pinched = apply_pinch(apply_pinch(sym, 5, [1, 2]), 5, [3, 4])
+        reference = partial_trace(proof.state, 1 + 2 * l, [0, 1, 2, 3, 4])
+        assert trace_distance(pinched, reference) <= 1e-10
 
 
 def test_sampled_runs_deterministic_and_consistent():
@@ -640,7 +618,7 @@ def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strateg
     for i in range(3):
         for drawn_j in range(2):
             j = drawn_j + (drawn_j >= i)
-            tree = _pair_tree(select_ordered_pair(run.proof.state, run.proof.pairs, i, j).matrix, toy)
+            tree = _pair_tree(select_ordered_pair(run.proof.state, 1, 3, i, j), toy)
             u1s = [0.0, *edge_uniforms(tree.bell_probs), *edge_uniforms([tree.swap_pass, 1.0 - tree.swap_pass])]
             u2s = [u for dist in tree.bit_dists.values() for u in edge_uniforms(dist)]
             draws += [(i, drawn_j, coin, u1, u2) for coin in (0, 1) for u1 in u1s for u2 in u2s]
@@ -719,7 +697,7 @@ def test_sampled_trees_are_one_per_distinct_reduction(strategy, p, l):
     run, builds = _sampled_tree_builds(strategy, p, l)
     states = {}
     for (i, j), tree in run._trees.items():
-        key = select_ordered_pair(run.proof.state, run.proof.pairs, i, j).matrix.tobytes()
+        key = select_ordered_pair(run.proof.state, 1, l, i, j).tobytes()
         assert states.setdefault(key, tree) is tree
     assert builds == len(states) == len({id(tree) for tree in run._trees.values()})
 
@@ -731,9 +709,9 @@ def test_sampled_run_reduces_each_unordered_pair_once(monkeypatch, strategy, p):
     direct = kernel.select_ordered_pair
     calls = []
 
-    def counted(state, pairs, i, j):
+    def counted(state, p_qubits, l, i, j):
         calls.append((i, j))
-        return direct(state, pairs, i, j)
+        return direct(state, p_qubits, l, i, j)
 
     # Bound in protocol too, so that a direct call from the run counts.
     monkeypatch.setattr(kernel, "select_ordered_pair", counted)
@@ -744,7 +722,7 @@ def test_sampled_run_reduces_each_unordered_pair_once(monkeypatch, strategy, p):
     assert len(run._trees) == 12
     assert sorted(calls) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
     for (i, j), tree in run._trees.items():
-        assert tree == _pair_tree(direct(run.proof.state, run.proof.pairs, i, j).matrix, toy)
+        assert tree == _pair_tree(direct(run.proof.state, 1, 4, i, j), toy)
 
 
 def test_verifier_rejects_bad_inputs():
@@ -754,7 +732,7 @@ def test_verifier_rejects_bad_inputs():
     with pytest.raises(ValueError):
         ProtocolRun(proof, other)
     with pytest.raises(ValueError):
-        ProtocolState(proof.state, 1)
+        ProtocolState(proof.state, 1, 1)
 
 
 def test_two_qubit_register_toys():
@@ -784,8 +762,8 @@ def _distinct_choi_pairs(l: int) -> ProtocolState:
     rng = np.random.default_rng(100 + l)
     amps = np.array([0.0, 1.0], dtype=complex)
     for _ in range(l):
-        amps = tensor(amps, choi_state(random_unitary(rng, 2)).amplitudes)
-    return ProtocolState(StateVector(proof_layout(1, l), amps), l)
+        amps = tensor(amps, choi_state(random_unitary(rng, 2)))
+    return ProtocolState(amps, 1, l)
 
 
 @pytest.mark.parametrize("l", [3, 4])
@@ -798,7 +776,7 @@ def test_exact_matches_oracle_on_non_exchangeable_proofs(l):
         ("local_unitaries", cheating_proof({"kind": "local_unitaries", "unitary_seed": 7}, toy, l)),
         ("distinct_choi_pairs", _distinct_choi_pairs(l)),
     ):
-        reductions = [select_ordered_pair(proof.state, proof.pairs, i, j).matrix for i, j in ordered]
+        reductions = [select_ordered_pair(proof.state, 1, l, i, j) for i, j in ordered]
         assert trace_distance(reductions[0], reductions[l - 1]) > 1e-3  # (0,1) vs (1,0)
         per_pair = [
             verifier_branch_masses(toy.v, toy.acc_projector, toy.p_qubits, toy.a_qubits, rho)
@@ -814,21 +792,23 @@ def _circuit_tree(dm, toy):
     """The pair tree's coin-0 distributions by brute force: the verifier steps,
     each Bell projection of (S2', S1) summed out of the full density, then the
     (A, S2) diagonal of each kept outcome's normalized state."""
-    dm = named_pinch(named_pinch(dm, ("S1", "S1'")), ("S2", "S2'"))
-    w = apply_unitary(dm, BELL_TO_COMPUTATIONAL, ["S1", "S1'"])
-    w = partial_trace(w, ["P", "S1", "S2", "S2'"])
-    w = tensor_product(w, zero_state(layout(("A", toy.a_qubits))).density())
-    w = apply_unitary(w, toy.v, ["P", "A"])
-    flip = np.eye(2 ** (toy.p_qubits + toy.a_qubits + 1)) - 2.0 * tensor(
-        toy.acc_projector, proj(np.array([0.0, 1.0]))
-    )
-    w = apply_unitary(w, flip, ["P", "A", "S1"])
-    w = apply_unitary(w, dagger(toy.v), ["P", "A"])
-    x_on_s2 = tensor(np.eye(2**toy.a_qubits), np.array([[0, 1], [1, 0]]))
-    pair, bits = w.layout.positions(["S2'", "S1"]), w.layout.positions(["A", "S2"])
+    p, a = toy.p_qubits, toy.a_qubits
+    dm = pinch_pair(pinch_pair(dm, p + 4, [p, p + 1]), p + 4, [p + 2, p + 3])
+    w = apply_local(dm, BELL_TO_COMPUTATIONAL, p + 4, [p, p + 1])
+    w = partial_trace(w, p + 4, [*range(p), p, p + 2, p + 3])
+    # (P, S1, S2, S2', A): S1 is qubit p, S2 p + 1, S2' p + 2 and A the last a.
+    w = tensor(w, proj(np.eye(2**a)[0]))
+    n = p + 3 + a
+    pa = [*range(p), *range(p + 3, n)]
+    w = apply_local(w, toy.v, n, pa)
+    flip = np.eye(2 ** (p + a + 1)) - 2.0 * tensor(toy.acc_projector, proj(np.array([0.0, 1.0])))
+    w = apply_local(w, flip, n, [*pa, p])
+    w = apply_local(w, dagger(toy.v), n, pa)
+    x_on_s2 = tensor(np.eye(2**a), np.array([[0, 1], [1, 0]]))
+    pair, bits = [p + 2, p], [*range(p + 3, n), p + 1]
     bell_probs, bit_dists = [], {}
     for k, bell in enumerate(BELL_STATES):
-        out = bell_branch(w.matrix, w.layout.total_qubits, pair, bits, bell)
+        out = bell_branch(w, n, pair, bits, bell)
         if k == BELL_LABELS.index("psi+"):
             out = x_on_s2 @ out @ x_on_s2
         prob = float(np.trace(out).real)
@@ -848,17 +828,17 @@ def _circuit_tree(dm, toy):
 )
 def test_pair_tree_diagonal_read_matches_post_selection(p_qubits, a_qubits, p, kind, seed):
     toy = make_toy_verifier(p, p_qubits, a_qubits)
-    lay = proof_layout(p_qubits, 2)
+    d = 2 ** (p_qubits + 4)
     rng = np.random.default_rng(seed)
     if kind == "mixed":
-        dm = DensityOperator(lay, random_density(rng, lay.dim))
+        dm = random_density(rng, d)
     elif kind == "pure":
-        dm = StateVector(lay, random_pure(rng, lay.dim)).density()
+        dm = proj(random_pure(rng, d))
     else:
         # deterministic bits: most conditional probabilities sit on PROB_FLOOR
         proof = cheating_proof({"kind": "idle_epr"}, toy, l=2)
-        dm = select_ordered_pair(proof.state, proof.pairs, 0, 1)
-    tree = _pair_tree(dm.matrix, toy)
+        dm = select_ordered_pair(proof.state, p_qubits, 2, 0, 1)
+    tree = _pair_tree(dm, toy)
     bell_probs, bit_dists = _circuit_tree(dm, toy)
     assert len(tree.bell_probs) == len(bell_probs) == 4
     assert np.max(np.abs(np.asarray(tree.bell_probs) - bell_probs)) <= 1e-12
@@ -872,20 +852,18 @@ def _two_slot_members(rng, toy, kinds: list[str]) -> list[np.ndarray]:
     """A (P, S1, S1', S2, S2') density for each kind: a random mixed one, or the
     reduction of a random pure three-pair state or of a local_unitaries proof
     to a random ordered pair."""
-    lay = proof_layout(toy.p_qubits, 3)
     members = []
     for kind in kinds:
         if kind == "density":
             members.append(random_density(rng, 2 ** (toy.p_qubits + 4)))
             continue
         if kind == "pure_proof":
-            state, pairs = StateVector(lay, random_pure(rng, lay.dim)), [(f"S{i}", f"S{i}'") for i in (1, 2, 3)]
+            state = random_pure(rng, 2 ** (toy.p_qubits + 6))
         else:
             seed = int(rng.integers(2**63))
-            proof = cheating_proof({"kind": "local_unitaries", "unitary_seed": seed}, toy, 3)
-            state, pairs = proof.state, proof.pairs
+            state = cheating_proof({"kind": "local_unitaries", "unitary_seed": seed}, toy, 3).state
         i, j = rng.choice(3, size=2, replace=False)
-        members.append(select_ordered_pair(state, pairs, int(i), int(j)).matrix)
+        members.append(select_ordered_pair(state, toy.p_qubits, 3, int(i), int(j)))
     return members
 
 
@@ -903,8 +881,7 @@ def test_stacked_pair_tree_is_bit_exact_with_the_reference_tree(p_qubits, a_qubi
     members = _two_slot_members(np.random.default_rng(seed), toy, kinds)
     # A stack of 1-8 members, some of them repeated.
     stack = np.array([members[k % len(members)] for k in picks])
-    lay = proof_layout(p_qubits, 2)
-    expected = [reference_pair_tree(DensityOperator(lay, m), toy) for m in stack]
+    expected = [reference_pair_tree(m, toy) for m in stack]
     trees = _pair_tree(stack, toy)
     assert isinstance(trees, list) and len(trees) == len(stack)
     assert repr(trees) == repr(expected)
@@ -914,15 +891,18 @@ def test_stacked_pair_tree_is_bit_exact_with_the_reference_tree(p_qubits, a_qubi
 
 
 def test_protocol_run_never_forms_the_proof_density(monkeypatch):
+    # Every reduction of the whole proof (kernel's pair reductions and the
+    # marginal check) must take its amplitudes, never a density.
     toy = make_toy_verifier(0.75)
-    n = proof_layout(toy.p_qubits, 3).total_qubits
-    original = StateVector.density
+    n = toy.p_qubits + 2 * 3
+    original = partial_trace
 
-    def guarded(self):
-        assert self.layout.total_qubits < n, "formed the density of the whole proof"
-        return original(self)
+    def guarded(t, n_qubits, keep):
+        assert t.ndim == 1 or n_qubits < n, "reduced the density of the whole proof"
+        return original(t, n_qubits, keep)
 
-    monkeypatch.setattr(StateVector, "density", guarded)
+    monkeypatch.setattr(kernel, "partial_trace", guarded)
+    monkeypatch.setattr(protocol, "partial_trace", guarded)
     for strategy in (HONEST_STRATEGY, {"kind": "local_unitaries", "unitary_seed": 2}):
         proof = cheating_proof(strategy, toy, l=3)
         run = ProtocolRun(proof, toy)

@@ -22,15 +22,6 @@ def choi_state(u: np.ndarray) -> np.ndarray:
     return tensor(u, np.eye(2)) @ BELL_STATES[0]
 
 
-def pinch_phi(a: np.ndarray) -> np.ndarray:
-    """P+ A P+ + P- A P- on a two-qubit operator, or on each of a stack
-    (..., 4, 4): kills cross-subspace coherence."""
-    a = np.asarray(a, dtype=complex)
-    if a.shape[-2:] != (4, 4):
-        raise ValueError(f"pinch_phi takes 4x4 operators, got shape {a.shape}")
-    return PI_PLUS @ a @ PI_PLUS + PI_MINUS @ a @ PI_MINUS
-
-
 def apply_pinch(t: np.ndarray, n_qubits: int, pair: list[int]) -> np.ndarray:
     """Pinch the qubit pair (in that order) of a 2^n x 2^n density matrix, or
     of each of a stack (..., 2^n, 2^n), identity elsewhere."""

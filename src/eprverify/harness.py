@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from . import rng as rngmod
-from .channels import pinch_phi
+from .channels import apply_pinch
 from .linalg import MAX_STACK, dagger, partial_trace, tensor
 from .metrics import (
     additive_perturbation_margin,
@@ -72,19 +72,22 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     """Bytes of the largest allocations of a protocol run, each counted once.
 
     The proof vector and its transposed copy (2 x 2^(p+2l) entries), the marginal
-    of the primed pair halves (4^l), the toy verifier V (4^(p+a)) and the pair
-    trees' states once the ancilla joins them (4^(p+a+3) each), at 16 bytes an
-    entry; plus a sampled run's trials and their CSV rows.  An exact run, the
-    one with no trial rows, builds one tree; a sampled run builds its trees in
-    stacks of up to min(tree_stack(p, a), l(l-1)), its distinct two-slot
-    states.  Sizes too large for a float give inf.
+    of the primed pair halves (4^l), the toy verifier V (4^(p+a)), the l(l-1)
+    pair reductions (4^(p+4) each) and the pair trees' states once the ancilla
+    joins them (4^(p+a+3) each), at 16 bytes an entry; plus a sampled run's
+    trials and their CSV rows.  An exact run, the one with no trial rows,
+    builds one tree; a sampled run builds its trees in stacks of up to
+    min(tree_stack(p, a), l(l-1)), its distinct two-slot states.  Sizes too
+    large for a float give inf.
     """
     def entries(log2: int) -> float:
         return 2.0**log2 if log2 < 1000 else math.inf
 
     p, a = p_qubits, a_qubits
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
-    total = 2 * entries(p + 2 * l) + entries(2 * l) + entries(2 * (p + a)) + trees * entries(2 * (p + a + 3))
+    pairs = l * (l - 1) if l < 2**500 else math.inf
+    total = (2 * entries(p + 2 * l) + entries(2 * l) + entries(2 * (p + a)) + pairs * entries(2 * (p + 4))
+             + trees * entries(2 * (p + a + 3)))
     rows = trial_rows if trial_rows < 2**1000 else math.inf
     return 16 * total + TRIAL_ROW_BYTES * rows
 
@@ -345,7 +348,8 @@ _LEMMA_FAMILIES = (
     (("triangle",), lambda rng: _matrices(rng, 3), lambda a, b, c: triangle_margin(a, b, c)),
     (("monotonicity_partial_trace",), _partial_trace_instance, _partial_trace_margins),
     (("monotonicity_pinch",), lambda rng: _ginibre_pair(rng, 4),
-     lambda g, h: monotonicity_margin(ginibre_density(g), ginibre_density(h), pinch_phi)),
+     lambda g, h: monotonicity_margin(ginibre_density(g), ginibre_density(h),
+                                      lambda m: apply_pinch(m, 2, [0, 1]))),
     (("monotonicity_unitary",), _unitary_instance,
      lambda u, g, h: monotonicity_margin(ginibre_density(g), ginibre_density(h), lambda m: u @ m @ dagger(u))),
     (("fvg_lower", "fvg_upper"), lambda rng: _ginibre_pair(rng, _dim(rng)),

@@ -9,12 +9,9 @@ a bit string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-EIG_RESIDUAL_TOL = 1e-9
 # The package evaluates matrices in stacks of at most this many (lemma
 # instances, SWAP cases, a sampled run's pair trees), so the memory of one
 # call does not depend on how many are waiting.
@@ -93,49 +90,19 @@ def operator_norm(a: np.ndarray) -> np.ndarray:
     return np.max(np.linalg.svd(a, compute_uv=False), axis=-1)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues descending.
-
-    ``eigenvectors[..., :, k]`` is the unit-norm eigenvector for ``eigenvalues[..., k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def spectrum(a: np.ndarray) -> Spectrum:
-    a = _require_square(a, "spectrum")
-    if not is_hermitian(a):
-        raise ValueError("spectrum requires a Hermitian matrix")
-    vals, vecs = np.linalg.eigh(a)
-    return Spectrum(eigenvalues=vals[..., ::-1].copy(), eigenvectors=vecs[..., ::-1].copy())
-
-
-def max_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit-norm eigenvector of a Hermitian matrix.
-
-    The eigenvector is whichever one the deterministic solver ordering yields;
-    for a degenerate top eigenspace any member is acceptable.
-    """
-    spec = spectrum(m)
-    lam = float(spec.eigenvalues[0])
-    vec = spec.eigenvectors[:, 0]
-    residual = np.linalg.norm(np.asarray(m, dtype=complex) @ vec - lam * vec)
-    if residual > EIG_RESIDUAL_TOL:
-        raise ValueError(f"eigensolver residual {residual:.3e} above {EIG_RESIDUAL_TOL}")
-    return lam, vec
-
-
 def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     """PSD matrix square root via spectral decomposition, of each matrix.
 
-    Eigenvalues in [-HERMITIAN_TOL, 0) are clamped to 0; anything more negative is an
+    The eigenpairs are summed in descending order of eigenvalue.  Eigenvalues
+    in [-HERMITIAN_TOL, 0) are clamped to 0; anything more negative is an
     error.  Eigenvalues below a relative noise floor are zeroed outright: the
     square root would otherwise amplify O(eps) solver noise to O(sqrt(eps)).
     """
-    spec = spectrum(a)
-    vals = spec.eigenvalues
+    a = _require_square(a, "hermitian_sqrt")
+    if not is_hermitian(a):
+        raise ValueError("hermitian_sqrt requires a Hermitian matrix")
+    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = vals[..., ::-1].copy(), vecs[..., ::-1].copy()
     if np.min(vals) < -HERMITIAN_TOL:
         raise ValueError(f"hermitian_sqrt requires PSD input, min eigenvalue {np.min(vals):.3e}")
     top = np.max(vals, axis=-1, keepdims=True)
@@ -143,7 +110,7 @@ def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
     floor = 1e-12 * np.where(1.0 > top, 1.0, top)
     cleaned = np.where(vals < floor, 0.0, vals)
     root = np.sqrt(cleaned)
-    return (spec.eigenvectors * root[..., None, :]) @ dagger(spec.eigenvectors)
+    return (vecs * root[..., None, :]) @ dagger(vecs)
 
 
 def _require_register(t: np.ndarray, n_qubits: int, what: str) -> None:

@@ -23,6 +23,7 @@ from .kernel import (
     _both_orders,
     _pair_qubits,
     rx_prob,
+    select_ordered_pair,
     symmetrize_pairs,
     HADAMARD,
 )
@@ -32,7 +33,6 @@ from .linalg import (
     dagger,
     is_hermitian,
     is_projector,
-    max_eigpair,
     partial_trace,
     proj,
     tensor,
@@ -41,6 +41,8 @@ from .sampling import random_unitary
 
 NORM_TOL = 1e-10
 MARGINAL_TOL = 1e-9
+# The least eigenvalue a matrix proof's pair reduction may have.
+PSD_TOL = 1e-9
 HALF_EIG_TOL = 1e-9
 # Outcome probabilities below this are reported as 0, with no post state.
 PROB_FLOOR = 1e-14
@@ -73,9 +75,10 @@ class ToyVerifier:
     and what the protocol derives from it, each computed once.
 
     The acceptance qubit is the first (most significant) qubit of A; the
-    verifier accepts when it measures to 1.  accept is the acceptance
-    operator M = (I (x) <0|) V† Pi_acc V (I (x) |0>) on P alone; max_accept
-    and witness are its top eigenvalue and eigenvector, the maximum acceptance
+    verifier accepts when it measures to 1, which acc_projector, Pi_acc,
+    projects onto.  max_accept and witness are the top eigenvalue and an
+    eigenvector of the acceptance operator (I (x) <0|) V† Pi_acc V (I (x) |0>)
+    on P, known in closed form (make_toy_verifier): the maximum acceptance
     probability and an optimal witness.  flip is I - 2 Pi_acc (x) |1><1| on
     (P, A, S1), the pair tree's reflection controlled by S1.
     """
@@ -84,7 +87,6 @@ class ToyVerifier:
     p_qubits: int
     a_qubits: int
     acc_projector: np.ndarray
-    accept: np.ndarray
     max_accept: float
     witness: np.ndarray
     flip: np.ndarray
@@ -95,8 +97,9 @@ def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVeri
 
     On control P = |1...1> the acceptance qubit is rotated by theta with
     sin^2(theta) = p; every other P basis state is left alone, so the
-    acceptance operator has top eigenvalue p (witness |1...1>) and all other
-    eigenvalues 0.
+    acceptance operator is diagonal, with top eigenvalue sin^2(theta) at the
+    witness |1...1> and all other eigenvalues 0.  Both are set in that closed
+    form; no eigensolver runs.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"acceptance target p must be in (0, 1], got {p}")
@@ -113,13 +116,13 @@ def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVeri
         block = rotate_acc if x == dp - 1 else np.eye(da)
         v[x * da:(x + 1) * da, x * da:(x + 1) * da] = block
     acc = tensor(np.eye(dp), proj(np.array([0.0, 1.0])), np.eye(da // 2))
-    v_from_zero = v[:, [x * da for x in range(dp)]]
-    accept = dagger(v_from_zero) @ acc @ v_from_zero
-    top, witness = max_eigpair(accept)
+    s = np.sin(theta)
+    top = float(s * s)
     if abs(top - p) > 1e-9:
         raise ValueError(f"construction drifted: max acceptance {top} vs target {p}")
+    witness = np.eye(dp, dtype=complex)[-1]
     flip = np.eye(2 ** (p_qubits + a_qubits + 1)) - 2.0 * tensor(acc, proj(np.array([0.0, 1.0])))
-    return ToyVerifier(v, p_qubits, a_qubits, acc, accept, top, witness, flip)
+    return ToyVerifier(v, p_qubits, a_qubits, acc, top, witness, flip)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +136,10 @@ class ProtocolState:
 
     Construction checks l >= 2, p_qubits >= 1, the shape, a vector's unit
     norm and the shared-pair marginal, so every proof, built by a strategy or
-    by hand, is checked once, when it is made.
+    by hand, is checked once, when it is made.  A matrix must be Hermitian
+    with unit trace, and no pair reduction may have an eigenvalue below
+    -PSD_TOL.  That certifies the reductions, not the whole matrix; a run
+    reads nothing else, their mean or one with its slots swapped.
     """
 
     state: np.ndarray
@@ -155,6 +161,15 @@ class ProtocolState:
             norm = np.linalg.norm(state)
             if abs(norm - 1.0) > NORM_TOL:
                 raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
+        else:
+            trace = np.trace(state).real
+            if not is_hermitian(state) or abs(trace - 1.0) > NORM_TOL:
+                raise ValueError(f"matrix proof is not Hermitian with unit trace within tolerance (trace {trace})")
+            p, l = self.p_qubits, self.l
+            low = min(np.linalg.eigvalsh(select_ordered_pair(state, p, l, i, j))[0]
+                      for i in range(l) for j in range(i + 1, l))
+            if low < -PSD_TOL:
+                raise ValueError(f"a pair reduction of the matrix proof has eigenvalue {low:.3e} below -{PSD_TOL}")
         # Whatever the prover does to P and the Si halves, the verifier's
         # halves (S1', ..., Sl') stay maximally mixed.
         dist = verifier_marginal_distance(self)
@@ -286,16 +301,14 @@ def swap_test_formula(joint: np.ndarray) -> float | np.ndarray:
     """Closed form (1 + Tr(rho S))/2 of the SWAP test on a 4^k x 4^k joint
     density rho of two k-qubit halves, S the swap of the halves: Tr(rho S) is
     the sum of its entries <ab|rho|ba>.  A stack of joints (..., 4^k, 4^k)
-    gives an array of the probabilities, each the one its joint gives alone.
+    gives an array of the probabilities from the same einsum, each bit for
+    bit the one its joint gives alone.
     """
     joint = np.asarray(joint, dtype=complex)
-    dd = joint.shape[-1]
-    d = 2 ** ((dd.bit_length() - 1) // 2)
-    if joint.ndim == 2:
-        overlap = np.einsum("abba->", joint.reshape(d, d, d, d)).real
-        return float((1.0 + overlap) / 2.0)
-    members = joint.reshape(-1, dd, dd)
-    return np.reshape([swap_test_formula(m) for m in members], joint.shape[:-2])
+    d = 2 ** ((joint.shape[-1].bit_length() - 1) // 2)
+    overlap = np.einsum("...abba->...", joint.reshape(joint.shape[:-2] + (d, d, d, d))).real
+    accept = (1.0 + overlap) / 2.0
+    return float(accept) if joint.ndim == 2 else accept
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from eprverify.channels import choi_state, pinch_phi
+from eprverify.channels import apply_pinch, choi_state
 from eprverify.harness import ExperimentConfig, emit_report, lemma_suite, run_experiment
 from eprverify.kernel import (
     BELL_LABELS,
@@ -165,8 +165,8 @@ def test_criterion_7_soundness_oracle_equivalence():
         )
         proof = ProtocolState(amps, 1, 2)
         result = ProtocolRun(proof, toy).exact()
-        rho1 = pinch_phi(proj(choi_state(u1)))
-        rho2 = pinch_phi(proj(choi_state(u2)))
+        rho1 = apply_pinch(proj(choi_state(u1)), 2, [0, 1])
+        rho2 = apply_pinch(proj(choi_state(u2)), 2, [0, 1])
         expected = (1 - np.trace(rho1 @ rho2).real) / 2
         assert abs(result.branches["b1_swap_reject"] * 2 - expected) <= 1e-9
     elapsed = time.perf_counter() - start

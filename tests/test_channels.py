@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eprverify.channels import PI_MINUS, PI_PLUS, apply_pinch, choi_state, pinch_phi
+from eprverify.channels import PI_MINUS, PI_PLUS, apply_pinch, choi_state
 from eprverify.kernel import BELL_STATES, BELL_TO_COMPUTATIONAL, rx_prob
 from eprverify.linalg import dagger, is_projector, partial_trace, proj, tensor
 from eprverify.metrics import trace_distance
@@ -80,10 +80,10 @@ def test_decoder_turns_choi_into_rotated_zero():
 
 
 def test_pinch_fixes_plus_subspace_states():
-    assert np.allclose(pinch_phi(proj(BELL_STATES[0])), proj(BELL_STATES[0]), atol=1e-12)
+    assert np.allclose(apply_pinch(proj(BELL_STATES[0]), 2, [0, 1]), proj(BELL_STATES[0]), atol=1e-12)
     for q in (0.25, 0.5, 0.9):
         rho = proj(choi_state(dagger(rx_prob(q))))
-        assert np.allclose(pinch_phi(rho), rho, atol=1e-12)
+        assert np.allclose(apply_pinch(rho, 2, [0, 1]), rho, atol=1e-12)
 
 
 def test_pinch_of_zero_zero():
@@ -91,24 +91,24 @@ def test_pinch_of_zero_zero():
     zz = np.zeros((4, 4), dtype=complex)
     zz[0, 0] = 1.0
     expected = 0.5 * proj(BELL_STATES[0]) + 0.5 * proj(BELL_STATES[1])
-    assert np.allclose(pinch_phi(zz), expected, atol=1e-12)
+    assert np.allclose(apply_pinch(zz, 2, [0, 1]), expected, atol=1e-12)
 
 
 def test_pinch_idempotent_trace_preserving():
     for _ in range(50):
         a = random_complex_matrix(RNG, 4)
-        once = pinch_phi(a)
-        assert np.allclose(pinch_phi(once), once, atol=1e-12)
+        once = apply_pinch(a, 2, [0, 1])
+        assert np.allclose(apply_pinch(once, 2, [0, 1]), once, atol=1e-12)
         assert np.trace(once) == pytest.approx(np.trace(a), abs=1e-12)
         h = random_density(RNG, 4)
-        out = pinch_phi(h)
+        out = apply_pinch(h, 2, [0, 1])
         assert np.allclose(out, dagger(out), atol=1e-12)
         assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
 
 
 def test_pinch_choi_matrix_is_density():
     # CP+TP witness: the normalized Choi matrix of the pinch is a density operator
-    rho = choi_density(pinch_phi, 4)
+    rho = choi_density(lambda m: apply_pinch(m, 2, [0, 1]), 4)
     assert np.allclose(rho, dagger(rho), atol=1e-12)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
@@ -129,7 +129,7 @@ def test_apply_pinch_on_embedded_pair():
     pinched = apply_pinch(joint, 3, [1, 2])
     # agrees with pinching the reduced pair state
     reduced = partial_trace(pinched, 3, [1, 2])
-    direct = pinch_phi(partial_trace(joint, 3, [1, 2]))
+    direct = apply_pinch(partial_trace(joint, 3, [1, 2]), 2, [0, 1])
     assert trace_distance(reduced, direct) <= 1e-12
     # and is idempotent in place
     again = apply_pinch(pinched, 3, [1, 2])
@@ -138,4 +138,4 @@ def test_apply_pinch_on_embedded_pair():
 
 def test_pinch_rejects_wrong_dims():
     with pytest.raises(ValueError):
-        pinch_phi(np.eye(8))
+        apply_pinch(np.eye(8), 2, [0, 1])

@@ -326,12 +326,12 @@ def test_timing_only_on_stderr(capsys):
     assert re.search(r"completeness done in [0-9]+\.[0-9] ms", captured.err)
 
 
-def test_exact_completeness_solves_the_toy_eigenproblem_once(monkeypatch):
+def test_exact_completeness_builds_the_toy_once(monkeypatch):
     calls = []
-    solve = protocol.max_eigpair
-    monkeypatch.setattr(protocol, "max_eigpair", lambda m: calls.append(m.shape) or solve(m))
+    build = harness.make_toy_verifier
+    monkeypatch.setattr(harness, "make_toy_verifier", lambda *args: calls.append(args) or build(*args))
     run_experiment(_config(l=3))
-    assert calls == [(2, 2)]
+    assert calls == [(0.75, 1, 1)]
 
 
 def test_negative_seeds_draw_distinct_streams():
@@ -839,19 +839,35 @@ def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkey
 
 
 def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
-    # A sampled run counts the tree states of its largest stacked call,
-    # min(tree_stack(p, a), l(l-1)) of them at 4^(p+a+3) entries each, and
-    # one trial row more than fits puts it over the budget.
+    # A sampled run counts its l(l-1) pair reductions, 4^(p+4) entries each,
+    # and the tree states of its largest stacked call, min(tree_stack(p, a),
+    # l(l-1)) of them at 4^(p+a+3) entries each, and one trial row more than
+    # fits puts it over the budget.
     for p, a, l, trees in ((1, 1, 3, 6), (1, 1, 4, MAX_STACK), (1, 2, 3, 2), (1, 8, 3, 1)):
         base = {"experiment": "soundness", "mode": "sampled", "l": l, "verifier": {"p": 0.2, "p_qubits": p, "a_qubits": a}}
-        fixed = 16 * (2 * 2 ** (p + 2 * l) + 4**l + 4 ** (p + a) + trees * 4 ** (p + a + 3))
+        fixed = 16 * (2 * 2 ** (p + 2 * l) + 4**l + 4 ** (p + a) + l * (l - 1) * 4 ** (p + 4)
+                      + trees * 4 ** (p + a + 3))
         most = (MEMORY_BUDGET_BYTES - fixed) // TRIAL_ROW_BYTES
         assert memory_estimate(p, a, l, most) == fixed + most * TRIAL_ROW_BYTES <= MEMORY_BUDGET_BYTES
         ExperimentConfig.from_dict({**base, "trials": most})
         with pytest.raises(ConfigError, match=f"{most + 1} trial rows need"):
             ExperimentConfig.from_dict({**base, "trials": most + 1})
-    # An exact run, with no trial rows, counts one tree.
-    assert memory_estimate(1, 1, 4) == 16 * (2 * 2**9 + 4**4 + 4**2 + 4**5)
+    # An exact run, with no trial rows, counts its pair reductions and one tree.
+    assert memory_estimate(1, 1, 4) == 16 * (2 * 2**9 + 4**4 + 4**2 + 12 * 4**5 + 4**5)
+
+
+def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_path, capsys, monkeypatch):
+    # p_qubits = 8, l = 6: the proof, V and the tree need about 0.29 GiB, but
+    # the 30 pair reductions a run holds, 4^12 entries each, need 7.5 GiB more.
+    def never(config):
+        raise AssertionError("the over-budget config reached run_experiment")
+
+    monkeypatch.setattr("eprverify.cli.run_experiment", never)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "soundness", "l": 6, "verifier": {"p_qubits": 8, "a_qubits": 1}}))
+    assert main(["soundness", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "0 trial rows need an estimated 7.79 GiB" in err and "1 GiB budget" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -882,7 +898,9 @@ def test_sampled_report_without_trial_outcomes_refuses_csv():
 
 
 def test_benchmark_sized_configs_are_well_under_memory_budget():
-    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 1000
+    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 1.7 MB.
+    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) == 16 * (2 * 2**12 + 4**5 + 4**4 + 20 * 4**6 + 4**7)
+    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 500
     assert memory_estimate(p_qubits=1, a_qubits=1, l=10) < MEMORY_BUDGET_BYTES
     assert memory_estimate(p_qubits=1, a_qubits=1, l=2, trial_rows=100_000) < MEMORY_BUDGET_BYTES / 50
 

@@ -1,4 +1,4 @@
-"""Tensor algebra, partial trace, norms, and eigenpair extraction."""
+"""Tensor algebra, partial trace, norms, and the PSD square root."""
 
 import re
 
@@ -9,14 +9,13 @@ from hypothesis import example, given, settings, strategies as st
 from eprverify.linalg import (
     apply_local,
     dagger,
+    hermitian_sqrt,
     is_hermitian,
     is_projector,
     is_unitary,
-    max_eigpair,
     operator_norm,
     partial_trace,
     proj,
-    spectrum,
     tensor,
     trace_norm,
 )
@@ -26,11 +25,6 @@ from eprverify.sampling import random_complex_matrix, random_density
 from dense_reference import embed_unitary, kron_tensor, tensordot_apply_local
 
 RNG = np.random.default_rng(20240811)
-
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    a = random_complex_matrix(rng, dim)
-    return (a + dagger(a)) / 2
 
 
 def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -195,22 +189,6 @@ def test_operator_norm_matches_power_iteration():
         assert operator_norm(a) == pytest.approx(power_iteration_norm(a), abs=1e-8)
 
 
-def test_max_eigpair_projector():
-    lam, vec = max_eigpair(proj(np.array([0.0, 1.0])))
-    assert lam == pytest.approx(1.0)
-    assert abs(vec[1]) == pytest.approx(1.0)
-
-
-def test_max_eigpair_residual_and_hermiticity_check():
-    for _ in range(20):
-        h = random_hermitian(RNG, int(RNG.integers(2, 17)))
-        lam, vec = max_eigpair(h)
-        assert np.linalg.norm(h @ vec - lam * vec) <= 1e-9
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        max_eigpair(random_complex_matrix(RNG, 3))
-
-
 def test_holder_inequality_property():
     # |Tr(B†A)| <= ||A||_1 ||B||_inf on 1000 random pairs, dims 2-16
     worst = np.inf
@@ -223,16 +201,20 @@ def test_holder_inequality_property():
     assert worst >= -1e-9
 
 
-def test_spectrum_reconstruction_and_ordering():
+def test_hermitian_sqrt_squares_back_and_checks_its_input():
     for _ in range(30):
         d = int(RNG.integers(2, 33))
-        h = random_hermitian(RNG, d)
-        spec = spectrum(h)
-        v = spec.eigenvectors
-        assert trace_norm(h - (v * spec.eigenvalues) @ dagger(v)) <= 1e-9
-        assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
-        gram = dagger(spec.eigenvectors) @ spec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(d))) <= 1e-10
+        rho = random_density(RNG, d)
+        root = hermitian_sqrt(rho)
+        assert is_hermitian(root)
+        assert trace_norm(root @ root - rho) <= 1e-9
+        assert np.min(np.linalg.eigvalsh(root)) >= -1e-12
+    with pytest.raises(ValueError, match="Hermitian"):
+        hermitian_sqrt(random_complex_matrix(RNG, 3))
+    with pytest.raises(ValueError, match="PSD"):
+        hermitian_sqrt(-random_density(RNG, 3))
+    with pytest.raises(ValueError, match="square"):
+        hermitian_sqrt(np.zeros((2, 3)))
 
 
 def test_predicates():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from eprverify.channels import pinch_phi
+from eprverify.channels import apply_pinch
 from eprverify.kernel import HADAMARD
 from eprverify.linalg import dagger, hermitian_sqrt, operator_norm, partial_trace, proj, trace_norm
 from eprverify.metrics import (
@@ -184,7 +184,7 @@ def test_monotonicity_under_partial_trace():
 def test_monotonicity_under_pinch():
     for _ in range(300):
         rho, sigma = random_density(RNG, 4), random_density(RNG, 4)
-        assert monotonicity_margin(rho, sigma, pinch_phi) >= -1e-9
+        assert monotonicity_margin(rho, sigma, lambda m: apply_pinch(m, 2, [0, 1])) >= -1e-9
 
 
 def test_monotonicity_under_unitary_conjugation():

@@ -1,6 +1,7 @@
 """Every public top-level name in src/eprverify is used by the package itself,
-and every defaulted parameter, a dataclass field with a default included, is
-set by some call in it, and not by every call to one and the same literal."""
+every dataclass field is read by it, and every defaulted parameter, a
+dataclass field with a default included, is set by some call in it, and not by
+every call to one and the same literal."""
 
 import ast
 from pathlib import Path
@@ -70,6 +71,23 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
         isinstance(d, ast.Name) and d.id == "dataclass"
         or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
         for d in node.decorator_list
+    )
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """module.Class.field for each field of a dataclass that no source reads
+    as an attribute (as in ``toy.witness``), whatever the object it is read from."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {
+        node.attr for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{module}.{node.name}.{f.target.id}"
+        for module, tree in trees.items()
+        for node in tree.body if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+        and f.target.id not in read
     )
 
 
@@ -213,6 +231,25 @@ def test_every_defaulted_parameter_is_set_in_the_package():
 def test_no_defaulted_parameter_is_always_set_to_one_literal():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert sources and single_value_defaults(sources) == []
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources and unread_fields(sources) == []
+
+
+def test_unread_field_scan_sees_fields_no_code_reads():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class R:\n    x: int\n    y: int = 0\n    z: int = 1\n"
+            "@dataclass\nclass Q:\n    v: int\n"
+            "class Plain:\n    u: int = 0\n"
+        ),
+        "b": "r = R(1)\nr.x\nsomething.y\nr.z = 2\nq = Q(v=3)\n",
+    }
+    assert unread_fields(sources) == ["a.Q.v", "a.R.z"]
 
 
 def test_every_exemption_gives_a_reason():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eprverify.channels import apply_pinch, choi_state, pinch_phi
+from eprverify.channels import apply_pinch, choi_state
 from eprverify.kernel import (
     BELL_LABELS,
     BELL_STATES,
@@ -20,7 +20,6 @@ from eprverify.linalg import (
     apply_local,
     dagger,
     is_unitary,
-    max_eigpair,
     operator_norm,
     partial_trace,
     proj,
@@ -72,19 +71,41 @@ RNG = np.random.default_rng(424242)
 # Toy verifiers and the acceptance operator
 # ---------------------------------------------------------------------------
 
+def _acceptance_operator(toy) -> np.ndarray:
+    """(I (x) <0|) V† Pi_acc V (I (x) |0>) on P, from the toy's V and Pi_acc."""
+    v_from_zero = toy.v[:, ::2**toy.a_qubits]
+    return dagger(v_from_zero) @ toy.acc_projector @ v_from_zero
+
+
 def test_toy_verifier_unitary_and_spectrum():
     for p in (1e-3, 0.5, 0.75, 1.0):
         toy = make_toy_verifier(p)
         assert is_unitary(toy.v)
-        lam, vec = max_eigpair(toy.accept)
-        assert lam == pytest.approx(p, abs=1e-12)
-        assert abs(vec[-1]) == pytest.approx(1.0, abs=1e-9)
+        vals, vecs = np.linalg.eigh(_acceptance_operator(toy))
+        assert vals[-1] == pytest.approx(p, abs=1e-12)
+        assert abs(np.vdot(vecs[:, -1], toy.witness)) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 3), st.integers(1, 3))
+def test_toy_closed_form_is_the_top_eigenpair(p, p_qubits, a_qubits):
+    # make_toy_verifier sets (max_accept, witness) in closed form; eigh on the
+    # acceptance operator built from V and Pi_acc is the cross-check.
+    with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh")), \
+            mock.patch.object(np.linalg, "eigvalsh", side_effect=AssertionError("eigvalsh")):
+        toy = make_toy_verifier(p, p_qubits, a_qubits)
+    m = _acceptance_operator(toy)
+    vals, vecs = np.linalg.eigh(m)
+    assert toy.max_accept == pytest.approx(vals[-1], abs=1e-15)
+    assert toy.max_accept == pytest.approx(p, abs=1e-15)
+    assert np.linalg.norm(toy.witness) == 1.0
+    assert abs(np.vdot(vecs[:, -1], toy.witness)) == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(m @ toy.witness - toy.max_accept * toy.witness)) <= 1e-15
 
 
 def test_toy_verifier_p_one_accepts_witness_surely():
     toy = make_toy_verifier(1.0)
-    m = toy.accept
-    assert np.allclose(m, proj(np.array([0.0, 1.0])), atol=1e-12)
+    assert np.allclose(_acceptance_operator(toy), proj(np.array([0.0, 1.0])), atol=1e-12)
 
 
 def test_toy_verifier_rejects_bad_p():
@@ -99,8 +120,7 @@ def test_accept_operator_norm_and_interval():
         p = float(RNG.uniform(0.05, 1.0))
         pq = int(RNG.integers(1, 3))
         aq = int(RNG.integers(1, 3))
-        toy = make_toy_verifier(p, pq, aq)
-        m = toy.accept
+        m = _acceptance_operator(make_toy_verifier(p, pq, aq))
         assert operator_norm(m) == pytest.approx(p, abs=1e-9)
         vals = np.linalg.eigvalsh(m)
         assert np.min(vals) >= -1e-12 and np.max(vals) <= 1 + 1e-12
@@ -112,7 +132,7 @@ def test_accept_operator_norm_and_interval():
 
 def test_honest_proof_pair_closed_forms():
     # p = 1/2 gives q = 1 and the pair i|psi+>; p = 1 gives q = 1/2.
-    # At the q = 1 endpoint the solver's ~1e-16 eigenvalue noise enters the
+    # At the q = 1 endpoint the ~1e-16 rounding of sin^2(theta) enters the
     # amplitudes as sqrt(1-q), so the comparison tolerance sits at sqrt(eps).
     toy = make_toy_verifier(0.5)
     proof = cheating_proof(HONEST_STRATEGY, toy, l=2)
@@ -153,8 +173,29 @@ def test_marginal_distance_matches_trace_distance(l, p_qubits, seed):
 def test_marginal_distance_rejects_a_non_hermitian_marginal():
     skew = random_complex_matrix(RNG, 32)
     rho = np.eye(32) / 32 + 1e-6 * (skew - dagger(skew))
-    with pytest.raises(ValueError, match="not Hermitian"):
+    with pytest.raises(ValueError, match="marginal is not Hermitian"):
+        verifier_marginal_distance(mock.Mock(state=rho, p_qubits=1, l=2))
+    with pytest.raises(ValueError, match="not Hermitian with unit trace"):
         ProtocolState(rho, 1, 2)
+
+
+def test_matrix_proof_must_be_a_density_on_each_pair_reduction():
+    # rho + 1.5 (X_P rho X_P - rho) keeps rho's trace and its (S1', S2')
+    # marginal, but its pair reduction has eigenvalue -1/2.
+    rho = proj(cheating_proof({"kind": "choi_product", "q": 1.0}, make_toy_verifier(0.9), l=2).state)
+    flipped = apply_local(rho, np.array([[0, 1], [1, 0]]), 5, [0])
+    with pytest.raises(ValueError, match=r"pair reduction .* eigenvalue -5\.000e-01 below -1e-09"):
+        ProtocolState(rho + 1.5 * (flipped - rho), 1, 2)
+    with pytest.raises(ValueError, match="unit trace"):
+        ProtocolState(2 * rho, 1, 2)
+    assert ProtocolState(rho, 1, 2).state is not None
+    # At l = 3 every unordered pair is checked: Z on S3 puts off only the
+    # reductions that hold pair 3, not that of pairs 1 and 2.
+    good = cheating_proof({"kind": "idle_epr"}, make_toy_verifier(0.9), l=3).state
+    rho = proj(good)
+    flipped = apply_local(rho, np.array([[1, 0], [0, -1]]), 7, [5])
+    with pytest.raises(ValueError, match="pair reduction"):
+        ProtocolState(rho + 1.5 * (flipped - rho), 1, 3)
 
 
 def test_strategies_build_and_validate():
@@ -290,6 +331,11 @@ def test_swap_test_on_a_stack_is_bit_exact_with_each_joint_alone(k, shape):
     alone = [swap_test(joint) for joint in joints]
     assert all(type(x) is float for x in alone)
     assert stacked.reshape(-1).tolist() == alone == [per_case_swap_test(joint) for joint in joints]
+    # The closed form, too, is one einsum for a joint and a stack alike.
+    stacked = swap_test_formula(joints.reshape(shape + joints.shape[1:]))
+    alone = [swap_test_formula(joint) for joint in joints]
+    assert all(type(x) is float for x in alone)
+    assert stacked.shape == shape and stacked.reshape(-1).tobytes() == np.array(alone).tobytes()
 
 
 @pytest.mark.parametrize("joint", [np.eye(1), np.eye(2), np.eye(8), np.ones((4, 8)), np.ones(16),
@@ -419,8 +465,7 @@ def test_rewinding_residual_honest_grid():
         toy = make_toy_verifier(float(p))
         delta, pi, omega = honest_rewinding_instance(toy)
         assert rewinding_residual(delta, pi, omega) <= 1e-8
-        lam, _ = max_eigpair(delta @ pi @ delta)
-        assert lam == pytest.approx(0.5, abs=1e-9)
+        assert np.linalg.eigvalsh(delta @ pi @ delta)[-1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_rewinding_two_dim_algebra():
@@ -515,8 +560,8 @@ def test_asymmetric_custom_state_swap_branch_formula():
     amps = tensor(witness, choi_state(u1), choi_state(u2))
     proof = ProtocolState(amps, 1, 2)
     result = ProtocolRun(proof, toy).exact()
-    rho1 = pinch_phi(proj(choi_state(u1)))
-    rho2 = pinch_phi(proj(choi_state(u2)))
+    rho1 = apply_pinch(proj(choi_state(u1)), 2, [0, 1])
+    rho2 = apply_pinch(proj(choi_state(u2)), 2, [0, 1])
     expected = (1 - np.trace(rho1 @ rho2).real) / 2
     conditional_reject = result.branches["b1_swap_reject"] * 2
     assert conditional_reject == pytest.approx(expected, abs=1e-9)

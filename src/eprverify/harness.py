@@ -434,9 +434,7 @@ def _swap_errors(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """|circuit - closed form| of the SWAP test on each pair of a stack of Ginibre
     matrices, turned into states as random_density turns them."""
     rho, sigma = ginibre_density(g), ginibre_density(h)
-    d = rho.shape[-1]
-    # tensor(rho, sigma) of each pair: one product an entry.
-    joint = (rho[:, :, None, :, None] * sigma[:, None, :, None, :]).reshape(-1, d * d, d * d)
+    joint = tensor(rho, sigma)
     formula = (1.0 + np.trace(rho @ sigma, axis1=-2, axis2=-1).real) / 2.0
     return np.abs(swap_test(joint) - formula)
 

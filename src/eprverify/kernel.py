@@ -75,26 +75,28 @@ def _swap_slots(m: np.ndarray, n_qubits: int) -> np.ndarray:
     return m.reshape([2] * (2 * n_qubits)).transpose(axes).reshape(m.shape)
 
 
-def _both_orders(state: np.ndarray, p_qubits: int, l: int, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """select_ordered_pair's (i, j) and (j, i) reductions, for i < j, from one
-    reduction: the reverse order is the same matrix with the two slots
-    exchanged, which moves entries and so equals its own reduction bit for bit.
+def pair_reductions(state: np.ndarray, p_qubits: int, l: int):
+    """Yield ((i, j), reduction) for every ordered pair of a proof's l pairs:
+    (i, j) then (j, i) for each i < j, each matrix select_ordered_pair's.
+
+    Each unordered pair is reduced once; the reverse order is the same matrix
+    with the two slots exchanged, which moves entries and so equals its own
+    reduction bit for bit.
     """
-    dm = select_ordered_pair(state, p_qubits, l, i, j)
-    return dm, _swap_slots(dm, p_qubits + 4)
+    for i in range(l):
+        for j in range(i + 1, l):
+            dm = select_ordered_pair(state, p_qubits, l, i, j)
+            yield (i, j), dm
+            yield (j, i), _swap_slots(dm, p_qubits + 4)
 
 
 def symmetrize_pairs(state: np.ndarray, p_qubits: int, l: int) -> np.ndarray:
     """Uniformly permute a proof's l pairs.
 
     Returns the permutation average restricted to the first two pair slots:
-    the mean of the l(l-1) ordered-pair reductions, a (P, S1, S1', S2, S2')
-    matrix.  Each unordered pair is reduced once (_both_orders), and the terms
-    are summed in ordered-pair order.
+    the mean of the l(l-1) ordered-pair reductions (pair_reductions), a (P,
+    S1, S1', S2, S2') matrix, summed in ordered-pair order.
     """
-    reduced = {}
-    for i in range(l):
-        for j in range(i + 1, l):
-            reduced[i, j], reduced[j, i] = _both_orders(state, p_qubits, l, i, j)
+    reduced = dict(pair_reductions(state, p_qubits, l))
     terms = [reduced[i, j] for i in range(l) for j in range(l) if i != j]
     return sum(terms) / len(terms)

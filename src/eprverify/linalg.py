@@ -30,21 +30,26 @@ def proj(v: np.ndarray) -> np.ndarray:
 
 
 def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices/vectors, left factor most significant.
+    """Kronecker product of vectors, or of matrices over their last two axes,
+    left factor most significant.
 
-    Each factor takes one broadcast multiply, its axes interleaved with the
-    product so far, so each entry is the single product np.kron computes.
+    Matrices may be stacks (..., m, n), whose leading axes broadcast.  Each
+    factor takes one broadcast multiply, its axes interleaved with the product
+    so far, so each entry is the single product np.kron computes.
     """
     if not ops:
         raise ValueError("tensor requires at least one operand")
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         op = np.asarray(op, dtype=complex)
-        if op.ndim != out.ndim:
-            raise ValueError(f"tensor factors must have equal ndim, got shapes {out.shape} and {op.shape}")
-        left = out.reshape([s for d in out.shape for s in (d, 1)])
-        right = op.reshape([s for d in op.shape for s in (1, d)])
-        out = (left * right).reshape([a * b for a, b in zip(out.shape, op.shape)])
+        if out.ndim == op.ndim == 1:
+            out = (out[:, None] * op[None, :]).reshape(-1)
+        elif min(out.ndim, op.ndim) >= 2:
+            prod = out[..., :, None, :, None] * op[..., None, :, None, :]
+            rows, cols = out.shape[-2] * op.shape[-2], out.shape[-1] * op.shape[-1]
+            out = prod.reshape(prod.shape[:-4] + (rows, cols))
+        else:
+            raise ValueError(f"tensor needs vectors or matrices alike, got shapes {out.shape} and {op.shape}")
     return out
 
 

@@ -20,10 +20,9 @@ from .kernel import (
     BELL_LABELS,
     BELL_STATES,
     BELL_TO_COMPUTATIONAL,
-    _both_orders,
     _pair_qubits,
+    pair_reductions,
     rx_prob,
-    select_ordered_pair,
     symmetrize_pairs,
     HADAMARD,
 )
@@ -165,9 +164,8 @@ class ProtocolState:
             trace = np.trace(state).real
             if not is_hermitian(state) or abs(trace - 1.0) > NORM_TOL:
                 raise ValueError(f"matrix proof is not Hermitian with unit trace within tolerance (trace {trace})")
-            p, l = self.p_qubits, self.l
-            low = min(np.linalg.eigvalsh(select_ordered_pair(state, p, l, i, j))[0]
-                      for i in range(l) for j in range(i + 1, l))
+            low = min(np.linalg.eigvalsh(dm)[0]
+                      for (i, j), dm in pair_reductions(state, self.p_qubits, self.l) if i < j)
             if low < -PSD_TOL:
                 raise ValueError(f"a pair reduction of the matrix proof has eigenvalue {low:.3e} below -{PSD_TOL}")
         # Whatever the prover does to P and the Si halves, the verifier's
@@ -433,12 +431,10 @@ def _pair_tree(rho: np.ndarray, toy: ToyVerifier) -> _PairTree | list[_PairTree]
 
     w = apply_local(w, BELL_TO_COMPUTATIONAL, n, [s1, s1p])
     w = partial_trace(w, n, [*range(p), s1, s2, s2p])
-    # The ancilla's |0><0| joins as A after (P, S1, S2, S2'): one product an
-    # entry, as tensor makes it.
-    da, dw = 2**a, w.shape[-1]
-    ancilla = np.zeros((da, da), dtype=complex)
+    # The ancilla's |0><0| joins as A after (P, S1, S2, S2').
+    ancilla = np.zeros((2**a, 2**a), dtype=complex)
     ancilla[0, 0] = 1.0
-    w = (w[..., :, None, :, None] * ancilla[None, :, None, :]).reshape(w.shape[:-2] + (dw * da, dw * da))
+    w = tensor(w, ancilla)
     n = p + 3 + a
     pa = [*range(p), *range(p + 3, n)]
     w = apply_local(w, toy.v, n, pa)
@@ -479,16 +475,16 @@ class ProtocolRun:
     """Verifier evaluation against a fixed proof, exact or sampled.
 
     Exact mode evaluates one tree, on the pair-symmetrized state.  Sampled
-    mode draws each trial's ordered pair, which the trial reports, and reads
-    a chunk of trials at a time off the pairs' trees, into arrays of branch
-    indices and ordered-pair codes.  It reduces each unordered pair once, for
-    both of its orders, when either is first drawn, and builds one tree per
-    distinct two-slot state: ordered pairs whose reductions are equal bit for
-    bit, as a product proof's pairs mostly are, share one.  The new states of
-    a chunk are built together, as one stack on raw arrays (at most
-    tree_stack(p_qubits, a_qubits) a call); a tree is a pure function of the reduction and the
-    toy, bit for bit the same alone or in a stack, so neither sharing nor
-    stacking changes a report byte.
+    mode builds every ordered pair's tree before its first draw (_pair_trees),
+    then draws each trial's ordered pair, which the trial reports, and reads a
+    chunk of trials at a time off the pairs' trees, into arrays of branch
+    indices and ordered-pair codes.  It reduces each unordered pair once
+    (pair_reductions), and builds one tree per distinct two-slot state:
+    ordered pairs whose reductions are equal bit for bit, as a product proof's
+    pairs mostly are, share one.  The states are built as they stream in, in
+    stacks on raw arrays of at most tree_stack(p_qubits, a_qubits); a tree is
+    a pure function of the reduction and the toy, bit for bit the same alone
+    or in a stack, so neither sharing nor stacking changes a report byte.
 
     Each step of a tree has one owner: see _pair_tree.
     """
@@ -498,8 +494,6 @@ class ProtocolRun:
             raise ValueError("proof P register does not match the verifier")
         self.proof = proof
         self.toy = toy
-        self._trees: dict[tuple[int, int], _PairTree] = {}
-        self._tree_of_state: dict[bytes, _PairTree] = {}
 
     def exact(self) -> BranchBreakdown:
         """Branch masses from one tree on the pair-symmetrized state.
@@ -525,34 +519,24 @@ class ProtocolRun:
         reject = sum(masses[key] for key in REJECT_KEYS)
         return BranchBreakdown(1.0 - reject, reject, masses)
 
-    def _add_trees(self, pairs: set[tuple[int, int]]) -> None:
-        """Give each ordered pair its tree: reduce each unordered pair not yet
-        reduced once, and build the distinct states no tree has yet in
-        stacks of at most tree_stack(p_qubits, a_qubits)."""
-        most = tree_stack(self.toy.p_qubits, self.toy.a_qubits)
-        new: dict[bytes, np.ndarray] = {}
+    def _pair_trees(self) -> dict[tuple[int, int], _PairTree]:
+        """Every ordered pair's tree, one tree per distinct reduction, each
+        reduction keyed by its bytes.  The new reductions are built in stacks
+        of at most tree_stack(p_qubits, a_qubits) as they stream in, so no
+        more of them are held than a stack."""
+        proof, toy = self.proof, self.toy
+        most, pairs = tree_stack(toy.p_qubits, toy.a_qubits), proof.l * (proof.l - 1)
         key_of: dict[tuple[int, int], bytes] = {}
-
-        def build() -> None:
-            trees = _pair_tree(np.array(list(new.values())), self.toy)
-            self._tree_of_state.update(zip(new, trees))
-            new.clear()
-
-        for pair in sorted(pairs):
-            if pair in self._trees or pair in key_of:
-                continue
-            i, j = sorted(pair)
-            both = _both_orders(self.proof.state, self.proof.p_qubits, self.proof.l, i, j)
-            for ordered, dm in zip(((i, j), (j, i)), both):
-                key = key_of[ordered] = dm.tobytes()
-                if key not in self._tree_of_state and key not in new:
-                    new[key] = dm
-                    if len(new) == most:
-                        build()
-        if new:
-            build()
-        for ordered, key in key_of.items():
-            self._trees[ordered] = self._tree_of_state[key]
+        tree_of: dict[bytes, _PairTree] = {}
+        new: dict[bytes, np.ndarray] = {}
+        for pair, dm in pair_reductions(proof.state, proof.p_qubits, proof.l):
+            key = key_of[pair] = dm.tobytes()
+            if key not in tree_of and key not in new:
+                new[key] = dm
+            if new and (len(new) == most or len(key_of) == pairs):
+                tree_of.update(zip(new, _pair_tree(np.array(list(new.values())), toy)))
+                new.clear()
+        return {pair: tree_of[key] for pair, key in key_of.items()}
 
     def sample(self, seed: int, trials: int):
         """Yield, a chunk of trials at a time, the arrays (branch, code) of
@@ -561,13 +545,12 @@ class ProtocolRun:
         branch is each trial's index into BRANCH_KEYS, and code its 0-based
         ordered pair (i, j) as i * l + j."""
         l = self.proof.l
+        trees = self._pair_trees()
         for i, j, coin, u1, u2 in rngmod.trial_draws(seed, trials, l):
             code = i * l + j + (j >= i)
-            codes = set(code.tolist())
-            self._add_trees({divmod(c, l) for c in codes})
             branch = np.zeros(code.size, int)  # BRANCH_KEYS index
-            for c in codes:
-                tree = self._trees[divmod(c, l)]
+            for c in set(code.tolist()):
+                tree = trees[divmod(c, l)]
                 at = np.flatnonzero(code == c)
                 bell = rngmod.choose(u1[at], tree.bell_probs)
                 for k, dist in tree.bit_dists.items():

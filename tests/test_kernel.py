@@ -8,7 +8,9 @@ from eprverify.kernel import (
     BELL_STATES,
     BELL_TO_COMPUTATIONAL,
     HADAMARD,
+    pair_reductions,
     rx_prob,
+    select_ordered_pair,
     symmetrize_pairs,
 )
 from eprverify.linalg import apply_local, dagger, is_unitary, partial_trace, proj, tensor
@@ -30,14 +32,14 @@ def _epr_proof() -> np.ndarray:
     return tensor(np.array([0.0, 1.0], dtype=complex), BELL_STATES[0], BELL_STATES[0])
 
 
-def test_state_vector_norm_check():
+def test_protocol_state_norm_check():
     with pytest.raises(ValueError, match="norm"):
         ProtocolState(2 * _epr_proof(), 1, 2)
     proof = ProtocolState(_epr_proof(), 1, 2)
     assert proof.state.shape == (32,)
 
 
-def test_density_operator_shape_check():
+def test_protocol_state_shape_check():
     for bad in (np.eye(16) / 16, np.eye(64) / 64, np.ones((32, 16)), _epr_proof()[:16]):
         with pytest.raises(ValueError, match="shape"):
             ProtocolState(bad, 1, 2)
@@ -193,6 +195,18 @@ def test_symmetrize_matches_every_ordered_reduction_bit_for_bit(l):
             got, want = symmetrize_pairs(state, 1, l), ordered_pair_mean(state, 1, l)
             assert got.shape == want.shape == (32, 32)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("l", [3, 4])
+def test_pair_reductions_yield_every_ordered_pair_once(l):
+    toy = make_toy_verifier(0.3, p_qubits=1, a_qubits=1)
+    proof = cheating_proof({"kind": "local_unitaries", "unitary_seed": 11}, toy, l)
+    expected = [pair for i in range(l) for j in range(i + 1, l) for pair in ((i, j), (j, i))]
+    for state in (proof.state, proj(proof.state)):
+        got = list(pair_reductions(state, 1, l))
+        assert [pair for pair, _ in got] == expected
+        for (i, j), dm in got:
+            assert np.array_equal(dm, select_ordered_pair(state, 1, l, i, j))
 
 
 @settings(max_examples=200, deadline=None)

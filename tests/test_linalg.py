@@ -101,6 +101,27 @@ def test_tensor_bit_exact_with_kron(factors, seed):
     assert np.array_equal(tensor(*ops), kron_tensor(*ops))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_tensor_of_stacks_is_bit_exact_with_each_member(m, n, r, c, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 2, m, n)) + 1j * rng.normal(size=(3, 2, m, n))
+    b = rng.normal(size=(2, r, c)) + 1j * rng.normal(size=(2, r, c))
+    single = rng.normal(size=(r, c))
+    stacked, broadcast = tensor(a, b), tensor(a, single)
+    assert stacked.shape == broadcast.shape == (3, 2, m * r, n * c)
+    for x in range(3):
+        for y in range(2):
+            assert np.array_equal(stacked[x, y], kron_tensor(a[x, y], b[y]))
+            assert np.array_equal(broadcast[x, y], kron_tensor(a[x, y], single))
+
+
+@pytest.mark.parametrize("shapes", [((2,), (2, 2)), ((2, 2), (2,)), ((3, 2, 2), (2,)), ((), ())])
+def test_tensor_refuses_a_vector_with_a_matrix(shapes):
+    with pytest.raises(ValueError, match="vectors or matrices alike"):
+        tensor(*(np.ones(shape) for shape in shapes))
+
+
 def test_partial_trace_epr_marginal():
     epr = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     reduced = partial_trace(proj(epr), 2, [0])

@@ -1,5 +1,6 @@
-"""Every public top-level name in src/eprverify is used by the package itself,
-every dataclass field is read by it, and every defaulted parameter, a
+"""Every top-level name in src/eprverify, private ones included, is used by the
+package itself, and so is every method; every dataclass field is read by it,
+and every defaulted parameter, a
 dataclass field with a default included, is set by some call in it, and not by
 every call to one and the same literal."""
 
@@ -8,28 +9,37 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eprverify"
 
-# Public names that no package code uses, each with the reason it stays.
+# Names that no package code uses, each with the reason it stays.
 EXEMPT = {
     "rewinding_residual": "acceptance criterion 4 checks the rewinding identity as package code",
     "honest_rewinding_instance": "criterion 4 builds its honest rewinding instances with it",
     "HalfEigenpairError": "rewinding_residual raises it; criterion 4's tests catch it",
+    "_Parser.error": "argparse calls it on a bad command line",
 }
 
 
-def _public_definitions(tree: ast.Module) -> list[str]:
+def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(name, the use that counts) for each top-level name, and for each method
+    but the dunder ones as (Class.method, .method)."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            names.append((node.name, node.name))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.extend(t.id for t in targets if isinstance(t, ast.Name))
-    return [name for name in names if not name.startswith("_")]
+            names.extend((t.id, t.id) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            names.extend(
+                (f"{node.name}.{fn.name}", f".{fn.name}") for fn in node.body
+                if isinstance(fn, ast.FunctionDef) and not (fn.name.startswith("__") and fn.name.endswith("__"))
+            )
+    return names
 
 
 def _uses(tree: ast.Module) -> set[str]:
-    """Names read in the source: bare names, and attributes of package modules
-    imported as ``from . import x`` (as in ``rngmod.stream``)."""
+    """Names read in the source: bare names, attributes of package modules
+    imported as ``from . import x`` (as in ``rngmod.stream``), and .attr for
+    each attribute of anything (as in ``run.sample``)."""
     modules = {
         alias.asname or alias.name
         for node in ast.walk(tree)
@@ -42,18 +52,22 @@ def _uses(tree: ast.Module) -> set[str]:
             used.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
             used.add(node.attr)
+        if isinstance(node, ast.Attribute):
+            used.add(f".{node.attr}")
     return used
 
 
 def dead_names(sources: dict[str, str]) -> list[str]:
-    """module.name for each public definition that no source uses."""
+    """module.name for each definition that no source uses, and
+    module.Class.method for each method no source reads as an attribute of
+    anything."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     used = set().union(*map(_uses, trees.values()))
     return sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
-        for name in _public_definitions(tree)
-        if name not in used and name not in EXEMPT
+        for name, use in _definitions(tree)
+        if use not in used and name not in EXEMPT
     )
 
 
@@ -221,6 +235,18 @@ def test_dead_name_scan_sees_unused_definitions():
         "b": "from . import a as amod\nfrom .a import used\nused()\namod.Gone\n",
     }
     assert dead_names(sources) == ["a.LIMIT", "a.dead"]
+
+
+def test_dead_name_scan_sees_private_leftovers_and_methods():
+    sources = {
+        "a": (
+            "_USED = 1\n_LEFT = 2\ndef _helper(): return _USED\ndef _gone(): pass\n"
+            "class K:\n    def __init__(self): self._cache = {}\n"
+            "    def run(self): return self._build()\n    def _build(self): pass\n    def _stale(self): pass\n"
+        ),
+        "b": "from .a import _helper, K\n_helper()\nK().run()\n",
+    }
+    assert dead_names(sources) == ["a.K._stale", "a._LEFT", "a._gone"]
 
 
 def test_every_defaulted_parameter_is_set_in_the_package():

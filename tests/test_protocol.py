@@ -683,13 +683,14 @@ def _tree_calls(run, trials):
 
 
 def _sampled_tree_builds(strategy, p, l):
-    """The run after sampling every ordered pair, and how many trees it built:
-    the members of the stacks its _pair_tree calls got."""
+    """The run, its table of trees from one _pair_trees call, and how many
+    trees that call built: the members of the stacks its _pair_tree calls got."""
     toy = make_toy_verifier(p)
     run = ProtocolRun(cheating_proof(strategy, toy, l), toy)
-    shapes = _tree_calls(run, 2000)
-    assert len(run._trees) == l * (l - 1)
-    return run, sum(shape[0] if len(shape) == 3 else 1 for shape in shapes)
+    with mock.patch.object(protocol, "_pair_tree", wraps=protocol._pair_tree) as build:
+        trees = run._pair_trees()
+    assert len(trees) == l * (l - 1)
+    return run, trees, sum(call.args[0].shape[0] for call in build.call_args_list)
 
 
 # Product proofs whose ordered-pair reductions are equal bit for bit.
@@ -698,11 +699,11 @@ def _sampled_tree_builds(strategy, p, l):
     ({"kind": "choi_product", "q": 0.5}, 0.3), ({"kind": "choi_product", "q": 0.3}, 0.3),
 ])
 def test_sampled_product_proof_builds_one_tree(strategy, p):
-    assert _sampled_tree_builds(strategy, p, l=4)[1] == 1
+    assert _sampled_tree_builds(strategy, p, l=4)[2] == 1
 
 
 def test_sampled_local_unitaries_build_a_tree_per_pair():
-    assert _sampled_tree_builds({"kind": "local_unitaries", "unitary_seed": 5}, 0.3, l=3)[1] == 6
+    assert _sampled_tree_builds({"kind": "local_unitaries", "unitary_seed": 5}, 0.3, l=3)[2] == 6
 
 
 def test_sampled_run_builds_its_trees_in_one_stacked_call():
@@ -739,18 +740,16 @@ def test_sampled_trees_are_one_per_distinct_reduction(strategy, p, l):
     # From l = 3 on, a product proof's reductions can differ in the last bits,
     # as its amplitudes multiply the pair factors in position order; those
     # pairs keep trees of their own.
-    run, builds = _sampled_tree_builds(strategy, p, l)
+    run, trees, builds = _sampled_tree_builds(strategy, p, l)
     states = {}
-    for (i, j), tree in run._trees.items():
+    for (i, j), tree in trees.items():
         key = select_ordered_pair(run.proof.state, 1, l, i, j).tobytes()
         assert states.setdefault(key, tree) is tree
-    assert builds == len(states) == len({id(tree) for tree in run._trees.values()})
+    assert builds == len(states) == len({id(tree) for tree in trees.values()})
 
 
-@pytest.mark.parametrize("strategy, p", [
-    (HONEST_STRATEGY, 0.7), ({"kind": "local_unitaries", "unitary_seed": -3}, 0.6),
-])
-def test_sampled_run_reduces_each_unordered_pair_once(monkeypatch, strategy, p):
+def _counted_reductions(monkeypatch) -> list[tuple[int, int]]:
+    """The (i, j) of each select_ordered_pair call made from now on."""
     direct = kernel.select_ordered_pair
     calls = []
 
@@ -761,13 +760,31 @@ def test_sampled_run_reduces_each_unordered_pair_once(monkeypatch, strategy, p):
     # Bound in protocol too, so that a direct call from the run counts.
     monkeypatch.setattr(kernel, "select_ordered_pair", counted)
     monkeypatch.setattr(protocol, "select_ordered_pair", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("strategy, p", [
+    (HONEST_STRATEGY, 0.7), ({"kind": "local_unitaries", "unitary_seed": -3}, 0.6),
+])
+def test_sampled_run_reduces_each_unordered_pair_once(monkeypatch, strategy, p):
     toy = make_toy_verifier(p)
     run = ProtocolRun(cheating_proof(strategy, toy, 4), toy)
-    sample_tuples(run, 1, 2000)
-    assert len(run._trees) == 12
-    assert sorted(calls) == [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    for (i, j), tree in run._trees.items():
-        assert tree == _pair_tree(direct(run.proof.state, 1, 4, i, j), toy)
+    calls = _counted_reductions(monkeypatch)
+    trees = run._pair_trees()
+    assert len(trees) == 12
+    assert calls == [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    for (i, j), tree in trees.items():
+        assert tree == _pair_tree(select_ordered_pair(run.proof.state, 1, 4, i, j), toy)
+
+
+def test_one_trial_run_builds_every_tree_before_its_draw(monkeypatch):
+    # One trial draws one ordered pair, yet all 12 trees are built, from one
+    # reduction per unordered pair, in stacks of at most tree_stack(1, 1).
+    toy = make_toy_verifier(0.3)
+    run = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 5}, toy, l=4), toy)
+    calls = _counted_reductions(monkeypatch)
+    assert _tree_calls(run, 1) == [(MAX_STACK, 32, 32), (12 - MAX_STACK, 32, 32)]
+    assert calls == [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
 def test_verifier_rejects_bad_inputs():

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .channels import apply_pinch
-from .linalg import MAX_STACK, dagger, partial_trace, tensor
+from .linalg import MAX_STACK, dagger, partial_trace, proj, tensor
 from .metrics import (
     additive_perturbation_margin,
     fvg_margins,
@@ -130,6 +130,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.experiment == "completeness" and self.strategy != HONEST_STRATEGY:
             raise ConfigError(f"completeness runs only the honest strategy, got {shown(self.strategy)}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"'tolerances' must be an object, got {shown(self.tolerances)}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance overrides: {shown(sorted(unknown))}")
@@ -175,7 +177,7 @@ class ExperimentConfig:
         unused = sorted({"strategy", "verifier", "l", "mode"} & set(data))
         if data["experiment"] in ("lemmas", "swap-bench") and unused:
             raise ConfigError(f"{data['experiment']} takes only trials, seed and tolerances, got {shown(unused)}")
-        for name in ("verifier", "strategy", "tolerances"):
+        for name in ("verifier", "strategy"):
             if not isinstance(data.get(name, {}), dict):
                 raise ConfigError(f"{name!r} must be an object, got {shown(data[name])}")
         verifier = data.get("verifier", {})
@@ -193,14 +195,15 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class ExperimentReport:
     config: dict
-    accept_probability: float | None
-    reject_probability: float | None
-    branches: dict | None
-    lemma_margins: dict | None
-    details: dict | None
+    # Each runner sets only the fields its experiment fills.
+    accept_probability: float | None = None
+    reject_probability: float | None = None
+    branches: dict | None = None
+    lemma_margins: dict | None = None
+    details: dict | None = None
     # A sampled run's outcome of each trial: len(BRANCH_KEYS) * code + branch,
     # with the code and branch index that ProtocolRun.sample gives it.
-    trial_outcomes: np.ndarray | None
+    trial_outcomes: np.ndarray | None = None
 
     def failures(self) -> list[str]:
         """Invariant violations that should fail the run (CLI exit code 2)."""
@@ -237,15 +240,8 @@ def _run_protocol_experiment(config: ExperimentConfig, trial_rows: bool) -> Expe
     run = ProtocolRun(cheating_proof(config.strategy, toy, config.l), toy)
     if config.mode == "exact":
         result = run.exact()
-        return ExperimentReport(
-            config=config.to_dict(),
-            accept_probability=result.accept_probability,
-            reject_probability=result.reject_probability,
-            branches=dict(result.branches),
-            lemma_margins=None,
-            details=None,
-            trial_outcomes=None,
-        )
+        return ExperimentReport(config=config.to_dict(), accept_probability=result.accept_probability,
+                                reject_probability=result.reject_probability, branches=dict(result.branches))
     n = config.trials
     outcomes = np.empty(n, np.intp) if trial_rows else None
     tally = np.zeros(len(BRANCH_KEYS), np.intp)
@@ -263,7 +259,6 @@ def _run_protocol_experiment(config: ExperimentConfig, trial_rows: bool) -> Expe
         accept_probability=accepts / n,
         reject_probability=1.0 - accepts / n,
         branches={k: counts[k] / n for k in BRANCH_KEYS},
-        lemma_margins=None,
         details={"trials": n},
         trial_outcomes=outcomes,
     )
@@ -415,15 +410,7 @@ def lemma_suite(trials: int, seed: int, tol: float) -> dict[str, dict]:
 def _run_lemma_suite(config: ExperimentConfig) -> ExperimentReport:
     margins = lemma_suite(config.trials, config.seed, config.tolerance("margin"))
     checks = sum(entry["samples"] for entry in margins.values())
-    return ExperimentReport(
-        config=config.to_dict(),
-        accept_probability=None,
-        reject_probability=None,
-        branches=None,
-        lemma_margins=margins,
-        details={"total_checks": checks},
-        trial_outcomes=None,
-    )
+    return ExperimentReport(config=config.to_dict(), lemma_margins=margins, details={"total_checks": checks})
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +447,13 @@ def _run_swap_bench(config: ExperimentConfig) -> ExperimentReport:
         # Freed before the next chunk is drawn, not after.
         del cases, normals, parts
     psi = random_pure(rng, 2)
-    same = swap_test(tensor(np.outer(psi, psi.conj()), np.outer(psi, psi.conj())))
     zero = np.array([[1, 0], [0, 0]], dtype=complex)
     one = np.array([[0, 0], [0, 1]], dtype=complex)
-    orth = swap_test(tensor(zero, one))
+    # Python floats, as the report's repr and JSON write them.
+    same, orth = swap_test(np.array([tensor(proj(psi), proj(psi)), tensor(zero, one)])).tolist()
     return ExperimentReport(
         config=config.to_dict(),
-        accept_probability=None,
-        reject_probability=None,
-        branches=None,
-        lemma_margins=None,
-        details={
-            "max_error": max_error,
-            "identical_pure": same,
-            "orthogonal_pure": orth,
-        },
-        trial_outcomes=None,
+        details={"max_error": max_error, "identical_pure": same, "orthogonal_pure": orth},
     )
 
 

@@ -130,17 +130,15 @@ def _on_axes(t: np.ndarray, op: np.ndarray, axes: list[int], lead: int) -> np.nd
     tensors, in place of them; the first ``lead`` axes of t index the stack and
     the listed axes count from the first axis after them.
 
-    One product of op with each member's listed axes moved to the front and
-    flattened: the same two arrays np.tensordot hands to dot, member by member.
-    On a stack, np.matmul makes for each member the BLAS call np.dot makes for
-    the member alone; np.dot costs less to call.
+    One np.matmul of op with each member's listed axes moved to the front and
+    flattened: the same two arrays np.tensordot multiplies, member by member,
+    so each member's product is bit for bit the one np.tensordot gives it
+    alone.  A matrix is a stack with lead 0.
     """
-    order = axes + [a for a in range(t.ndim - lead) if a not in axes]
-    if lead:
-        order = [*range(lead), *(lead + a for a in order)]
+    rest = [a for a in range(t.ndim - lead) if a not in axes]
+    order = [*range(lead), *(lead + a for a in axes + rest)]
     moved = t.transpose(order).reshape(t.shape[:lead] + (op.shape[1], -1))
-    out = np.matmul(op, moved) if lead else np.dot(op, moved)
-    return out.reshape(t.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
+    return np.matmul(op, moved).reshape(t.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def apply_local(t: np.ndarray, op: np.ndarray, n_qubits: int, targets: list[int]) -> np.ndarray:
@@ -187,7 +185,6 @@ def partial_trace(t: np.ndarray, n_qubits: int, keep: list[int]) -> np.ndarray:
         return m @ dagger(m)
     lead = t.shape[:-2]
     axes = keep + drop + [n_qubits + k for k in keep] + [n_qubits + k for k in drop]
-    if lead:
-        axes = [*range(len(lead)), *(len(lead) + a for a in axes)]
+    axes = [*range(len(lead)), *(len(lead) + a for a in axes)]
     t = t.reshape(lead + (2,) * (2 * n_qubits)).transpose(axes).reshape(lead + (dk, dd, dk, dd))
     return np.einsum("...ikjk->...ij", t)

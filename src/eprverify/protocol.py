@@ -106,14 +106,10 @@ def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVeri
         raise ValueError("register sizes must be >= 1")
     dp, da = 2**p_qubits, 2**a_qubits
     theta = np.arcsin(np.sqrt(p))
-    g = np.array(
-        [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex
-    )
-    rotate_acc = tensor(g, np.eye(da // 2)) if a_qubits > 1 else g
-    v = np.zeros((dp * da, dp * da), dtype=complex)
-    for x in range(dp):
-        block = rotate_acc if x == dp - 1 else np.eye(da)
-        v[x * da:(x + 1) * da, x * da:(x + 1) * da] = block
+    g = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex)
+    # The identity but for the block of P = |1...1>, which rotates the acceptance qubit.
+    v = np.eye(dp * da, dtype=complex)
+    v[-da:, -da:] = tensor(g, np.eye(da // 2))
     acc = tensor(np.eye(dp), proj(np.array([0.0, 1.0])), np.eye(da // 2))
     s = np.sin(theta)
     top = float(s * s)
@@ -158,7 +154,7 @@ class ProtocolState:
                              f"p_qubits={self.p_qubits}, l={self.l}")
         if state.ndim == 1:
             norm = np.linalg.norm(state)
-            if abs(norm - 1.0) > NORM_TOL:
+            if not abs(norm - 1.0) <= NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"state norm {norm} deviates from 1 beyond {NORM_TOL}")
         else:
             trace = np.trace(state).real
@@ -266,7 +262,7 @@ def cheating_proof(strategy: dict, toy: ToyVerifier, l: int) -> ProtocolState:
 # SWAP test
 # ---------------------------------------------------------------------------
 
-def swap_test(joint: np.ndarray) -> float | np.ndarray:
+def swap_test(joint: np.ndarray) -> np.ndarray:
     """Run the SWAP test circuit between the two halves of a 2k-qubit density matrix.
 
     Returns the acceptance probability from the full circuit: ancilla
@@ -274,8 +270,8 @@ def swap_test(joint: np.ndarray) -> float | np.ndarray:
     measurement, accepting on 0.  The ancilla is prepended as qubit 0; the
     controlled swap permutes basis states, so it is applied by indexing rows
     and columns with that permutation, which moves entries with no arithmetic.
-    A stack of joints (..., 4^k, 4^k) gives an array of the probabilities, each
-    bit for bit the one its joint gives alone.
+    It is an array: 0-d for one joint, of the stack's shape for a stack (...,
+    4^k, 4^k), each probability bit for bit the one its joint gives alone.
     """
     joint = np.asarray(joint, dtype=complex)
     dd = joint.shape[-1] if joint.ndim >= 2 else 0
@@ -291,22 +287,20 @@ def swap_test(joint: np.ndarray) -> float | np.ndarray:
     out = apply_local(out, HADAMARD, n, [0])
     out = out[..., perm, :][..., perm]
     out = apply_local(out, HADAMARD, n, [0])
-    accept = partial_trace(out, n, [0])[..., 0, 0].real
-    return float(accept) if joint.ndim == 2 else accept
+    return partial_trace(out, n, [0])[..., 0, 0].real
 
 
-def swap_test_formula(joint: np.ndarray) -> float | np.ndarray:
+def swap_test_formula(joint: np.ndarray) -> np.ndarray:
     """Closed form (1 + Tr(rho S))/2 of the SWAP test on a 4^k x 4^k joint
-    density rho of two k-qubit halves, S the swap of the halves: Tr(rho S) is
-    the sum of its entries <ab|rho|ba>.  A stack of joints (..., 4^k, 4^k)
-    gives an array of the probabilities from the same einsum, each bit for
-    bit the one its joint gives alone.
+    density rho of two k-qubit halves, S the swap of the halves, or on each
+    of a stack (..., 4^k, 4^k): Tr(rho S) is the sum of its entries
+    <ab|rho|ba>.  Returns an array of the stack's shape (0-d for one joint),
+    each probability bit for bit the one its joint gives alone.
     """
     joint = np.asarray(joint, dtype=complex)
     d = 2 ** ((joint.shape[-1].bit_length() - 1) // 2)
     overlap = np.einsum("...abba->...", joint.reshape(joint.shape[:-2] + (d, d, d, d))).real
-    accept = (1.0 + overlap) / 2.0
-    return float(accept) if joint.ndim == 2 else accept
+    return (1.0 + overlap) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -411,22 +405,22 @@ class _PairTree:
     swap_pass: float
 
 
-def _pair_tree(rho: np.ndarray, toy: ToyVerifier) -> _PairTree | list[_PairTree]:
-    """Outcome distributions of both coins' branches on a (P, S1, S1', S2, S2')
-    density matrix: one tree for a matrix, and a list of trees, one a member,
-    for a stack (k, d, d) of them.
+def _pair_tree(stack: np.ndarray, toy: ToyVerifier) -> list[_PairTree]:
+    """Outcome distributions of both coins' branches on each of a stack (k, d,
+    d) of (P, S1, S1', S2, S2') density matrices: a list of trees, one a
+    member.  Exact mode passes a stack of one.
 
-    Each step has one owner, which takes the matrix or the stack: the pinches
+    Each step has one owner, which takes the stack: the pinches
     (channels.apply_pinch), the SWAP closed form (swap_test_formula), the
     decode, V, flip and V† (linalg.apply_local), the reductions
-    (linalg.partial_trace) and the teleportation read (teleport).  On a stack
-    every contraction makes, member by member, the BLAS call that the member
-    alone makes, so each tree is bit for bit the one its matrix gives alone.
+    (linalg.partial_trace) and the teleportation read (teleport).  Every
+    contraction makes, member by member, the BLAS call that the member alone
+    makes, so each tree is bit for bit the one its matrix gives alone.
     """
     p, a = toy.p_qubits, toy.a_qubits
     s1, s1p, s2, s2p = p, p + 1, p + 2, p + 3
     n = p + 4
-    w = apply_pinch(apply_pinch(rho, n, [s1, s1p]), n, [s2, s2p])
+    w = apply_pinch(apply_pinch(stack, n, [s1, s1p]), n, [s2, s2p])
     swap_pass = swap_test_formula(partial_trace(w, n, [s1, s1p, s2, s2p]))
 
     w = apply_local(w, BELL_TO_COMPUTATIONAL, n, [s1, s1p])
@@ -442,9 +436,7 @@ def _pair_tree(rho: np.ndarray, toy: ToyVerifier) -> _PairTree | list[_PairTree]
     w = apply_local(w, dagger(toy.v), n, pa)
     # (S2', S1) is measured; A and S2 keep the bits the verifier reads.
     blocks = teleport(w, n, p + 2, p, [*range(p + 3, n), p + 1])
-    if rho.ndim == 2:
-        return _read_tree(blocks, swap_pass)
-    return [_read_tree([block[m] for block in blocks], swap_pass[m]) for m in range(len(rho))]
+    return [_read_tree([block[m] for block in blocks], swap_pass[m]) for m in range(len(stack))]
 
 
 def _read_tree(blocks: list[np.ndarray], swap_pass) -> _PairTree:
@@ -506,7 +498,7 @@ class ProtocolRun:
         equal, and nothing assumes they are.
         """
         proof = self.proof
-        tree = _pair_tree(symmetrize_pairs(proof.state, proof.p_qubits, proof.l), self.toy)
+        [tree] = _pair_tree(symmetrize_pairs(proof.state, proof.p_qubits, proof.l)[None], self.toy)
         masses = {k: 0.0 for k in BRANCH_KEYS}
         masses["b1_swap_accept"] = 0.5 * tree.swap_pass
         masses["b1_swap_reject"] = 0.5 * (1.0 - tree.swap_pass)

@@ -84,6 +84,16 @@ def test_config_rejections(bad):
         ExperimentConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("tolerances", [None, ["margin"], "margin", 1e-9])
+def test_validate_refuses_tolerances_that_are_not_an_object(tolerances):
+    # A library caller builds the config directly, without from_dict.
+    config = ExperimentConfig("lemmas", {"kind": "idle_epr"}, tolerances=tolerances)
+    with pytest.raises(ConfigError, match="'tolerances' must be an object, got "):
+        config.validate()
+    with pytest.raises(ConfigError, match="'tolerances' must be an object, got "):
+        run_experiment(config)
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -584,16 +594,15 @@ def test_cli_lemmas_nan_margin_exit_two(tmp_path, monkeypatch):
 def _swap_circuits_with(monkeypatch, values: dict) -> None:
     """Make the stacked SWAP circuit return values[m] for the m-th case it is
     given, counted over its calls; a chunk's one-qubit cases come before its
-    two-qubit ones."""
+    two-qubit ones, and the two pure checks come last."""
     real = harness.swap_test
     seen = [0]
 
     def circuit(joint):
         out = real(joint)
-        if np.ndim(out):
-            for i in range(len(out)):
-                out[i] = values.get(seen[0] + i, out[i])
-            seen[0] += len(out)
+        for i in range(len(out)):
+            out[i] = values.get(seen[0] + i, out[i])
+        seen[0] += len(out)
         return out
 
     monkeypatch.setattr(harness, "swap_test", circuit)

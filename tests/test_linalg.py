@@ -299,6 +299,12 @@ def test_apply_local_bit_exact_with_tensordot_form(case, transposed):
     rho = random_complex_matrix(rng, 2**n)
     for t in (psi, rho):
         assert np.array_equal(apply_local(t, op, n, targets), tensordot_apply_local(t, op, n, targets))
+    # A stack (k, d, d), k in 1..4: each member as the reference gives it alone.
+    stack = np.array([random_complex_matrix(rng, 2**n) for _ in range(int(rng.integers(1, 5)))])
+    applied = apply_local(stack, op, n, targets)
+    assert applied.shape == stack.shape
+    for out, member in zip(applied, stack):
+        assert np.array_equal(out, tensordot_apply_local(member, op, n, targets))
 
 
 @settings(max_examples=200, deadline=None)

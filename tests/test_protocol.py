@@ -230,6 +230,13 @@ def test_custom_state_marginal_rejection():
         ProtocolState(proj(bad), 1, 2)
 
 
+def test_nan_amplitude_fails_the_norm_check():
+    state = cheating_proof({"kind": "idle_epr"}, make_toy_verifier(0.75), l=2).state.copy()
+    state[3] = np.nan
+    with pytest.raises(ValueError, match="state norm nan deviates from 1"):
+        ProtocolState(state, 1, 2)
+
+
 @pytest.mark.parametrize(
     "strategy",
     [
@@ -328,13 +335,14 @@ def test_swap_test_on_a_stack_is_bit_exact_with_each_joint_alone(k, shape):
     joints = np.array([random_density(RNG, 4**k) for _ in range(int(np.prod(shape)))])
     stacked = swap_test(joints.reshape(shape + joints.shape[1:]))
     assert stacked.shape == shape
+    # One joint is a stack of no axes: a 0-d array.
     alone = [swap_test(joint) for joint in joints]
-    assert all(type(x) is float for x in alone)
-    assert stacked.reshape(-1).tolist() == alone == [per_case_swap_test(joint) for joint in joints]
+    assert all(x.shape == () for x in alone)
+    assert stacked.reshape(-1).tolist() == [x.item() for x in alone] == [per_case_swap_test(j) for j in joints]
     # The closed form, too, is one einsum for a joint and a stack alike.
     stacked = swap_test_formula(joints.reshape(shape + joints.shape[1:]))
     alone = [swap_test_formula(joint) for joint in joints]
-    assert all(type(x) is float for x in alone)
+    assert all(x.shape == () for x in alone)
     assert stacked.shape == shape and stacked.reshape(-1).tobytes() == np.array(alone).tobytes()
 
 
@@ -663,7 +671,7 @@ def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strateg
     for i in range(3):
         for drawn_j in range(2):
             j = drawn_j + (drawn_j >= i)
-            tree = _pair_tree(select_ordered_pair(run.proof.state, 1, 3, i, j), toy)
+            [tree] = _pair_tree(select_ordered_pair(run.proof.state, 1, 3, i, j)[None], toy)
             u1s = [0.0, *edge_uniforms(tree.bell_probs), *edge_uniforms([tree.swap_pass, 1.0 - tree.swap_pass])]
             u2s = [u for dist in tree.bit_dists.values() for u in edge_uniforms(dist)]
             draws += [(i, drawn_j, coin, u1, u2) for coin in (0, 1) for u1 in u1s for u2 in u2s]
@@ -675,11 +683,21 @@ def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strateg
 
 
 def _tree_calls(run, trials):
-    """The shapes of the matrices or stacks run's _pair_tree calls get while
-    it samples trials trials."""
+    """The shapes of the stacks run's _pair_tree calls get while it samples
+    trials trials."""
     with mock.patch.object(protocol, "_pair_tree", wraps=protocol._pair_tree) as build:
         sample_tuples(run, 1, trials)
     return [call.args[0].shape for call in build.call_args_list]
+
+
+@pytest.mark.parametrize("p_qubits, a_qubits", [(1, 1), (2, 1), (1, 2)])
+def test_exact_builds_one_tree_on_a_stack_of_one(p_qubits, a_qubits):
+    toy = make_toy_verifier(0.3, p_qubits=p_qubits, a_qubits=a_qubits)
+    run = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 5}, toy, l=3), toy)
+    with mock.patch.object(protocol, "_pair_tree", wraps=protocol._pair_tree) as build:
+        run.exact()
+    d = 2 ** (p_qubits + 4)
+    assert [call.args[0].shape for call in build.call_args_list] == [(1, d, d)]
 
 
 def _sampled_tree_builds(strategy, p, l):
@@ -774,7 +792,7 @@ def test_sampled_run_reduces_each_unordered_pair_once(monkeypatch, strategy, p):
     assert len(trees) == 12
     assert calls == [(i, j) for i in range(4) for j in range(i + 1, 4)]
     for (i, j), tree in trees.items():
-        assert tree == _pair_tree(select_ordered_pair(run.proof.state, 1, 4, i, j), toy)
+        assert [tree] == _pair_tree(select_ordered_pair(run.proof.state, 1, 4, i, j)[None], toy)
 
 
 def test_one_trial_run_builds_every_tree_before_its_draw(monkeypatch):
@@ -900,7 +918,7 @@ def test_pair_tree_diagonal_read_matches_post_selection(p_qubits, a_qubits, p, k
         # deterministic bits: most conditional probabilities sit on PROB_FLOOR
         proof = cheating_proof({"kind": "idle_epr"}, toy, l=2)
         dm = select_ordered_pair(proof.state, p_qubits, 2, 0, 1)
-    tree = _pair_tree(dm, toy)
+    [tree] = _pair_tree(dm[None], toy)
     bell_probs, bit_dists = _circuit_tree(dm, toy)
     assert len(tree.bell_probs) == len(bell_probs) == 4
     assert np.max(np.abs(np.asarray(tree.bell_probs) - bell_probs)) <= 1e-12
@@ -947,9 +965,9 @@ def test_stacked_pair_tree_is_bit_exact_with_the_reference_tree(p_qubits, a_qubi
     trees = _pair_tree(stack, toy)
     assert isinstance(trees, list) and len(trees) == len(stack)
     assert repr(trees) == repr(expected)
-    # The one-matrix call, as exact() makes it, gives one tree.
-    alone = _pair_tree(stack[0], toy)
-    assert isinstance(alone, protocol._PairTree) and repr(alone) == repr(expected[0])
+    # A stack of one, as exact() makes it, gives a list of one tree.
+    alone = _pair_tree(stack[:1], toy)
+    assert isinstance(alone, list) and repr(alone) == repr(expected[:1])
 
 
 def test_protocol_run_never_forms_the_proof_density(monkeypatch):

@@ -1,0 +1,77 @@
+"""Digests of the reports a checkout of eprverify emits, to show that a change
+leaves every report byte as it was.
+
+    python tools/report_digests.py SRC_DIR
+
+imports eprverify from SRC_DIR/src and the job lists from this checkout's
+perfbench/workloads.py, and writes no bytecode into either.  It runs every
+job of the seed-1 and seed-7919 passes of each benchmark workload, then the
+configs of acceptance criterion 8 (tests/test_acceptance.py): the exact and
+100 000-trial sampled soundness runs and the two 2000-trial repeat configs.
+Each run's report is emitted as JSON and as CSV.  For each group, and in
+total, it prints the report count and one SHA-256 over those bytes, in run
+order.  Run it once on a checkout of the parent commit and once on the
+change: equal lines mean equal reports.  It takes about 6 s on a 2-core
+x86-64 VM, and is no part of the test suite.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+SEEDS = (1, 7919)
+
+
+def criterion_8_configs() -> list[dict]:
+    """The configs acceptance criterion 8 runs, in its order."""
+    strategies = [{"kind": "honest"}, {"kind": "idle_epr"}, {"kind": "choi_product", "q": 0.8}]
+    configs = []
+    for p_toy in (0.75, 1e-3):
+        for strategy in strategies:
+            base = {"experiment": "soundness", "verifier": {"p": p_toy}, "strategy": strategy, "seed": 808080}
+            configs += [{**base, "mode": "exact"}, {**base, "mode": "sampled", "trials": 100_000}]
+    configs += [{"experiment": "soundness", "verifier": {"p": 1e-3}, "strategy": strategy, "seed": 818181,
+                 "mode": "sampled", "trials": 2000} for strategy in strategies[:2]]
+    return configs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/report_digests.py SRC_DIR", file=sys.stderr)
+        return 1
+    sys.dont_write_bytecode = True
+    src = Path(argv[0]).resolve() / "src"
+    sys.path[:0] = [str(src), str(HERE / "perfbench")]
+    import workloads
+    import eprverify
+    from eprverify.harness import ExperimentConfig, emit_report, run_experiment
+
+    if Path(eprverify.__file__).resolve().parent != src / "eprverify":
+        print(f"imported eprverify from {eprverify.__file__}, not from {src}", file=sys.stderr)
+        return 1
+
+    groups = {
+        name: [job["config"] for seed in SEEDS for job in workloads.make_pass(name, seed)[0]]
+        for name in workloads.WORKLOADS
+    }
+    groups["criterion-8"] = criterion_8_configs()
+    total, count = hashlib.sha256(), 0
+    for name, configs in groups.items():
+        digest = hashlib.sha256()
+        for config in configs:
+            report = run_experiment(ExperimentConfig.from_dict(config))
+            for fmt in ("json", "csv"):
+                data = emit_report(report, fmt)
+                digest.update(data)
+                total.update(data)
+        print(f"{name} {2 * len(configs)} reports sha256 {digest.hexdigest()}")
+        count += 2 * len(configs)
+    print(f"total {count} reports sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .metrics import (
 )
 from .protocol import (
     BRANCH_KEYS,
+    BRANCHES,
     DEFAULT_STRATEGY,
     HONEST_STRATEGY,
     REJECT_KEYS,
@@ -69,25 +70,26 @@ TRIAL_ROW_BYTES = 128
 
 
 def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -> float:
-    """Bytes of the largest allocations of a protocol run, each counted once.
-
-    The proof vector and its transposed copy (2 x 2^(p+2l) entries), the marginal
-    of the primed pair halves (4^l), the toy verifier V (4^(p+a)), the l(l-1)
-    pair reductions (4^(p+4) each) and the pair trees' states once the ancilla
-    joins them (4^(p+a+3) each), at 16 bytes an entry; plus a sampled run's
-    trials and their CSV rows.  An exact run, the one with no trial rows,
-    builds one tree; a sampled run builds its trees in stacks of up to
-    min(tree_stack(p, a), l(l-1)), its distinct two-slot states.  Sizes too
-    large for a float give inf.
+    """Bytes of the largest arrays of a protocol run at 16 bytes an entry, each
+    counted as often as a run holds copies of it at once (tracemalloc peaks): the
+    proof vector, its transposed copy and that copy's conjugate (3 x 2^(p+2l));
+    the primed halves' marginal (4^l); V and the flip with their complex casts
+    and conjugates (3 x (4^(p+a) + 4^(p+a+1))); the l(l-1) pair reductions
+    (4^(p+4) each), twice in a sampled run, which keys its trees by their
+    bytes; the trees' states with the ancilla (4^(p+a+3) each), 4 x for
+    apply_local's input and temporaries, one tree in an exact run and a
+    stack of min(tree_stack(p, a), l(l-1)) in a sampled run; and a sampled
+    run's trials and CSV rows.  An exact run is the one with no trial rows.
+    Sizes too large for a float give inf.
     """
     def entries(log2: int) -> float:
         return 2.0**log2 if log2 < 1000 else math.inf
 
     p, a = p_qubits, a_qubits
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
-    pairs = l * (l - 1) if l < 2**500 else math.inf
-    total = (2 * entries(p + 2 * l) + entries(2 * l) + entries(2 * (p + a)) + pairs * entries(2 * (p + 4))
-             + trees * entries(2 * (p + a + 3)))
+    pairs = (l * (l - 1) if l < 2**500 else math.inf) * (2 if trial_rows else 1)
+    total = (3 * entries(p + 2 * l) + entries(2 * l) + 3 * (entries(2 * (p + a)) + entries(2 * (p + a + 1)))
+             + pairs * entries(2 * (p + 4)) + 4 * trees * entries(2 * (p + a + 3)))
     rows = trial_rows if trial_rows < 2**1000 else math.inf
     return 16 * total + TRIAL_ROW_BYTES * rows
 
@@ -130,6 +132,12 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if self.experiment == "completeness" and self.strategy != HONEST_STRATEGY:
             raise ConfigError(f"completeness runs only the honest strategy, got {shown(self.strategy)}")
+        # The suite and the bench read none of these; their reports echo the defaults.
+        defaults = {f.name: f.default for f in fields(self)} | {"strategy": DEFAULT_STRATEGY}
+        unused = sorted(k for k in ("strategy", "p", "p_qubits", "a_qubits", "l", "mode")
+                        if getattr(self, k) != defaults[k])
+        if self.experiment in ("lemmas", "swap-bench") and unused:
+            raise ConfigError(f"{self.experiment} takes only trials, seed and tolerances, got {shown(unused)}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"'tolerances' must be an object, got {shown(self.tolerances)}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
@@ -173,7 +181,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config fields: {shown(sorted(unknown))}")
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' field")
-        # The suite and the bench read none of these; their reports echo the defaults.
+        # validate sees no field given at its default; this sees every key given.
         unused = sorted({"strategy", "verifier", "l", "mode"} & set(data))
         if data["experiment"] in ("lemmas", "swap-bench") and unused:
             raise ConfigError(f"{data['experiment']} takes only trials, seed and tolerances, got {shown(unused)}")
@@ -223,16 +231,6 @@ class ExperimentReport:
             if not math.isfinite(error) or error > tolerances["swap"]:
                 found.append(f"swap-bench max error {error:.3e} above {tolerances['swap']}")
         return found
-
-
-# The CSV fields (b, postsel, verdict) of a sampled trial, by branch key.
-_ROW_FIELDS = {
-    "b0_postsel_fail": (0, "fail", "accept"),
-    "b0_allzero_reject": (0, "success", "reject"),
-    "b0_measured_accept": (0, "success", "accept"),
-    "b1_swap_accept": (1, "", "accept"),
-    "b1_swap_reject": (1, "", "reject"),
-}
 
 
 def _run_protocol_experiment(config: ExperimentConfig, trial_rows: bool) -> ExperimentReport:
@@ -495,7 +493,7 @@ def _trial_rows_csv(outcomes: np.ndarray, l: int) -> bytes:
     suffix = {
         len(BRANCH_KEYS) * (i * l + j) + b: f",{coin},{i + 1},{j + 1},{postsel},{verdict}\n"
         for i in range(l) for j in range(l) if i != j
-        for b, (coin, postsel, verdict) in enumerate(_ROW_FIELDS[key] for key in BRANCH_KEYS)
+        for b, (coin, postsel, verdict) in enumerate(BRANCHES.values())
     }
     chunks = [b"trial,b,pair_i,pair_j,postsel,verdict\n"]
     for start in range(0, outcomes.size, rngmod.CHUNK_TRIALS):

@@ -75,19 +75,20 @@ def _swap_slots(m: np.ndarray, n_qubits: int) -> np.ndarray:
     return m.reshape([2] * (2 * n_qubits)).transpose(axes).reshape(m.shape)
 
 
-def pair_reductions(state: np.ndarray, p_qubits: int, l: int):
-    """Yield ((i, j), reduction) for every ordered pair of a proof's l pairs:
-    (i, j) then (j, i) for each i < j, each matrix select_ordered_pair's.
+def pair_reductions(state: np.ndarray, p_qubits: int, l: int) -> dict[tuple[int, int], np.ndarray]:
+    """Every ordered pair (i, j) of a proof's l pairs mapped to its reduction,
+    select_ordered_pair's matrix, in the order (i, j) then (j, i) for each i < j.
 
     Each unordered pair is reduced once; the reverse order is the same matrix
     with the two slots exchanged, which moves entries and so equals its own
     reduction bit for bit.
     """
+    reduced = {}
     for i in range(l):
         for j in range(i + 1, l):
-            dm = select_ordered_pair(state, p_qubits, l, i, j)
-            yield (i, j), dm
-            yield (j, i), _swap_slots(dm, p_qubits + 4)
+            dm = reduced[i, j] = select_ordered_pair(state, p_qubits, l, i, j)
+            reduced[j, i] = _swap_slots(dm, p_qubits + 4)
+    return reduced
 
 
 def symmetrize_pairs(state: np.ndarray, p_qubits: int, l: int) -> np.ndarray:
@@ -97,6 +98,6 @@ def symmetrize_pairs(state: np.ndarray, p_qubits: int, l: int) -> np.ndarray:
     the mean of the l(l-1) ordered-pair reductions (pair_reductions), a (P,
     S1, S1', S2, S2') matrix, summed in ordered-pair order.
     """
-    reduced = dict(pair_reductions(state, p_qubits, l))
+    reduced = pair_reductions(state, p_qubits, l)
     terms = [reduced[i, j] for i in range(l) for j in range(l) if i != j]
     return sum(terms) / len(terms)

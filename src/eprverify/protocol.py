@@ -46,14 +46,16 @@ HALF_EIG_TOL = 1e-9
 # Outcome probabilities below this are reported as 0, with no post state.
 PROB_FLOOR = 1e-14
 
-BRANCH_KEYS = (
-    "b0_postsel_fail",
-    "b0_allzero_reject",
-    "b0_measured_accept",
-    "b1_swap_accept",
-    "b1_swap_reject",
-)
-REJECT_KEYS = ("b0_allzero_reject", "b1_swap_reject")
+# Each branch of a trial, in report order, to its CSV fields (coin, postsel, verdict).
+BRANCHES = {
+    "b0_postsel_fail": (0, "fail", "accept"),
+    "b0_allzero_reject": (0, "success", "reject"),
+    "b0_measured_accept": (0, "success", "accept"),
+    "b1_swap_accept": (1, "", "accept"),
+    "b1_swap_reject": (1, "", "reject"),
+}
+BRANCH_KEYS = tuple(BRANCHES)
+REJECT_KEYS = tuple(key for key, (_, _, verdict) in BRANCHES.items() if verdict == "reject")
 
 # The kept Bell outcomes, as indices in BELL_LABELS order; psi+ needs an X correction.
 _PSI_PLUS = BELL_LABELS.index("psi+")
@@ -161,7 +163,7 @@ class ProtocolState:
             if not is_hermitian(state) or abs(trace - 1.0) > NORM_TOL:
                 raise ValueError(f"matrix proof is not Hermitian with unit trace within tolerance (trace {trace})")
             low = min(np.linalg.eigvalsh(dm)[0]
-                      for (i, j), dm in pair_reductions(state, self.p_qubits, self.l) if i < j)
+                      for (i, j), dm in pair_reductions(state, self.p_qubits, self.l).items() if i < j)
             if low < -PSD_TOL:
                 raise ValueError(f"a pair reduction of the matrix proof has eigenvalue {low:.3e} below -{PSD_TOL}")
         # Whatever the prover does to P and the Si halves, the verifier's
@@ -418,7 +420,7 @@ def _pair_tree(stack: np.ndarray, toy: ToyVerifier) -> list[_PairTree]:
     makes, so each tree is bit for bit the one its matrix gives alone.
     """
     p, a = toy.p_qubits, toy.a_qubits
-    s1, s1p, s2, s2p = p, p + 1, p + 2, p + 3
+    (s1, s1p), (s2, s2p) = _pair_qubits(p, 0), _pair_qubits(p, 1)
     n = p + 4
     w = apply_pinch(apply_pinch(stack, n, [s1, s1p]), n, [s2, s2p])
     swap_pass = swap_test_formula(partial_trace(w, n, [s1, s1p, s2, s2p]))
@@ -467,16 +469,14 @@ class ProtocolRun:
     """Verifier evaluation against a fixed proof, exact or sampled.
 
     Exact mode evaluates one tree, on the pair-symmetrized state.  Sampled
-    mode builds every ordered pair's tree before its first draw (_pair_trees),
-    then draws each trial's ordered pair, which the trial reports, and reads a
-    chunk of trials at a time off the pairs' trees, into arrays of branch
-    indices and ordered-pair codes.  It reduces each unordered pair once
-    (pair_reductions), and builds one tree per distinct two-slot state:
-    ordered pairs whose reductions are equal bit for bit, as a product proof's
-    pairs mostly are, share one.  The states are built as they stream in, in
-    stacks on raw arrays of at most tree_stack(p_qubits, a_qubits); a tree is
-    a pure function of the reduction and the toy, bit for bit the same alone
-    or in a stack, so neither sharing nor stacking changes a report byte.
+    mode builds its table of trees before its first draw (_pair_trees): one
+    tree per distinct two-slot state, so ordered pairs whose reductions are
+    equal bit for bit, as a product proof's pairs mostly are, share one.  It
+    then draws each trial's ordered pair, which the trial reports, and reads
+    a chunk of trials at a time off the trees that chunk drew, into arrays of
+    branch indices and ordered-pair codes.  A tree is a pure function of the
+    reduction and the toy, bit for bit the same alone or in a stack, so
+    neither sharing nor stacking changes a report byte.
 
     Each step of a tree has one owner: see _pair_tree.
     """
@@ -511,24 +511,22 @@ class ProtocolRun:
         reject = sum(masses[key] for key in REJECT_KEYS)
         return BranchBreakdown(1.0 - reject, reject, masses)
 
-    def _pair_trees(self) -> dict[tuple[int, int], _PairTree]:
-        """Every ordered pair's tree, one tree per distinct reduction, each
-        reduction keyed by its bytes.  The new reductions are built in stacks
-        of at most tree_stack(p_qubits, a_qubits) as they stream in, so no
-        more of them are held than a stack."""
+    def _pair_trees(self) -> tuple[list[_PairTree], np.ndarray]:
+        """One tree per distinct reduction (pair_reductions), keyed by its
+        bytes, in first-seen order and built in stacks of at most
+        tree_stack(p_qubits, a_qubits); and, at each ordered-pair code
+        i * l + j, the slot of that pair's tree (0 at the undrawn i == j)."""
         proof, toy = self.proof, self.toy
-        most, pairs = tree_stack(toy.p_qubits, toy.a_qubits), proof.l * (proof.l - 1)
-        key_of: dict[tuple[int, int], bytes] = {}
-        tree_of: dict[bytes, _PairTree] = {}
-        new: dict[bytes, np.ndarray] = {}
-        for pair, dm in pair_reductions(proof.state, proof.p_qubits, proof.l):
-            key = key_of[pair] = dm.tobytes()
-            if key not in tree_of and key not in new:
-                new[key] = dm
-            if new and (len(new) == most or len(key_of) == pairs):
-                tree_of.update(zip(new, _pair_tree(np.array(list(new.values())), toy)))
-                new.clear()
-        return {pair: tree_of[key] for pair, key in key_of.items()}
+        l, most = proof.l, tree_stack(toy.p_qubits, toy.a_qubits)
+        slot_of, states = {}, []
+        slots = np.zeros(l * l, np.intp)
+        for (i, j), dm in pair_reductions(proof.state, proof.p_qubits, l).items():
+            slots[i * l + j] = slot = slot_of.setdefault(dm.tobytes(), len(states))
+            if slot == len(states):
+                states.append(dm)
+        trees = [tree for start in range(0, len(states), most)
+                 for tree in _pair_tree(np.array(states[start:start + most]), toy)]
+        return trees, slots
 
     def sample(self, seed: int, trials: int):
         """Yield, a chunk of trials at a time, the arrays (branch, code) of
@@ -537,13 +535,14 @@ class ProtocolRun:
         branch is each trial's index into BRANCH_KEYS, and code its 0-based
         ordered pair (i, j) as i * l + j."""
         l = self.proof.l
-        trees = self._pair_trees()
+        trees, slots = self._pair_trees()
         for i, j, coin, u1, u2 in rngmod.trial_draws(seed, trials, l):
             code = i * l + j + (j >= i)
+            slot = slots[code]
             branch = np.zeros(code.size, int)  # BRANCH_KEYS index
-            for c in set(code.tolist()):
-                tree = trees[divmod(c, l)]
-                at = np.flatnonzero(code == c)
+            for s in set(slot.tolist()):
+                tree = trees[s]
+                at = np.flatnonzero(slot == s)
                 bell = rngmod.choose(u1[at], tree.bell_probs)
                 for k, dist in tree.bit_dists.items():
                     hit = at[bell == k]

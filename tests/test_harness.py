@@ -28,6 +28,7 @@ from eprverify.harness import (
     run_experiment,
 )
 from eprverify.linalg import MAX_STACK
+from eprverify.protocol import tree_stack
 from eprverify.rng import stream
 
 from dense_reference import csv_writer_summary, per_case_swap_bench, tuple_row_reports
@@ -738,6 +739,21 @@ def test_cli_lemmas_and_swap_bench_take_no_protocol_fields(tmp_path, capsys, exp
     assert "got ['l', 'mode', 'verifier']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["lemmas", "swap-bench"])
+@pytest.mark.parametrize("fields, unused", [
+    ({"strategy": {"kind": "choi_product", "q": 0.3}, "l": 7, "mode": "sampled", "p": 0.2},
+     ["l", "mode", "p", "strategy"]),
+    ({"p_qubits": 2}, ["p_qubits"]), ({"a_qubits": 3}, ["a_qubits"]), ({"p": 1}, ["p"]),
+])
+def test_validate_refuses_library_built_lemmas_and_swap_bench_with_protocol_fields(experiment, fields, unused):
+    # A library caller bypasses from_dict's key check; validate compares the
+    # values with the defaults the report would otherwise echo.
+    config = ExperimentConfig(experiment=experiment, trials=2, **{"strategy": {"kind": "idle_epr"}, **fields})
+    with pytest.raises(ConfigError, match=re.escape(f"{experiment} takes only trials, seed and tolerances, got {unused}")):
+        config.validate()
+    ExperimentConfig(experiment=experiment, strategy={"kind": "idle_epr"}, trials=2, seed=5, p=0.75, l=2).validate()
+
+
 def _cli_process(*args: str) -> subprocess.CompletedProcess:
     """The CLI as a process, so that an uncaught error shows as a traceback on stderr."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -831,7 +847,7 @@ def test_cli_over_memory_budget_exit_one(tmp_path, capsys):
     cfg.write_text(json.dumps({"experiment": "completeness", "l": 40}))
     assert main(["completeness", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "estimated 9.01e+16 GiB" in err and "1 GiB budget" in err
+    assert "estimated 1.26e+17 GiB" in err and "1 GiB budget" in err
 
 
 def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkeypatch):
@@ -847,36 +863,87 @@ def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkey
     assert "10000000000 trial rows need an estimated 1.19e+03 GiB" in err and "1 GiB budget" in err
 
 
+def _memory_terms(p: int, a: int, l: int, trial_rows: int = 0) -> list[int]:
+    """The terms of memory_estimate, in bytes: the proof vector and two
+    copies, the primed marginal, V and the flip with a cast and a conjugate
+    each, the pair reductions (a sampled run also keys its trees by their
+    bytes), four copies of the tree states of the largest stacked call, and
+    the trial rows."""
+    sampled = trial_rows > 0
+    trees = min(tree_stack(p, a), l * (l - 1)) if sampled else 1
+    return [16 * 3 * 2 ** (p + 2 * l), 16 * 4**l, 16 * 3 * (4 ** (p + a) + 4 ** (p + a + 1)),
+            16 * (1 + sampled) * l * (l - 1) * 4 ** (p + 4), 16 * 4 * trees * 4 ** (p + a + 3),
+            TRIAL_ROW_BYTES * trial_rows]
+
+
 def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
     # A sampled run counts its l(l-1) pair reductions, 4^(p+4) entries each,
     # and the tree states of its largest stacked call, min(tree_stack(p, a),
     # l(l-1)) of them at 4^(p+a+3) entries each, and one trial row more than
     # fits puts it over the budget.
-    for p, a, l, trees in ((1, 1, 3, 6), (1, 1, 4, MAX_STACK), (1, 2, 3, 2), (1, 8, 3, 1)):
+    for p, a, l, trees in ((1, 1, 3, 6), (1, 1, 4, MAX_STACK), (1, 2, 3, 2), (1, 7, 3, 1)):
         base = {"experiment": "soundness", "mode": "sampled", "l": l, "verifier": {"p": 0.2, "p_qubits": p, "a_qubits": a}}
-        fixed = 16 * (2 * 2 ** (p + 2 * l) + 4**l + 4 ** (p + a) + l * (l - 1) * 4 ** (p + 4)
-                      + trees * 4 ** (p + a + 3))
+        assert min(tree_stack(p, a), l * (l - 1)) == trees
+        fixed = sum(_memory_terms(p, a, l, 1)) - TRIAL_ROW_BYTES
         most = (MEMORY_BUDGET_BYTES - fixed) // TRIAL_ROW_BYTES
         assert memory_estimate(p, a, l, most) == fixed + most * TRIAL_ROW_BYTES <= MEMORY_BUDGET_BYTES
         ExperimentConfig.from_dict({**base, "trials": most})
         with pytest.raises(ConfigError, match=f"{most + 1} trial rows need"):
             ExperimentConfig.from_dict({**base, "trials": most + 1})
-    # An exact run, with no trial rows, counts its pair reductions and one tree.
-    assert memory_estimate(1, 1, 4) == 16 * (2 * 2**9 + 4**4 + 4**2 + 12 * 4**5 + 4**5)
+    # An exact run, with no trial rows, counts its pair reductions once and one tree.
+    assert memory_estimate(1, 1, 4) == 16 * (3 * 2**9 + 4**4 + 3 * (4**2 + 4**3) + 12 * 4**5 + 4 * 4**5)
+
+
+# tracemalloc's peak over a run's estimate that no term of the estimate
+# covers: the draws of a chunk of trials, the trees' outcome lists, the
+# toy's small arrays and the interpreter's own objects.
+MEMORY_ALLOWANCE_BYTES = 512 * 1024
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_memory_estimate_bounds_the_traced_peak(mode):
+    # Each shape's largest term differs: the tree states at a_qubits = 4-5,
+    # the proof vector at l = 8, the pair reductions at p_qubits = 2, l = 5.
+    # local_unitaries makes every reduction distinct, a sampled run's worst case.
+    def config(p, a, l):
+        return ExperimentConfig.from_dict({
+            "experiment": "soundness", "mode": mode, "trials": 2000, "l": l, "seed": 1,
+            "strategy": {"kind": "local_unitaries", "unitary_seed": 5}, "verifier": {"p": 0.3, "p_qubits": p, "a_qubits": a},
+        })
+
+    # First-use allocations (numpy's lazy imports and caches) are made before any reading.
+    emit_report(run_experiment(config(1, 1, 2)), "csv")
+    rows = 2000 if mode == "sampled" else 0
+    for p, a, l in ((1, 5, 2), (2, 4, 2), (1, 4, 3), (1, 1, 8), (2, 2, 5), (1, 2, 6), (1, 1, 2)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            emit_report(run_experiment(config(p, a, l)), "csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        terms = _memory_terms(p, a, l, rows)
+        estimate = memory_estimate(p, a, l, rows)
+        assert estimate == sum(terms)
+        assert peak <= estimate + MEMORY_ALLOWANCE_BYTES, (p, a, l, peak, estimate)
+        if max(terms) >= 2**20:
+            assert estimate <= 4 * peak, (p, a, l, peak, estimate)
 
 
 def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_path, capsys, monkeypatch):
-    # p_qubits = 8, l = 6: the proof, V and the tree need about 0.29 GiB, but
-    # the 30 pair reductions a run holds, 4^12 entries each, need 7.5 GiB more.
+    # p_qubits = 7, l = 6: the proof, V, the flip and the tree need about
+    # 0.29 GiB, but the 30 pair reductions a run holds, 4^11 entries each,
+    # need 1.9 GiB more.
     def never(config):
         raise AssertionError("the over-budget config reached run_experiment")
 
     monkeypatch.setattr("eprverify.cli.run_experiment", never)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "soundness", "l": 6, "verifier": {"p_qubits": 8, "a_qubits": 1}}))
+    cfg.write_text(json.dumps({"experiment": "soundness", "l": 6, "verifier": {"p_qubits": 7, "a_qubits": 1}}))
+    assert sum(_memory_terms(7, 1, 6)) - _memory_terms(7, 1, 6)[3] < 0.3 * MEMORY_BUDGET_BYTES
     assert main(["soundness", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "0 trial rows need an estimated 7.79 GiB" in err and "1 GiB budget" in err
+    assert "0 trial rows need an estimated 2.16 GiB" in err and "1 GiB budget" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -907,9 +974,10 @@ def test_sampled_report_without_trial_outcomes_refuses_csv():
 
 
 def test_benchmark_sized_configs_are_well_under_memory_budget():
-    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 1.7 MB.
-    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) == 16 * (2 * 2**12 + 4**5 + 4**4 + 20 * 4**6 + 4**7)
-    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 500
+    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 2.6 MB.
+    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) == 16 * (3 * 2**12 + 4**5 + 3 * (4**4 + 4**5) + 20 * 4**6
+                                                                 + 4 * 4**7)
+    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 400
     assert memory_estimate(p_qubits=1, a_qubits=1, l=10) < MEMORY_BUDGET_BYTES
     assert memory_estimate(p_qubits=1, a_qubits=1, l=2, trial_rows=100_000) < MEMORY_BUDGET_BYTES / 50
 

@@ -700,14 +700,24 @@ def test_exact_builds_one_tree_on_a_stack_of_one(p_qubits, a_qubits):
     assert [call.args[0].shape for call in build.call_args_list] == [(1, d, d)]
 
 
+def _trees_by_pair(run) -> dict:
+    """Each ordered pair's tree, read off one _pair_trees call's slot table;
+    every tree it built is some pair's."""
+    l = run.proof.l
+    trees, slots = run._pair_trees()
+    assert slots.shape == (l * l,)
+    by_pair = {(i, j): trees[slots[i * l + j]] for i in range(l) for j in range(l) if i != j}
+    assert {id(tree) for tree in by_pair.values()} == {id(tree) for tree in trees}
+    return by_pair
+
+
 def _sampled_tree_builds(strategy, p, l):
-    """The run, its table of trees from one _pair_trees call, and how many
-    trees that call built: the members of the stacks its _pair_tree calls got."""
+    """The run, each ordered pair's tree from one _pair_trees call, and how
+    many trees that call built: the members of the stacks its _pair_tree calls got."""
     toy = make_toy_verifier(p)
     run = ProtocolRun(cheating_proof(strategy, toy, l), toy)
     with mock.patch.object(protocol, "_pair_tree", wraps=protocol._pair_tree) as build:
-        trees = run._pair_trees()
-    assert len(trees) == l * (l - 1)
+        trees = _trees_by_pair(run)
     return run, trees, sum(call.args[0].shape[0] for call in build.call_args_list)
 
 
@@ -749,7 +759,7 @@ def test_sampled_stacks_of_larger_trees_hold_fewer(p_qubits, a_qubits, calls):
     assert _tree_calls(run, 2000) == calls
 
 
-@pytest.mark.parametrize("l", [2, 3, 4])
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
 @pytest.mark.parametrize("strategy, p", [
     (HONEST_STRATEGY, 0.7), ({"kind": "choi_product", "q": 0.1}, 0.3),
     ({"kind": "local_unitaries", "unitary_seed": -3}, 0.6),
@@ -757,7 +767,9 @@ def test_sampled_stacks_of_larger_trees_hold_fewer(p_qubits, a_qubits, calls):
 def test_sampled_trees_are_one_per_distinct_reduction(strategy, p, l):
     # From l = 3 on, a product proof's reductions can differ in the last bits,
     # as its amplitudes multiply the pair factors in position order; those
-    # pairs keep trees of their own.
+    # pairs keep trees of their own.  At l = 5 local_unitaries' 20 distinct
+    # reductions fill three stacks, and the honest proof's last pairs reuse
+    # trees of a stack that is already full.
     run, trees, builds = _sampled_tree_builds(strategy, p, l)
     states = {}
     for (i, j), tree in trees.items():
@@ -788,11 +800,23 @@ def test_sampled_run_reduces_each_unordered_pair_once(monkeypatch, strategy, p):
     toy = make_toy_verifier(p)
     run = ProtocolRun(cheating_proof(strategy, toy, 4), toy)
     calls = _counted_reductions(monkeypatch)
-    trees = run._pair_trees()
+    trees = _trees_by_pair(run)
     assert len(trees) == 12
     assert calls == [(i, j) for i in range(4) for j in range(i + 1, 4)]
     for (i, j), tree in trees.items():
         assert [tree] == _pair_tree(select_ordered_pair(run.proof.state, 1, 4, i, j)[None], toy)
+
+
+def test_sampled_chunk_reads_each_drawn_tree_once():
+    # A product proof's 12 ordered pairs share one tree, so each chunk draws
+    # its Bell outcomes in one pass over all its trials, not one per pair.
+    toy = make_toy_verifier(0.5)
+    run = ProtocolRun(cheating_proof(HONEST_STRATEGY, toy, l=4), toy)
+    [tree] = run._pair_trees()[0]
+    with mock.patch.object(rngmod, "choose", wraps=rngmod.choose) as choose:
+        sample_tuples(run, 1, 3000)
+    assert len(choose.call_args_list) == 1 + len(tree.bit_dists)
+    assert choose.call_args_list[0].args[0].size == 3000
 
 
 def test_one_trial_run_builds_every_tree_before_its_draw(monkeypatch):

@@ -7,12 +7,14 @@ imports eprverify from SRC_DIR/src and the job lists from this checkout's
 perfbench/workloads.py, and writes no bytecode into either.  It runs every
 job of the seed-1 and seed-7919 passes of each benchmark workload, then the
 configs of acceptance criterion 8 (tests/test_acceptance.py): the exact and
-100 000-trial sampled soundness runs and the two 2000-trial repeat configs.
-Each run's report is emitted as JSON and as CSV.  For each group, and in
-total, it prints the report count and one SHA-256 over those bytes, in run
-order.  Run it once on a checkout of the parent commit and once on the
-change: equal lines mean equal reports.  It takes about 6 s on a 2-core
-x86-64 VM, and is no part of the test suite.
+100 000-trial sampled soundness runs and the two 2000-trial repeat configs,
+then a group of soundness configs at l = 4 and 5 whose sampled runs build
+their trees in more than one stack and reuse trees across stacks.  Each
+run's report is emitted as JSON and as CSV.  For each group, and in total,
+it prints the report count and one SHA-256 over those bytes, in run order.
+Run it once on a checkout of the parent commit and once on the change:
+equal lines mean equal reports.  It takes about 7 s on a 2-core x86-64 VM,
+and is no part of the test suite.
 """
 
 from __future__ import annotations
@@ -38,6 +40,19 @@ def criterion_8_configs() -> list[dict]:
     return configs
 
 
+def tree_stack_configs() -> list[dict]:
+    """Soundness configs at l = 4 and 5, each exact and sampled with 2000
+    trials: at (p_qubits, a_qubits) = (1, 1) and l = 5, honest at p = 0.7
+    builds 8 trees for 20 pairs, honest at p = 0.9 builds 13 (8 + 5) and
+    local_unitaries 20 (8 + 8 + 4)."""
+    cases = [({"kind": "honest"}, 0.7), ({"kind": "honest"}, 0.9),
+             ({"kind": "choi_product", "q": 0.1}, 0.3), ({"kind": "local_unitaries", "unitary_seed": 5}, 0.3)]
+    return [{"experiment": "soundness", "l": l, "strategy": strategy, "seed": 1, "mode": mode, "trials": 2000,
+             "verifier": {"p": p, "p_qubits": p_qubits, "a_qubits": a_qubits}}
+            for l in (4, 5) for p_qubits, a_qubits in ((1, 1), (1, 2), (2, 1))
+            for strategy, p in cases for mode in ("exact", "sampled")]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/report_digests.py SRC_DIR", file=sys.stderr)
@@ -58,6 +73,7 @@ def main(argv: list[str]) -> int:
         for name in workloads.WORKLOADS
     }
     groups["criterion-8"] = criterion_8_configs()
+    groups["tree-stacks"] = tree_stack_configs()
     total, count = hashlib.sha256(), 0
     for name, configs in groups.items():
         digest = hashlib.sha256()

@@ -74,22 +74,23 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     counted as often as a run holds copies of it at once (tracemalloc peaks): the
     proof vector, its transposed copy and that copy's conjugate (3 x 2^(p+2l));
     the primed halves' marginal (4^l); V and the flip with their complex casts
-    and conjugates (3 x (4^(p+a) + 4^(p+a+1))); the l(l-1) pair reductions
-    (4^(p+4) each), twice in a sampled run, which keys its trees by their
-    bytes; the trees' states with the ancilla (4^(p+a+3) each), 4 x for
-    apply_local's input and temporaries, one tree in an exact run and a
-    stack of min(tree_stack(p, a), l(l-1)) in a sampled run; and a sampled
-    run's trials and CSV rows.  An exact run is the one with no trial rows.
-    Sizes too large for a float give inf.
+    and conjugates (3 x (4^(p+a) + 4^(p+a+1))); the l(l-1) pair reductions and
+    each tree's input and first pinch (4^(p+4) each); each tree's state with the
+    ancilla and apply_local's two arrays of its size (3 x 4^(p+a+3), at a = 1
+    also the second pinch's first term and its two) and its teleport read's
+    reduction (4^(a+3)), for one tree in an exact run and
+    min(tree_stack(p, a), l(l-1)) in a sampled run; and a sampled run's trials
+    and CSV rows.  An exact run is the one with no trial rows.  Sizes too large
+    for a float give inf.
     """
     def entries(log2: int) -> float:
         return 2.0**log2 if log2 < 1000 else math.inf
 
     p, a = p_qubits, a_qubits
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
-    pairs = (l * (l - 1) if l < 2**500 else math.inf) * (2 if trial_rows else 1)
+    reductions = (l * (l - 1) if l < 2**500 else math.inf) + 2 * trees
     total = (3 * entries(p + 2 * l) + entries(2 * l) + 3 * (entries(2 * (p + a)) + entries(2 * (p + a + 1)))
-             + pairs * entries(2 * (p + 4)) + 4 * trees * entries(2 * (p + a + 3)))
+             + reductions * entries(2 * (p + 4)) + trees * (3 * entries(2 * (p + a + 3)) + entries(2 * (a + 3))))
     rows = trial_rows if trial_rows < 2**1000 else math.inf
     return 16 * total + TRIAL_ROW_BYTES * rows
 

@@ -125,43 +125,40 @@ def _require_register(t: np.ndarray, n_qubits: int, what: str) -> None:
                          f"got shape {t.shape}")
 
 
-def _on_axes(t: np.ndarray, op: np.ndarray, axes: list[int], lead: int) -> np.ndarray:
-    """Contract op's input indices with the listed axes of a stack of [2]*m
-    tensors, in place of them; the first ``lead`` axes of t index the stack and
-    the listed axes count from the first axis after them.
-
-    One np.matmul of op with each member's listed axes moved to the front and
-    flattened: the same two arrays np.tensordot multiplies, member by member,
-    so each member's product is bit for bit the one np.tensordot gives it
-    alone.  A matrix is a stack with lead 0.
-    """
-    rest = [a for a in range(t.ndim - lead) if a not in axes]
-    order = [*range(lead), *(lead + a for a in axes + rest)]
-    moved = t.transpose(order).reshape(t.shape[:lead] + (op.shape[1], -1))
-    return np.matmul(op, moved).reshape(t.shape).transpose(sorted(range(t.ndim), key=order.__getitem__))
-
-
 def apply_local(t: np.ndarray, op: np.ndarray, n_qubits: int, targets: list[int]) -> np.ndarray:
     """Apply an operator on the listed qubits (in that order), identity elsewhere.
 
     A 2^n vector psi gives op psi; a 2^n x 2^n matrix rho, or a stack of them
     (..., 2^n, 2^n), gives op rho op† for each.  Any square operator on the
     target subspace is accepted, not only unitaries.
+
+    One copy in puts the ket targets first, then the bra targets; op
+    contracts the ket targets, then op.conj() each ket row's bra targets on a
+    view of that product; one copy out.  So a call holds two arrays of its
+    input's size beyond it, and each entry is np.tensordot's, bit for bit.
     """
     op = np.asarray(op, dtype=complex)
     t = np.asarray(t, dtype=complex)
     targets = list(targets)
     if len(set(targets)) != len(targets) or any(q < 0 or q >= n_qubits for q in targets):
         raise ValueError(f"invalid target qubits {targets} for {n_qubits} qubits")
-    if op.shape != (2 ** len(targets), 2 ** len(targets)):
+    k = 2 ** len(targets)
+    if op.shape != (k, k):
         raise ValueError(f"operator shape {op.shape} does not match {len(targets)} target qubits")
     _require_register(t, n_qubits, "apply_local")
-    if t.ndim == 1:
-        return _on_axes(t.reshape([2] * n_qubits), op, targets, 0).reshape(-1)
-    lead = t.ndim - 2
-    out = _on_axes(t.reshape(t.shape[:lead] + (2,) * (2 * n_qubits)), op, targets, lead)
-    out = _on_axes(out, op.conj(), [n_qubits + q for q in targets], lead)
-    return out.reshape(t.shape)
+    rest = [q for q in range(n_qubits) if q not in targets]
+    sides = (0,) if t.ndim == 1 else (0, n_qubits)
+    lead = t.ndim - len(sides)
+    qubits = t.shape[:lead] + (2,) * (len(sides) * n_qubits)
+    order = [*range(lead), *(lead + s + q for qs in (targets, rest) for s in sides for q in qs)]
+    x = np.matmul(op, t.reshape(qubits).transpose(order).reshape(t.shape[:lead] + (k, -1)))
+    if t.ndim > 1 and x.shape[-1] == k:
+        # Every qubit a target: numpy takes (k, k) @ (k, 1) as a matrix-vector
+        # product, which rounds otherwise, so use one (k, k) product instead.
+        x = np.matmul(op.conj(), x.swapaxes(-1, -2)).swapaxes(-1, -2)
+    elif t.ndim > 1:
+        x = np.matmul(op.conj(), x.reshape(t.shape[:lead] + (k, k, -1)))
+    return x.reshape(qubits).transpose(sorted(range(len(order)), key=order.__getitem__)).reshape(t.shape)
 
 
 def partial_trace(t: np.ndarray, n_qubits: int, keep: list[int]) -> np.ndarray:

@@ -515,17 +515,18 @@ class ProtocolRun:
         """One tree per distinct reduction (pair_reductions), keyed by its
         bytes, in first-seen order and built in stacks of at most
         tree_stack(p_qubits, a_qubits); and, at each ordered-pair code
-        i * l + j, the slot of that pair's tree (0 at the undrawn i == j)."""
+        i * l + j, the slot of that pair's tree (0 at the undrawn i == j).
+        Each reduction is dropped as it is keyed, and stacks are read off the keys."""
         proof, toy = self.proof, self.toy
-        l, most = proof.l, tree_stack(toy.p_qubits, toy.a_qubits)
-        slot_of, states = {}, []
+        l, most, d = proof.l, tree_stack(toy.p_qubits, toy.a_qubits), 2 ** (proof.p_qubits + 4)
+        reduced, slot_of = pair_reductions(proof.state, proof.p_qubits, l), {}
         slots = np.zeros(l * l, np.intp)
-        for (i, j), dm in pair_reductions(proof.state, proof.p_qubits, l).items():
-            slots[i * l + j] = slot = slot_of.setdefault(dm.tobytes(), len(states))
-            if slot == len(states):
-                states.append(dm)
-        trees = [tree for start in range(0, len(states), most)
-                 for tree in _pair_tree(np.array(states[start:start + most]), toy)]
+        for i, j in list(reduced):
+            slots[i * l + j] = slot_of.setdefault(reduced.pop((i, j)).tobytes(), len(slot_of))
+        keys = list(slot_of)
+        trees = [tree for start in range(0, len(keys), most)
+                 for tree in _pair_tree(np.array([np.frombuffer(key, complex).reshape(d, d)
+                                                  for key in keys[start:start + most]]), toy)]
         return trees, slots
 
     def sample(self, seed: int, trials: int):

@@ -165,6 +165,42 @@ def verifier_branch_masses(v, acc, p_qubits, a_qubits, proof_dm):
     }
 
 
+def ordered_pair_mean(proof, p_qubits, l):
+    """Mean of the l(l-1) ordered-pair reductions of a whole proof, a 2^n
+    vector or 2^n x 2^n matrix on (P, S1, S1', ..., Sl, Sl'), n = p + 2l.
+
+    Pair (i, j) keeps (P, Si, Si', Sj, Sj') in that order: the kept qubits
+    are moved to the front, and the rest are summed out, by the product
+    M M† for a vector and by a trace over the dropped index for a matrix.
+    """
+    p = p_qubits
+    n = p + 2 * l
+    proof = np.asarray(proof, dtype=complex)
+    total = 0.0
+    for i in range(l):
+        for j in range(l):
+            if i == j:
+                continue
+            keep = list(range(p)) + [p + 2 * i, p + 2 * i + 1, p + 2 * j, p + 2 * j + 1]
+            drop = [q for q in range(n) if q not in keep]
+            dk, dd = 2 ** len(keep), 2 ** len(drop)
+            if proof.ndim == 1:
+                m = proof.reshape([2] * n).transpose(keep + drop).reshape(dk, dd)
+                total = total + m @ m.conj().T
+            else:
+                axes = keep + drop + [n + q for q in keep] + [n + q for q in drop]
+                t = proof.reshape([2] * (2 * n)).transpose(axes).reshape(dk, dd, dk, dd)
+                total = total + np.trace(t, axis1=1, axis2=3)
+    return total / (l * (l - 1))
+
+
+def proof_branch_masses(v, acc, p_qubits, a_qubits, proof, l):
+    """Branch masses of the verifier on a whole l-pair proof, vector or matrix:
+    the two-pair masses of the mean of its ordered-pair reductions, since the
+    verifier draws the ordered pair uniformly and is linear in the state."""
+    return verifier_branch_masses(v, acc, p_qubits, a_qubits, ordered_pair_mean(proof, p_qubits, l))
+
+
 def verifier_accept_probability(v, acc, p_qubits, a_qubits, proof_dm):
     masses = verifier_branch_masses(v, acc, p_qubits, a_qubits, proof_dm)
     return masses["b0_postsel_fail"] + masses["b0_measured_accept"] + masses["b1_swap_accept"]

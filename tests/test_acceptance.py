@@ -21,6 +21,7 @@ from eprverify.protocol import (
     HONEST_STRATEGY,
     ProtocolRun,
     ProtocolState,
+    ToyVerifier,
     cheating_proof,
     honest_rewinding_instance,
     make_toy_verifier,
@@ -31,10 +32,25 @@ from eprverify.protocol import (
 from eprverify.sampling import random_density, random_pure, random_unitary
 
 from dense_reference import pure_fidelity
-from monolithic_oracle import verifier_branch_masses
+from monolithic_oracle import proof_branch_masses, verifier_branch_masses
 
 P_GRID = np.linspace(0.5, 1.0, 11)
 Q_GRID = np.linspace(0.0, 1.0, 11)
+
+
+def haar_toy(seed: int, p_qubits: int, a_qubits: int) -> ToyVerifier:
+    """A verifier with a Haar-random V on (P, A), so no permutation of P's or
+    A's qubits leaves it unchanged; the acceptance maximum and its witness
+    come from eigh of (I (x) <0|) V† Pi_acc V (I (x) |0>), and the rest is
+    built as make_toy_verifier builds it."""
+    dp, da = 2**p_qubits, 2**a_qubits
+    v = random_unitary(np.random.default_rng(seed), dp * da)
+    one = proj(np.array([0.0, 1.0]))
+    acc = tensor(np.eye(dp), one, np.eye(da // 2))
+    on_zero = v[:, ::da]  # the columns with A = |0...0>
+    values, vectors = np.linalg.eigh(dagger(on_zero) @ acc @ on_zero)
+    flip = np.eye(2 * dp * da) - 2.0 * tensor(acc, one)
+    return ToyVerifier(v, p_qubits, a_qubits, acc, float(values[-1]), vectors[:, -1], flip)
 
 
 def test_criterion_1_perfect_completeness():
@@ -44,9 +60,16 @@ def test_criterion_1_perfect_completeness():
             toy = make_toy_verifier(float(p))
             result = ProtocolRun(cheating_proof(HONEST_STRATEGY, toy, l), toy).exact()
             assert abs(result.accept_probability - 1.0) <= 1e-9, (p, l)
+    # Haar-random verifiers whose top eigenvalue is at least 1/2.
+    for seed, (p_qubits, a_qubits) in enumerate(((1, 1), (2, 1), (1, 2), (2, 2))):
+        toy = haar_toy(seed, p_qubits, a_qubits)
+        assert toy.max_accept >= 0.5, seed
+        for l in (2, 3):
+            result = ProtocolRun(cheating_proof(HONEST_STRATEGY, toy, l), toy).exact()
+            assert abs(result.accept_probability - 1.0) <= 1e-9, (seed, l)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"completeness sweep took {elapsed:.1f} s"
-    print(f"ACCEPTANCE 1 (perfect completeness, 11 p-values x l in {{2,3}}): PASS ({elapsed:.1f} s)")
+    print(f"ACCEPTANCE 1 (perfect completeness, 11 p-values x l in {{2,3}}, 4 Haar verifiers): PASS ({elapsed:.1f} s)")
 
 
 def test_criterion_2_post_selection_lemma():
@@ -129,6 +152,15 @@ def test_criterion_6_inequality_suite():
     print(f"ACCEPTANCE 6 (inequality suite, 10 x 1000 instances, worst margin {worst:.2e}): PASS")
 
 
+def _assert_matches_oracle(toy: ToyVerifier, proof: ProtocolState, case) -> None:
+    result = ProtocolRun(proof, toy).exact()
+    oracle = proof_branch_masses(toy.v, toy.acc_projector, toy.p_qubits, toy.a_qubits, proof.state, proof.l)
+    oracle_accept = oracle["b0_postsel_fail"] + oracle["b0_measured_accept"] + oracle["b1_swap_accept"]
+    assert abs(result.accept_probability - oracle_accept) <= 1e-9, case
+    for key in result.branches:
+        assert abs(result.branches[key] - oracle[key]) <= 1e-9, (case, key)
+
+
 def test_criterion_7_soundness_oracle_equivalence():
     start = time.perf_counter()
     strategies = [
@@ -137,6 +169,24 @@ def test_criterion_7_soundness_oracle_equivalence():
         ("choi_product", {"kind": "choi_product", "q": 0.8}),
         ("local_unitaries", {"kind": "local_unitaries", "unitary_seed": 5}),
     ]
+    # The oracle makes its own pair reductions of the whole proof, at l = 3
+    # and 4 and with two P or two A qubits.
+    for p_qubits, a_qubits in ((1, 1), (2, 1), (1, 2)):
+        toy = make_toy_verifier(0.3, p_qubits, a_qubits)
+        for l in (3, 4):
+            for name, strategy in strategies:
+                _assert_matches_oracle(toy, cheating_proof(strategy, toy, l), (p_qubits, a_qubits, l, name))
+    # Haar-random verifiers, on which a fault in the order of P's or A's
+    # qubits shows; and a matrix proof, a mixture of two strategies' proofs.
+    for seed, (p_qubits, a_qubits) in enumerate(((1, 1), (2, 1), (1, 2))):
+        toy = haar_toy(seed, p_qubits, a_qubits)
+        for l in (2, 3):
+            for name, strategy in strategies:
+                _assert_matches_oracle(toy, cheating_proof(strategy, toy, l), (seed, p_qubits, a_qubits, l, name))
+    toy = haar_toy(11, 2, 1)
+    honest, twisted = (cheating_proof(strategy, toy, 3) for strategy in (strategies[0][1], strategies[3][1]))
+    mixture = ProtocolState(0.6 * proj(honest.state) + 0.4 * proj(twisted.state), 2, 3)
+    _assert_matches_oracle(toy, mixture, "mixture")
     for p in (1e-3, 2e-4):
         toy = make_toy_verifier(p)
         for name, strategy in strategies:

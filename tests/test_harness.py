@@ -866,13 +866,13 @@ def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkey
 def _memory_terms(p: int, a: int, l: int, trial_rows: int = 0) -> list[int]:
     """The terms of memory_estimate, in bytes: the proof vector and two
     copies, the primed marginal, V and the flip with a cast and a conjugate
-    each, the pair reductions (a sampled run also keys its trees by their
-    bytes), four copies of the tree states of the largest stacked call, and
-    the trial rows."""
-    sampled = trial_rows > 0
-    trees = min(tree_stack(p, a), l * (l - 1)) if sampled else 1
+    each, the pair reductions once, and for each tree of the largest stacked
+    call its input and first pinch, three copies of its state and the
+    teleport read's reduction; then the trial rows."""
+    trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
     return [16 * 3 * 2 ** (p + 2 * l), 16 * 4**l, 16 * 3 * (4 ** (p + a) + 4 ** (p + a + 1)),
-            16 * (1 + sampled) * l * (l - 1) * 4 ** (p + 4), 16 * 4 * trees * 4 ** (p + a + 3),
+            16 * l * (l - 1) * 4 ** (p + 4),
+            16 * trees * (2 * 4 ** (p + 4) + 3 * 4 ** (p + a + 3) + 4 ** (a + 3)),
             TRIAL_ROW_BYTES * trial_rows]
 
 
@@ -890,8 +890,9 @@ def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
         ExperimentConfig.from_dict({**base, "trials": most})
         with pytest.raises(ConfigError, match=f"{most + 1} trial rows need"):
             ExperimentConfig.from_dict({**base, "trials": most + 1})
-    # An exact run, with no trial rows, counts its pair reductions once and one tree.
-    assert memory_estimate(1, 1, 4) == 16 * (3 * 2**9 + 4**4 + 3 * (4**2 + 4**3) + 12 * 4**5 + 4 * 4**5)
+    # An exact run, with no trial rows, counts its pair reductions and one tree.
+    assert memory_estimate(1, 1, 4) == 16 * (3 * 2**9 + 4**4 + 3 * (4**2 + 4**3) + 12 * 4**5
+                                             + 2 * 4**5 + 3 * 4**5 + 4**4)
 
 
 # tracemalloc's peak over a run's estimate that no term of the estimate
@@ -904,6 +905,10 @@ MEMORY_ALLOWANCE_BYTES = 512 * 1024
 def test_memory_estimate_bounds_the_traced_peak(mode):
     # Each shape's largest term differs: the tree states at a_qubits = 4-5,
     # the proof vector at l = 8, the pair reductions at p_qubits = 2, l = 5.
+    # At p_qubits = 4, a_qubits = 1 a sampled run peaks in its second pinch,
+    # beside its pair reductions: the tree's input, the first pinch's result,
+    # the second's first term and apply_local's two arrays, five arrays as
+    # large as a tree state.
     # local_unitaries makes every reduction distinct, a sampled run's worst case.
     def config(p, a, l):
         return ExperimentConfig.from_dict({
@@ -914,7 +919,7 @@ def test_memory_estimate_bounds_the_traced_peak(mode):
     # First-use allocations (numpy's lazy imports and caches) are made before any reading.
     emit_report(run_experiment(config(1, 1, 2)), "csv")
     rows = 2000 if mode == "sampled" else 0
-    for p, a, l in ((1, 5, 2), (2, 4, 2), (1, 4, 3), (1, 1, 8), (2, 2, 5), (1, 2, 6), (1, 1, 2)):
+    for p, a, l in ((1, 5, 2), (2, 4, 2), (1, 4, 3), (1, 1, 8), (2, 2, 5), (1, 2, 6), (4, 1, 4), (1, 1, 2)):
         gc.collect()
         tracemalloc.start()
         try:
@@ -932,7 +937,7 @@ def test_memory_estimate_bounds_the_traced_peak(mode):
 
 def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_path, capsys, monkeypatch):
     # p_qubits = 7, l = 6: the proof, V, the flip and the tree need about
-    # 0.29 GiB, but the 30 pair reductions a run holds, 4^11 entries each,
+    # 0.35 GiB, but the 30 pair reductions a run holds, 4^11 entries each,
     # need 1.9 GiB more.
     def never(config):
         raise AssertionError("the over-budget config reached run_experiment")
@@ -940,10 +945,10 @@ def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_
     monkeypatch.setattr("eprverify.cli.run_experiment", never)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "soundness", "l": 6, "verifier": {"p_qubits": 7, "a_qubits": 1}}))
-    assert sum(_memory_terms(7, 1, 6)) - _memory_terms(7, 1, 6)[3] < 0.3 * MEMORY_BUDGET_BYTES
+    assert sum(_memory_terms(7, 1, 6)) - _memory_terms(7, 1, 6)[3] < 0.4 * MEMORY_BUDGET_BYTES
     assert main(["soundness", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "0 trial rows need an estimated 2.16 GiB" in err and "1 GiB budget" in err
+    assert "0 trial rows need an estimated 2.23 GiB" in err and "1 GiB budget" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -974,9 +979,9 @@ def test_sampled_report_without_trial_outcomes_refuses_csv():
 
 
 def test_benchmark_sized_configs_are_well_under_memory_budget():
-    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 2.6 MB.
+    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 2.5 MB.
     assert memory_estimate(p_qubits=2, a_qubits=2, l=5) == 16 * (3 * 2**12 + 4**5 + 3 * (4**4 + 4**5) + 20 * 4**6
-                                                                 + 4 * 4**7)
+                                                                 + 2 * 4**6 + 3 * 4**7 + 4**5)
     assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 400
     assert memory_estimate(p_qubits=1, a_qubits=1, l=10) < MEMORY_BUDGET_BYTES
     assert memory_estimate(p_qubits=1, a_qubits=1, l=2, trial_rows=100_000) < MEMORY_BUDGET_BYTES / 50

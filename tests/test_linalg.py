@@ -1,6 +1,8 @@
 """Tensor algebra, partial trace, norms, and the PSD square root."""
 
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +329,33 @@ def test_stacked_kernel_bit_exact_with_a_loop_over_members(case, transposed, sha
     dk = 2 ** len(targets)
     assert reduced.shape == shape + (dk, dk)
     assert reduced.tobytes() == np.array([partial_trace(m, n, targets) for m in members]).tobytes()
+
+
+# tracemalloc's peak in one apply_local call beyond two arrays of the input's
+# size and the operator's conjugate: the call's index lists, views and the
+# interpreter's own objects.
+APPLY_LOCAL_SLACK_BYTES = 64 * 1024
+
+
+def test_apply_local_holds_two_arrays_of_its_input_beyond_it():
+    # A 2^9 density (4 MiB) at several target sets, all qubits included, and a
+    # stack of eight 2^6 densities.  A third array of the input's size would
+    # overshoot the slack many times over.
+    rng = np.random.default_rng(99)
+    cases = [(9, [0, 5]), (9, [3]), (9, [0, 1, 2, 7, 8]), (9, [8, 2]), (9, list(range(9))), (6, [4, 1])]
+    for n, targets in cases:
+        shape = (8, 2**n, 2**n) if n == 6 else (2**n, 2**n)
+        t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        op = random_complex_matrix(rng, 2 ** len(targets))
+        apply_local(t[..., :2, :2], op[:2, :2], 1, [0])  # first-use allocations before any reading
+        gc.collect()
+        tracemalloc.start()
+        try:
+            apply_local(t, op, n, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * t.nbytes + op.nbytes + APPLY_LOCAL_SLACK_BYTES, (n, targets, peak / t.nbytes)
 
 
 def test_apply_local_rejects_bad_targets():

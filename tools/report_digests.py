@@ -9,12 +9,13 @@ job of the seed-1 and seed-7919 passes of each benchmark workload, then the
 configs of acceptance criterion 8 (tests/test_acceptance.py): the exact and
 100 000-trial sampled soundness runs and the two 2000-trial repeat configs,
 then a group of soundness configs at l = 4 and 5 whose sampled runs build
-their trees in more than one stack and reuse trees across stacks.  Each
-run's report is emitted as JSON and as CSV.  For each group, and in total,
-it prints the report count and one SHA-256 over those bytes, in run order.
-Run it once on a checkout of the parent commit and once on the change:
-equal lines mean equal reports.  It takes about 7 s on a 2-core x86-64 VM,
-and is no part of the test suite.
+their trees in more than one stack and reuse trees across stacks, then a
+group with three to five ancilla qubits, where V and the flip are the largest
+operators apply_local takes.  Each run's report is emitted as JSON and as
+CSV.  For each group, and in total, it prints the report count and one
+SHA-256 over those bytes, in run order.  Run it once on a checkout of the
+parent commit and once on the change: equal lines mean equal reports.  It
+takes about 6 s on a 2-core x86-64 VM, and is no part of the test suite.
 """
 
 from __future__ import annotations
@@ -53,6 +54,16 @@ def tree_stack_configs() -> list[dict]:
             for strategy, p in cases for mode in ("exact", "sampled")]
 
 
+def large_register_configs() -> list[dict]:
+    """Soundness configs with an 8- or 9-qubit tree state, honest at p = 0.7
+    and local_unitaries at p = 0.3, each exact and sampled with 500 trials."""
+    cases = [({"kind": "honest"}, 0.7), ({"kind": "local_unitaries", "unitary_seed": 5}, 0.3)]
+    return [{"experiment": "soundness", "l": l, "strategy": strategy, "seed": 1, "mode": mode, "trials": 500,
+             "verifier": {"p": p, "p_qubits": p_qubits, "a_qubits": a_qubits}}
+            for p_qubits, a_qubits, l in ((1, 4, 2), (1, 5, 2), (2, 4, 2), (3, 3, 2), (1, 4, 3))
+            for strategy, p in cases for mode in ("exact", "sampled")]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/report_digests.py SRC_DIR", file=sys.stderr)
@@ -74,6 +85,7 @@ def main(argv: list[str]) -> int:
     }
     groups["criterion-8"] = criterion_8_configs()
     groups["tree-stacks"] = tree_stack_configs()
+    groups["large-registers"] = large_register_configs()
     total, count = hashlib.sha256(), 0
     for name, configs in groups.items():
         digest = hashlib.sha256()

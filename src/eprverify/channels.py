@@ -25,5 +25,7 @@ def choi_state(u: np.ndarray) -> np.ndarray:
 def apply_pinch(t: np.ndarray, n_qubits: int, pair: list[int]) -> np.ndarray:
     """Pinch the qubit pair (in that order) of a 2^n x 2^n density matrix, or
     of each of a stack (..., 2^n, 2^n), identity elsewhere."""
-    return apply_local(t, PI_PLUS, n_qubits, pair) + apply_local(t, PI_MINUS, n_qubits, pair)
+    out = apply_local(t, PI_PLUS, n_qubits, pair)
+    out += apply_local(t, PI_MINUS, n_qubits, pair)
+    return out
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .channels import apply_pinch
-from .linalg import MAX_STACK, dagger, partial_trace, proj, tensor
+from .linalg import MAX_STACK, dagger, partial_trace, proj, stack_limit, tensor
 from .metrics import (
     additive_perturbation_margin,
     fvg_margins,
@@ -75,10 +75,10 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     proof vector, its transposed copy and that copy's conjugate (3 x 2^(p+2l));
     the primed halves' marginal (4^l); V and the flip with their complex casts
     and conjugates (3 x (4^(p+a) + 4^(p+a+1))); the l(l-1) pair reductions and
-    each tree's input and first pinch (4^(p+4) each); each tree's state with the
-    ancilla and apply_local's two arrays of its size (3 x 4^(p+a+3), at a = 1
-    also the second pinch's first term and its two) and its teleport read's
-    reduction (4^(a+3)), for one tree in an exact run and
+    each tree's first pinch (4^(p+4) each); each tree's state with the ancilla
+    and apply_local's two arrays of its size (3 x 4^(p+a+3), at a = 1 also the
+    second pinch's first term and its two) and its teleport read's reduction
+    (4^(a+3)), for one tree in an exact run and
     min(tree_stack(p, a), l(l-1)) in a sampled run; and a sampled run's trials
     and CSV rows.  An exact run is the one with no trial rows.  Sizes too large
     for a float give inf.
@@ -88,7 +88,7 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
 
     p, a = p_qubits, a_qubits
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
-    reductions = (l * (l - 1) if l < 2**500 else math.inf) + 2 * trees
+    reductions = (l * (l - 1) if l < 2**500 else math.inf) + trees
     total = (3 * entries(p + 2 * l) + entries(2 * l) + 3 * (entries(2 * (p + a)) + entries(2 * (p + a + 1)))
              + reductions * entries(2 * (p + 4)) + trees * (3 * entries(2 * (p + a + 3)) + entries(2 * (a + 3))))
     rows = trial_rows if trial_rows < 2**1000 else math.inf
@@ -267,10 +267,10 @@ def _run_protocol_experiment(config: ExperimentConfig, trial_rows: bool) -> Expe
 # Inequality suite
 # ---------------------------------------------------------------------------
 
-# Lemma instances and SWAP cases are drawn one at a time, this many before
-# they are evaluated, so memory does not grow with trials.  Instances of equal
-# shape are evaluated in stacks of at most linalg.MAX_STACK, so the memory of
-# one evaluation does not depend on how the drawn dimensions fall either.
+# Lemma instances and SWAP cases are drawn this many at a time, so memory does
+# not grow with trials; the count is even, so a chunk starts at a one-qubit case.
+# Lemma instances of equal shape are evaluated MAX_STACK at a time, SWAP cases
+# stack_limit(2k + 1) (a (2k + 1)-qubit circuit each), whatever the draws.
 LEMMA_CHUNK_TRIALS = 256
 
 
@@ -431,20 +431,20 @@ def _run_swap_bench(config: ExperimentConfig) -> ExperimentReport:
     rng = rngmod.stream(config.seed, 0)
     max_error = 0.0
     for start in range(0, config.trials, LEMMA_CHUNK_TRIALS):
-        stop = min(start + LEMMA_CHUNK_TRIALS, config.trials)
-        # One draw of the chunk's normals, sliced as _ginibre_pair would draw
-        # them case by case: rho's real and imaginary parts, then sigma's.
-        dims = [2 if t % 2 == 0 else 4 for t in range(start, stop)]
-        sizes = [4 * d * d for d in dims]
-        normals = np.split(rng.normal(size=sum(sizes)), np.cumsum(sizes)[:-1])
-        parts = [x.reshape(4, d, d) for x, d in zip(normals, dims)]
-        cases = [(x[0] + 1j * x[1], x[2] + 1j * x[3]) for x in parts]
-        for error in _stacked_margins(cases, ("error",), _swap_errors)[0].tolist():
-            # As max() but a NaN error, once seen, is kept.
-            if error > max_error or math.isnan(error):
-                max_error = error
+        pairs, odd = divmod(min(LEMMA_CHUNK_TRIALS, config.trials - start), 2)
+        # One draw of the chunk's normals, as _ginibre_pair draws them case by case:
+        # a (one-qubit, two-qubit) couple is 16 + 64, each case rho's real and imaginary
+        # parts, then sigma's; an odd last case is padded with zeros no case reads.
+        couples = np.append(rng.normal(size=80 * pairs + 16 * odd), np.zeros(64 * odd)).reshape(-1, 80)
+        for k, x in ((1, couples[:, :16].reshape(-1, 4, 2, 2)), (2, couples[:pairs, 16:].reshape(-1, 4, 4, 4))):
+            g, h, most = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3], stack_limit(2 * k + 1)
+            for s in range(0, len(x), most):
+                error = float(np.max(_swap_errors(g[s:s + most], h[s:s + most])))
+                # As max() but a NaN error, once seen, is kept.
+                if error > max_error or math.isnan(error):
+                    max_error = error
         # Freed before the next chunk is drawn, not after.
-        del cases, normals, parts
+        del couples, x, g, h
     psi = random_pure(rng, 2)
     zero = np.array([[1, 0], [0, 0]], dtype=complex)
     one = np.array([[0, 0], [0, 1]], dtype=complex)

@@ -12,10 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-# The package evaluates matrices in stacks of at most this many (lemma
-# instances, SWAP cases, a sampled run's pair trees), so the memory of one
-# call does not depend on how many are waiting.
+# The lemma suite evaluates its instances in stacks of at most this many, so
+# the memory of one call does not depend on how many are waiting.
 MAX_STACK = 8
+# The states of one stacked circuit call (pair trees, SWAP circuits) stay within
+# this many bytes: glibc maps a larger array fresh and faults in its every page.
+STACK_BYTES = 2**17
+
+
+def stack_limit(n_qubits: int) -> int:
+    """Most n-qubit densities (16 * 4^n bytes each) in STACK_BYTES, at least one."""
+    return max(1, STACK_BYTES >> 4 + 2 * n_qubits)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:

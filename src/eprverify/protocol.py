@@ -27,13 +27,13 @@ from .kernel import (
     HADAMARD,
 )
 from .linalg import (
-    MAX_STACK,
     apply_local,
     dagger,
     is_hermitian,
     is_projector,
     partial_trace,
     proj,
+    stack_limit,
     tensor,
 )
 from .sampling import random_unitary
@@ -270,8 +270,8 @@ def swap_test(joint: np.ndarray) -> np.ndarray:
     Returns the acceptance probability from the full circuit: ancilla
     Hadamard, controlled swap of the two halves, Hadamard, standard-basis
     measurement, accepting on 0.  The ancilla is prepended as qubit 0; the
-    controlled swap permutes basis states, so it is applied by indexing rows
-    and columns with that permutation, which moves entries with no arithmetic.
+    controlled swap permutes basis states, so it is applied as one gather of
+    each joint's entries, which moves them with no arithmetic.
     It is an array: 0-d for one joint, of the stack's shape for a stack (...,
     4^k, 4^k), each probability bit for bit the one its joint gives alone.
     """
@@ -287,7 +287,8 @@ def swap_test(joint: np.ndarray) -> np.ndarray:
     out = np.zeros(joint.shape[:-2] + (2 * dd, 2 * dd), dtype=complex)
     out[..., :dd, :dd] = joint
     out = apply_local(out, HADAMARD, n, [0])
-    out = out[..., perm, :][..., perm]
+    # Entry (i, j) of each member takes its entry (perm[i], perm[j]).
+    out = out.reshape(out.shape[:-2] + (-1,)).take(2 * dd * perm[:, None] + perm, axis=-1)
     out = apply_local(out, HADAMARD, n, [0])
     return partial_trace(out, n, [0])[..., 0, 0].real
 
@@ -421,8 +422,10 @@ def _pair_tree(stack: np.ndarray, toy: ToyVerifier) -> list[_PairTree]:
     """
     p, a = toy.p_qubits, toy.a_qubits
     (s1, s1p), (s2, s2p) = _pair_qubits(p, 0), _pair_qubits(p, 1)
-    n = p + 4
-    w = apply_pinch(apply_pinch(stack, n, [s1, s1p]), n, [s2, s2p])
+    n, count = p + 4, len(stack)
+    w = apply_pinch(stack, n, [s1, s1p])
+    del stack  # freed before the second pinch, where the tree's memory peaks
+    w = apply_pinch(w, n, [s2, s2p])
     swap_pass = swap_test_formula(partial_trace(w, n, [s1, s1p, s2, s2p]))
 
     w = apply_local(w, BELL_TO_COMPUTATIONAL, n, [s1, s1p])
@@ -438,7 +441,7 @@ def _pair_tree(stack: np.ndarray, toy: ToyVerifier) -> list[_PairTree]:
     w = apply_local(w, dagger(toy.v), n, pa)
     # (S2', S1) is measured; A and S2 keep the bits the verifier reads.
     blocks = teleport(w, n, p + 2, p, [*range(p + 3, n), p + 1])
-    return [_read_tree([block[m] for block in blocks], swap_pass[m]) for m in range(len(stack))]
+    return [_read_tree([block[m] for block in blocks], swap_pass[m]) for m in range(count)]
 
 
 def _read_tree(blocks: list[np.ndarray], swap_pass) -> _PairTree:
@@ -456,13 +459,11 @@ def _read_tree(blocks: list[np.ndarray], swap_pass) -> _PairTree:
 
 
 def tree_stack(p_qubits: int, a_qubits: int) -> int:
-    """Most trees a sampled run builds in one stacked call: MAX_STACK at the
-    smallest shape (p_qubits = a_qubits = 1), a quarter as many for each
-    further qubit, and at least one.  A stack's tree states (4^(p+a+3)
-    entries each) so stay within those of MAX_STACK smallest trees, 128 KiB;
-    larger stacks of larger trees measured slower than building them one or
-    two at a time."""
-    return max(1, MAX_STACK >> 2 * (p_qubits + a_qubits - 2))
+    """Most trees a sampled run builds in one stacked call: as many tree states
+    (p + a + 3 qubits) as fit in linalg.STACK_BYTES, 8 at p = a = 1, a quarter
+    as many for each further qubit, and at least one; larger stacks of larger
+    trees measured slower than building them one or two at a time."""
+    return stack_limit(p_qubits + a_qubits + 3)
 
 
 class ProtocolRun:

@@ -27,7 +27,7 @@ from eprverify.harness import (
     memory_estimate,
     run_experiment,
 )
-from eprverify.linalg import MAX_STACK
+from eprverify.linalg import MAX_STACK, STACK_BYTES
 from eprverify.protocol import tree_stack
 from eprverify.rng import stream
 
@@ -247,14 +247,38 @@ def test_swap_bench_report():
     assert report.failures() == []
 
 
-@pytest.mark.parametrize("trials", [1, 2, 3, 255, 256, 257, 513])
+@pytest.mark.parametrize("trials", [1, 2, 3, 15, 16, 17, 40, 80, 255, 256, 257, 512, 513])
 @pytest.mark.parametrize("seed", [0, 3, 2**40 + 7])
 def test_swap_bench_bytes_match_the_per_case_run(trials, seed):
     # 256 cases are one chunk; a one-trial run stacks only a one-qubit case.
+    # Two-qubit cases go 8 to a stack, so 15, 16 and 17 trials end a stack
+    # short, full and with a one-qubit case past it; 512 is two full chunks.
     config = ExperimentConfig.from_dict({"experiment": "swap-bench", "trials": trials, "seed": seed})
     chunked, per_case = run_experiment(config), per_case_swap_bench(config)
     for fmt in ("json", "csv"):
         assert emit_report(chunked, fmt) == emit_report(per_case, fmt)
+
+
+def test_swap_bench_circuit_calls_stay_within_the_stack_bound(monkeypatch):
+    # Each SWAP circuit call's states, one (2d^2 x 2d^2) matrix a case, fit
+    # linalg.STACK_BYTES: 128 one-qubit cases (8 x 8) or 8 two-qubit ones
+    # (32 x 32).  40 trials make one stack of 20 one-qubit cases, three of
+    # two-qubit cases and the pure checks' stack of 2.
+    shapes = []
+    real = harness.swap_test
+
+    def probe(joint):
+        shapes.append(joint.shape)
+        return real(joint)
+
+    monkeypatch.setattr(harness, "swap_test", probe)
+    for trials in (40, 1000):
+        shapes.clear()
+        run_experiment(ExperimentConfig.from_dict({"experiment": "swap-bench", "trials": trials, "seed": 1}))
+        assert all(16 * n * (2 * dd) ** 2 <= STACK_BYTES for n, dd, _ in shapes), shapes
+        assert sum(n for n, _, _ in shapes) == trials + 2
+        if trials == 40:
+            assert shapes == [(20, 4, 4), (8, 16, 16), (8, 16, 16), (4, 16, 16), (2, 4, 4)]
 
 
 def test_swap_bench_memory_does_not_grow_with_trials(monkeypatch):
@@ -867,12 +891,12 @@ def _memory_terms(p: int, a: int, l: int, trial_rows: int = 0) -> list[int]:
     """The terms of memory_estimate, in bytes: the proof vector and two
     copies, the primed marginal, V and the flip with a cast and a conjugate
     each, the pair reductions once, and for each tree of the largest stacked
-    call its input and first pinch, three copies of its state and the
-    teleport read's reduction; then the trial rows."""
+    call its first pinch, three copies of its state and the teleport read's
+    reduction; then the trial rows."""
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
     return [16 * 3 * 2 ** (p + 2 * l), 16 * 4**l, 16 * 3 * (4 ** (p + a) + 4 ** (p + a + 1)),
             16 * l * (l - 1) * 4 ** (p + 4),
-            16 * trees * (2 * 4 ** (p + 4) + 3 * 4 ** (p + a + 3) + 4 ** (a + 3)),
+            16 * trees * (4 ** (p + 4) + 3 * 4 ** (p + a + 3) + 4 ** (a + 3)),
             TRIAL_ROW_BYTES * trial_rows]
 
 
@@ -892,7 +916,7 @@ def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
             ExperimentConfig.from_dict({**base, "trials": most + 1})
     # An exact run, with no trial rows, counts its pair reductions and one tree.
     assert memory_estimate(1, 1, 4) == 16 * (3 * 2**9 + 4**4 + 3 * (4**2 + 4**3) + 12 * 4**5
-                                             + 2 * 4**5 + 3 * 4**5 + 4**4)
+                                             + 4**5 + 3 * 4**5 + 4**4)
 
 
 # tracemalloc's peak over a run's estimate that no term of the estimate
@@ -906,9 +930,9 @@ def test_memory_estimate_bounds_the_traced_peak(mode):
     # Each shape's largest term differs: the tree states at a_qubits = 4-5,
     # the proof vector at l = 8, the pair reductions at p_qubits = 2, l = 5.
     # At p_qubits = 4, a_qubits = 1 a sampled run peaks in its second pinch,
-    # beside its pair reductions: the tree's input, the first pinch's result,
-    # the second's first term and apply_local's two arrays, five arrays as
-    # large as a tree state.
+    # beside its pair reductions: the first pinch's result, the second's
+    # first term and apply_local's two arrays, four arrays as large as a tree
+    # state.
     # local_unitaries makes every reduction distinct, a sampled run's worst case.
     def config(p, a, l):
         return ExperimentConfig.from_dict({
@@ -937,7 +961,7 @@ def test_memory_estimate_bounds_the_traced_peak(mode):
 
 def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_path, capsys, monkeypatch):
     # p_qubits = 7, l = 6: the proof, V, the flip and the tree need about
-    # 0.35 GiB, but the 30 pair reductions a run holds, 4^11 entries each,
+    # 0.29 GiB, but the 30 pair reductions a run holds, 4^11 entries each,
     # need 1.9 GiB more.
     def never(config):
         raise AssertionError("the over-budget config reached run_experiment")
@@ -948,7 +972,7 @@ def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_
     assert sum(_memory_terms(7, 1, 6)) - _memory_terms(7, 1, 6)[3] < 0.4 * MEMORY_BUDGET_BYTES
     assert main(["soundness", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "0 trial rows need an estimated 2.23 GiB" in err and "1 GiB budget" in err
+    assert "0 trial rows need an estimated 2.16 GiB" in err and "1 GiB budget" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -979,9 +1003,9 @@ def test_sampled_report_without_trial_outcomes_refuses_csv():
 
 
 def test_benchmark_sized_configs_are_well_under_memory_budget():
-    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 2.5 MB.
+    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 2.45 MB.
     assert memory_estimate(p_qubits=2, a_qubits=2, l=5) == 16 * (3 * 2**12 + 4**5 + 3 * (4**4 + 4**5) + 20 * 4**6
-                                                                 + 2 * 4**6 + 3 * 4**7 + 4**5)
+                                                                 + 4**6 + 3 * 4**7 + 4**5)
     assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 400
     assert memory_estimate(p_qubits=1, a_qubits=1, l=10) < MEMORY_BUDGET_BYTES
     assert memory_estimate(p_qubits=1, a_qubits=1, l=2, trial_rows=100_000) < MEMORY_BUDGET_BYTES / 50

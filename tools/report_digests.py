@@ -11,7 +11,8 @@ configs of acceptance criterion 8 (tests/test_acceptance.py): the exact and
 then a group of soundness configs at l = 4 and 5 whose sampled runs build
 their trees in more than one stack and reuse trees across stacks, then a
 group with three to five ancilla qubits, where V and the flip are the largest
-operators apply_local takes.  Each run's report is emitted as JSON and as
+operators apply_local takes, then a group of swap-bench runs at the edges of
+its stacks and chunks.  Each run's report is emitted as JSON and as
 CSV.  For each group, and in total, it prints the report count and one
 SHA-256 over those bytes, in run order.  Run it once on a checkout of the
 parent commit and once on the change: equal lines mean equal reports.  It
@@ -64,6 +65,14 @@ def large_register_configs() -> list[dict]:
             for strategy, p in cases for mode in ("exact", "sampled")]
 
 
+def swap_edge_configs() -> list[dict]:
+    """swap-bench at 1, 15, 16, 17, 255, 256, 257 and 1000 trials, at seeds 1
+    and 7919: the last case of a chunk, one-qubit at an odd count, the chunk
+    edge at 256 cases, and four chunks."""
+    return [{"experiment": "swap-bench", "trials": trials, "seed": seed}
+            for trials in (1, 15, 16, 17, 255, 256, 257, 1000) for seed in SEEDS]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/report_digests.py SRC_DIR", file=sys.stderr)
@@ -86,6 +95,7 @@ def main(argv: list[str]) -> int:
     groups["criterion-8"] = criterion_8_configs()
     groups["tree-stacks"] = tree_stack_configs()
     groups["large-registers"] = large_register_configs()
+    groups["swap-edges"] = swap_edge_configs()
     total, count = hashlib.sha256(), 0
     for name, configs in groups.items():
         digest = hashlib.sha256()

@@ -143,7 +143,7 @@ class ExperimentConfig:
             raise ConfigError(f"'tolerances' must be an object, got {shown(self.tolerances)}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
-            raise ConfigError(f"unknown tolerance overrides: {shown(sorted(unknown))}")
+            raise ConfigError(f"unknown tolerance overrides: {shown(sorted(unknown, key=str))}")
         for name, value in self.tolerances.items():
             if not _is_number(value) or not 0 <= value <= sys.float_info.max:
                 raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {shown(value)}")
@@ -179,7 +179,7 @@ class ExperimentConfig:
         known = {"experiment", "verifier", "l", "strategy", "trials", "seed", "mode", "tolerances"}
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config fields: {shown(sorted(unknown))}")
+            raise ConfigError(f"unknown config fields: {shown(sorted(unknown, key=str))}")
         if "experiment" not in data:
             raise ConfigError("config needs an 'experiment' field")
         # validate sees no field given at its default; this sees every key given.
@@ -192,7 +192,7 @@ class ExperimentConfig:
         verifier = data.get("verifier", {})
         unknown = set(verifier) - {"p", "p_qubits", "a_qubits"}
         if unknown:
-            raise ConfigError(f"unknown verifier fields: {shown(sorted(unknown))}")
+            raise ConfigError(f"unknown verifier fields: {shown(sorted(unknown, key=str))}")
         default = HONEST_STRATEGY if data["experiment"] == "completeness" else DEFAULT_STRATEGY
         fields = {"strategy": dict(default), **{k: v for k, v in data.items() if k != "verifier"}}
         # Values are taken as they are, never converted: validate checks their types.
@@ -210,8 +210,8 @@ class ExperimentReport:
     branches: dict | None = None
     lemma_margins: dict | None = None
     details: dict | None = None
-    # A sampled run's outcome of each trial: len(BRANCH_KEYS) * code + branch,
-    # with the code and branch index that ProtocolRun.sample gives it.
+    # A sampled run's outcome of each trial, len(BRANCH_KEYS) * code + branch,
+    # as ProtocolRun.sample writes it; None unless the run kept trial rows.
     trial_outcomes: np.ndarray | None = None
 
     def failures(self) -> list[str]:
@@ -243,15 +243,8 @@ def _run_protocol_experiment(config: ExperimentConfig, trial_rows: bool) -> Expe
                                 reject_probability=result.reject_probability, branches=dict(result.branches))
     n = config.trials
     outcomes = np.empty(n, np.intp) if trial_rows else None
-    tally = np.zeros(len(BRANCH_KEYS), np.intp)
-    start = 0
-    for branch, code in run.sample(config.seed, n):
-        tally += np.bincount(branch, minlength=len(BRANCH_KEYS))
-        if trial_rows:
-            outcomes[start:start + code.size] = len(BRANCH_KEYS) * code + branch
-        start += code.size
     # Python ints, so each ratio below is the one a dict of int counts gives.
-    counts = dict(zip(BRANCH_KEYS, tally.tolist()))
+    counts = dict(zip(BRANCH_KEYS, run.sample(config.seed, n, outcomes).tolist()))
     accepts = n - sum(counts[k] for k in REJECT_KEYS)
     return ExperimentReport(
         config=config.to_dict(),
@@ -463,9 +456,9 @@ def _run_swap_bench(config: ExperimentConfig) -> ExperimentReport:
 def run_experiment(config: ExperimentConfig, trial_rows: bool = True) -> ExperimentReport:
     """Deterministic report for the configured experiment; exact mode ignores trials.
 
-    A sampled run keeps each trial's outcome for its CSV rows unless
-    trial_rows is false; its memory then does not grow with trials, and
-    emit_report writes it only as JSON.
+    A sampled run, one ProtocolRun.sample call, keeps each trial's outcome
+    for its CSV rows unless trial_rows is false; its memory then does not
+    grow with trials, and emit_report writes it only as JSON.
     """
     config.validate()
     if config.experiment in ("completeness", "soundness"):

@@ -470,12 +470,12 @@ class ProtocolRun:
     """Verifier evaluation against a fixed proof, exact or sampled.
 
     Exact mode evaluates one tree, on the pair-symmetrized state.  Sampled
-    mode builds its table of trees before its first draw (_pair_trees): one
-    tree per distinct two-slot state, so ordered pairs whose reductions are
-    equal bit for bit, as a product proof's pairs mostly are, share one.  It
-    then draws each trial's ordered pair, which the trial reports, and reads
-    a chunk of trials at a time off the trees that chunk drew, into arrays of
-    branch indices and ordered-pair codes.  A tree is a pure function of the
+    mode, one call to sample, builds its table of trees before its first
+    draw (_pair_trees): one tree per distinct two-slot state, so ordered
+    pairs whose reductions are equal bit for bit, as a product proof's pairs
+    mostly are, share one.  It then draws each trial's ordered pair, which
+    the trial reports, reads a chunk of trials at a time off the trees that
+    chunk drew, and counts their branches.  A tree is a pure function of the
     reduction and the toy, bit for bit the same alone or in a stack, so
     neither sharing nor stacking changes a report byte.
 
@@ -530,18 +530,21 @@ class ProtocolRun:
                                                   for key in keys[start:start + most]]), toy)]
         return trees, slots
 
-    def sample(self, seed: int, trials: int):
-        """Yield, a chunk of trials at a time, the arrays (branch, code) of
-        trials 0..trials-1, drawn by rng.trial_draws: trial t from stream(seed, t).
-
-        branch is each trial's index into BRANCH_KEYS, and code its 0-based
-        ordered pair (i, j) as i * l + j."""
+    def sample(self, seed: int, trials: int, rows: np.ndarray | None) -> np.ndarray:
+        """Each branch's count, in BRANCH_KEYS order, over trials 0..trials-1,
+        drawn by rng.trial_draws a chunk of rng.CHUNK_TRIALS trials at a time:
+        trial t from stream(seed, t).  If rows is an array, rows[t] is set to
+        len(BRANCH_KEYS) * code + branch: trial t's 0-based ordered pair (i,
+        j) as the code i * l + j, and its BRANCH_KEYS index as branch."""
         l = self.proof.l
         trees, slots = self._pair_trees()
-        for i, j, coin, u1, u2 in rngmod.trial_draws(seed, trials, l):
+        counts = np.zeros(len(BRANCH_KEYS), np.intp)
+        for start in range(0, trials, rngmod.CHUNK_TRIALS):
+            n = min(rngmod.CHUNK_TRIALS, trials - start)
+            i, j, coin, u1, u2 = rngmod.trial_draws(seed, start, n, l)
             code = i * l + j + (j >= i)
             slot = slots[code]
-            branch = np.zeros(code.size, int)  # BRANCH_KEYS index
+            branch = np.zeros(n, int)  # BRANCH_KEYS index
             for s in set(slot.tolist()):
                 tree = trees[s]
                 at = np.flatnonzero(slot == s)
@@ -551,4 +554,7 @@ class ProtocolRun:
                     branch[hit] = np.where(rngmod.choose(u2[hit], dist) == 0, 1, 2)
                 swap = at[coin[at] == 1]
                 branch[swap] = np.where(u1[swap] < tree.swap_pass, 3, 4)
-            yield branch, code
+            counts += np.bincount(branch, minlength=len(BRANCH_KEYS))
+            if rows is not None:
+                rows[start:start + n] = len(BRANCH_KEYS) * code + branch
+        return counts

@@ -7,11 +7,11 @@ across workers.
 
 A sampled protocol trial needs only the first Philox4x64-10 block of its
 stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).
-``trial_draws`` computes that block for many trials at once in numpy and turns
-it into the draws numpy's Generator would make, so trial t still draws exactly
-what ``stream(seed, t)`` gives; a trial whose bounded draw numpy would redraw
-takes its draws from the stream itself, and the first trial of every chunk is
-checked against the stream.
+``trial_draws`` computes that block for a chunk of consecutive trials in numpy
+and turns it into the draws numpy's Generator would make, so trial t still
+draws exactly what ``stream(seed, t)`` gives; a trial whose bounded draw numpy
+would redraw takes its draws from the stream itself, and each chunk's first
+trial is checked against the stream.  ``ProtocolRun.sample`` owns the chunks.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ _PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 
-# Trials whose draws are made together; each chunk's first trial is also drawn
-# from its stream, so this many trials share one check.
+# Trials whose draws are made in one trial_draws call; each chunk's first trial
+# is also drawn from its stream, so this many trials share one check.
 CHUNK_TRIALS = 4096
 
 
@@ -106,36 +106,34 @@ def _stream_draws(seed: int, t: int, l: int) -> tuple:
     return int(g.integers(l)), int(g.integers(l - 1)), int(g.integers(2)), g.random(), g.random()
 
 
-def trial_draws(seed: int, trials: int, l: int):
-    """Yield, a chunk of trials at a time, the arrays (i, j, coin, u1, u2) that
-    stream(seed, t) gives a sampled trial t of a protocol with l pairs: in that
-    order integers(l), integers(l - 1), integers(2), random() and random().
+def trial_draws(seed: int, start: int, n: int, l: int) -> tuple[np.ndarray, ...]:
+    """The arrays (i, j, coin, u1, u2) that stream(seed, t) gives sampled trials
+    t = start..start+n-1 of a protocol with l pairs: in that order
+    integers(l), integers(l - 1), integers(2), random() and random().
 
     The integer draws take 32 bits each, low half of a word first, and
     integers(1) takes none; random() takes a whole word.  Raises RuntimeError
     if this numpy draws differently.
     """
-    for start in range(0, trials, CHUNK_TRIALS):
-        n = min(CHUNK_TRIALS, trials - start)
-        w = first_blocks(seed, start, n)
-        halves = (w[0] & _LO32, w[0] >> 32, w[1] & _LO32)
-        # integers(2) never redraws, as 2**32 is even.
-        if l > 2:
-            (i, again_i), (j, again_j) = bounded(halves[0], l), bounded(halves[1], l - 1)
-            coin, redraw, u1, u2 = bounded(halves[2], 2)[0], again_i | again_j, w[2], w[3]
-        else:
-            (i, redraw), coin = bounded(halves[0], l), bounded(halves[1], 2)[0]
-            j, u1, u2 = np.zeros(n, dtype=np.int64), w[1], w[2]
-        draws = (i, j, coin, uniform(u1), uniform(u2))
-        for k in np.flatnonzero(redraw).tolist():
-            for column, value in zip(draws, _stream_draws(seed, start + k, l)):
-                column[k] = value
-        if tuple(column[0].item() for column in draws) != _stream_draws(seed, start, l):
-            raise RuntimeError(
-                f"numpy {np.__version__} draws differently from the bulk Philox draws of "
-                f"trial {start} of seed {seed}; sampled trials would change"
-            )
-        yield draws
+    w = first_blocks(seed, start, n)
+    halves = (w[0] & _LO32, w[0] >> 32, w[1] & _LO32)
+    # integers(2) never redraws, as 2**32 is even.
+    if l > 2:
+        (i, again_i), (j, again_j) = bounded(halves[0], l), bounded(halves[1], l - 1)
+        coin, redraw, u1, u2 = bounded(halves[2], 2)[0], again_i | again_j, w[2], w[3]
+    else:
+        (i, redraw), coin = bounded(halves[0], l), bounded(halves[1], 2)[0]
+        j, u1, u2 = np.zeros(n, dtype=np.int64), w[1], w[2]
+    draws = (i, j, coin, uniform(u1), uniform(u2))
+    for k in np.flatnonzero(redraw).tolist():
+        for column, value in zip(draws, _stream_draws(seed, start + k, l)):
+            column[k] = value
+    if tuple(column[0].item() for column in draws) != _stream_draws(seed, start, l):
+        raise RuntimeError(
+            f"numpy {np.__version__} draws differently from the bulk Philox draws of "
+            f"trial {start} of seed {seed}; sampled trials would change"
+        )
+    return draws
 
 
 def choose(u: np.ndarray, probs: list[float]) -> np.ndarray:

@@ -268,13 +268,13 @@ def scalar_sample(run: ProtocolRun, rng: np.random.Generator, trees: dict) -> tu
 
 def sample_tuples(run: ProtocolRun, seed: int, trials: int) -> list[tuple[str, tuple[int, int]]]:
     """run.sample's trials as scalar_sample gives them: (branch key, 1-based
-    ordered pair) each."""
-    l = run.proof.l
-    return [
-        (BRANCH_KEYS[b], (c // l + 1, c % l + 1))
-        for branch, code in run.sample(seed, trials)
-        for b, c in zip(branch.tolist(), code.tolist())
-    ]
+    ordered pair) each, decoded from the rows it writes.  The counts it
+    returns must be those of the rows."""
+    l, rows = run.proof.l, np.empty(trials, np.intp)
+    counts = run.sample(seed, trials, rows).tolist()
+    outcomes = [divmod(k, len(BRANCH_KEYS)) for k in rows.tolist()]
+    assert counts == [[b for _, b in outcomes].count(b) for b in range(len(BRANCH_KEYS))]
+    return [(BRANCH_KEYS[b], (c // l + 1, c % l + 1)) for c, b in outcomes]
 
 
 # The CSV fields (b, postsel, verdict) of a sampled trial, by branch key.

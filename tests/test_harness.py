@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eprverify import harness, protocol
+from eprverify import harness, rng as rngmod
 from eprverify.cli import main
 from eprverify.harness import (
     MEMORY_BUDGET_BYTES,
@@ -93,6 +93,21 @@ def test_validate_refuses_tolerances_that_are_not_an_object(tolerances):
         config.validate()
     with pytest.raises(ConfigError, match="'tolerances' must be an object, got "):
         run_experiment(config)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"experiment": "soundness", 1: 2, "x": 3}, "unknown config fields: [1, 'x']"),
+        ({"experiment": "soundness", "verifier": {1: 0.5, "zz": 1}}, "unknown verifier fields: [1, 'zz']"),
+        ({"experiment": "soundness", "tolerances": {1: 0.5, "zz": 1}}, "unknown tolerance overrides: [1, 'zz']"),
+    ],
+    ids=["config", "verifier", "tolerances"],
+)
+def test_config_with_a_non_string_key_is_a_config_error(data, message):
+    # A library caller can give keys JSON cannot; they are named, not compared.
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        ExperimentConfig.from_dict(data)
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +479,20 @@ def test_sampled_bytes_match_the_tuple_row_run(fields):
 def _sampled_memory(monkeypatch, fmt: str, trials: tuple[int, int]) -> tuple[tuple[int, int], ...]:
     """Two tracemalloc readings of a sampled run emitted as fmt, at each trial
     count: the highest memory read after a full collection, at each chunk
-    the run samples and once the report is emitted, with the objects older
+    the run draws and once the report is emitted, with the objects older
     than the run frozen, as in the lemma suite's memory test; and the peak
     tracemalloc itself saw, which also counts short-lived buffers."""
     highest = [0]
-    real = protocol.ProtocolRun.sample
+    real = rngmod.trial_draws
 
     def probe():
         gc.collect()
         highest[0] = max(highest[0], tracemalloc.get_traced_memory()[0])
 
-    def sample(self, seed, n):
-        for chunk in real(self, seed, n):
-            probe()
-            yield chunk
+    def trial_draws(seed, start, n, l):
+        draws = real(seed, start, n, l)
+        probe()
+        return draws
 
     def run(n: int) -> None:
         config = ExperimentConfig.from_dict({"experiment": "soundness", "mode": "sampled", "l": 3, "trials": n})
@@ -488,7 +503,7 @@ def _sampled_memory(monkeypatch, fmt: str, trials: tuple[int, int]) -> tuple[tup
         del payload, report
 
     run(trials[0])  # first-use allocations are made before either reading
-    monkeypatch.setattr(protocol.ProtocolRun, "sample", sample)
+    monkeypatch.setattr(rngmod, "trial_draws", trial_draws)
     out = []
     for n in trials:
         highest[0] = 0

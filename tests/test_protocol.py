@@ -676,7 +676,7 @@ def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strateg
             u2s = [u for dist in tree.bit_dists.values() for u in edge_uniforms(dist)]
             draws += [(i, drawn_j, coin, u1, u2) for coin in (0, 1) for u1 in u1s for u2 in u2s]
     columns = tuple(np.array(column) for column in zip(*draws))
-    monkeypatch.setattr(rngmod, "trial_draws", lambda seed, trials, l: iter([columns]))
+    monkeypatch.setattr(rngmod, "trial_draws", lambda seed, start, n, l: tuple(c[start:start + n] for c in columns))
     trees = {}
     expected = [scalar_sample(run, FixedDraws(d[:3], d[3:]), trees) for d in draws]
     assert sample_tuples(run, 0, len(draws)) == expected

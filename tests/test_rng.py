@@ -79,13 +79,24 @@ def test_uniform_matches_numpy_random():
     assert uniform(words).tolist() == [g.random() for _ in range(4)]
 
 
-@pytest.mark.parametrize("l", [2, 3, 5])
-def test_trial_draws_are_the_stream_draws(l):
-    (i, j, coin, u1, u2), = trial_draws(-7, 200, l)
-    for t in range(200):
-        g = stream(-7, t)
+def _assert_stream_draws(seed, start, n, l):
+    i, j, coin, u1, u2 = trial_draws(seed, start, n, l)
+    for t in range(n):
+        g = stream(seed, start + t)
         expected = (int(g.integers(l)), int(g.integers(l - 1)), int(g.integers(2)), g.random(), g.random())
         assert (int(i[t]), int(j[t]), int(coin[t]), float(u1[t]), float(u2[t])) == expected
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+def test_trial_draws_are_the_stream_draws(l):
+    _assert_stream_draws(-7, 0, 200, l)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5])
+@pytest.mark.parametrize("start", [rngmod.CHUNK_TRIALS, 3 * rngmod.CHUNK_TRIALS - 5])
+def test_trial_draws_at_a_chunk_offset_are_the_stream_draws(start, l):
+    # Trial start + t draws from stream(seed, start + t), not from stream(seed, t).
+    _assert_stream_draws(-(2**62) - 3, start, 200, l)
 
 
 def test_stream_guard_catches_a_changed_draw(monkeypatch):
@@ -98,7 +109,7 @@ def test_stream_guard_catches_a_changed_draw(monkeypatch):
 
     monkeypatch.setattr(rngmod, "first_blocks", one_bit_off)
     with pytest.raises(RuntimeError, match=f"numpy {np.__version__}"):
-        next(trial_draws(1, 10, 3))
+        trial_draws(1, 0, 10, 3)
 
 
 @pytest.mark.parametrize(

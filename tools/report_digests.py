@@ -12,11 +12,13 @@ then a group of soundness configs at l = 4 and 5 whose sampled runs build
 their trees in more than one stack and reuse trees across stacks, then a
 group with three to five ancilla qubits, where V and the flip are the largest
 operators apply_local takes, then a group of swap-bench runs at the edges of
-its stacks and chunks.  Each run's report is emitted as JSON and as
-CSV.  For each group, and in total, it prints the report count and one
-SHA-256 over those bytes, in run order.  Run it once on a checkout of the
-parent commit and once on the change: equal lines mean equal reports.  It
-takes about 6 s on a 2-core x86-64 VM, and is no part of the test suite.
+its stacks and chunks, then a group of sampled soundness runs at the edges of
+the chunks of trials that ProtocolRun.sample draws together.  Each run's
+report is emitted as JSON and as CSV.  For each group, and in total, it
+prints the report count and one SHA-256 over those bytes, in run order.  Run
+it once on a checkout of the parent commit and once on the change: equal
+lines mean equal reports.  It takes about 6 s on a 2-core x86-64 VM, and is
+no part of the test suite.
 """
 
 from __future__ import annotations
@@ -73,6 +75,17 @@ def swap_edge_configs() -> list[dict]:
             for trials in (1, 15, 16, 17, 255, 256, 257, 1000) for seed in SEEDS]
 
 
+def chunk_edge_configs() -> list[dict]:
+    """Sampled soundness at 1, 4095, 4096, 4097, 8192 and 8193 trials, at seeds
+    1 and 7919: idle_epr at l = 2, and local_unitaries at l = 3 with two
+    ancilla qubits.  rng.CHUNK_TRIALS is 4096, so these end one trial before,
+    at and one trial after the edge of the first and second chunks."""
+    cases = [({"kind": "idle_epr"}, 2, 1), ({"kind": "local_unitaries", "unitary_seed": 5}, 3, 2)]
+    return [{"experiment": "soundness", "l": l, "strategy": strategy, "seed": seed, "mode": "sampled",
+             "trials": trials, "verifier": {"p": 0.3, "a_qubits": a_qubits}}
+            for strategy, l, a_qubits in cases for trials in (1, 4095, 4096, 4097, 8192, 8193) for seed in SEEDS]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/report_digests.py SRC_DIR", file=sys.stderr)
@@ -96,6 +109,7 @@ def main(argv: list[str]) -> int:
     groups["tree-stacks"] = tree_stack_configs()
     groups["large-registers"] = large_register_configs()
     groups["swap-edges"] = swap_edge_configs()
+    groups["chunk-edges"] = chunk_edge_configs()
     total, count = hashlib.sha256(), 0
     for name, configs in groups.items():
         digest = hashlib.sha256()

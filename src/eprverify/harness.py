@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from . import rng as rngmod
 from .channels import apply_pinch
-from .linalg import MAX_STACK, dagger, partial_trace, proj, stack_limit, tensor
+from .linalg import STACK_BYTES, dagger, partial_trace, proj, stack_limit, tensor
 from .metrics import (
     additive_perturbation_margin,
     fvg_margins,
@@ -73,12 +73,11 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     """Bytes of the largest arrays of a protocol run at 16 bytes an entry, each
     counted as often as a run holds copies of it at once (tracemalloc peaks): the
     proof vector, its transposed copy and that copy's conjugate (3 x 2^(p+2l));
-    the primed halves' marginal (4^l); V and the flip with their complex casts
-    and conjugates (3 x (4^(p+a) + 4^(p+a+1))); the l(l-1) pair reductions and
-    each tree's first pinch (4^(p+4) each); each tree's state with the ancilla
-    and apply_local's two arrays of its size (3 x 4^(p+a+3), at a = 1 also the
-    second pinch's first term and its two) and its teleport read's reduction
-    (4^(a+3)), for one tree in an exact run and
+    the primed halves' marginal (4^l); V and two conjugates of it (3 x 4^(p+a));
+    the l(l-1) pair reductions and each tree's first pinch (4^(p+4) each); each
+    tree's state with the ancilla and apply_local's two arrays of its size
+    (3 x 4^(p+a+3), at a = 1 also the second pinch's first term and its two) and
+    its teleport read's reduction (4^(a+3)), for one tree in an exact run and
     min(tree_stack(p, a), l(l-1)) in a sampled run; and a sampled run's trials
     and CSV rows.  An exact run is the one with no trial rows.  Sizes too large
     for a float give inf.
@@ -89,7 +88,7 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     p, a = p_qubits, a_qubits
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
     reductions = (l * (l - 1) if l < 2**500 else math.inf) + trees
-    total = (3 * entries(p + 2 * l) + entries(2 * l) + 3 * (entries(2 * (p + a)) + entries(2 * (p + a + 1)))
+    total = (3 * entries(p + 2 * l) + entries(2 * l) + 3 * entries(2 * (p + a))
              + reductions * entries(2 * (p + 4)) + trees * (3 * entries(2 * (p + a + 3)) + entries(2 * (a + 3))))
     rows = trial_rows if trial_rows < 2**1000 else math.inf
     return 16 * total + TRIAL_ROW_BYTES * rows
@@ -262,8 +261,8 @@ def _run_protocol_experiment(config: ExperimentConfig, trial_rows: bool) -> Expe
 
 # Lemma instances and SWAP cases are drawn this many at a time, so memory does
 # not grow with trials; the count is even, so a chunk starts at a one-qubit case.
-# Lemma instances of equal shape are evaluated MAX_STACK at a time, SWAP cases
-# stack_limit(2k + 1) (a (2k + 1)-qubit circuit each), whatever the draws.
+# Lemma instances of equal shape are evaluated as many at a time as fit in STACK_BYTES,
+# SWAP cases stack_limit(2k + 1) (a (2k + 1)-qubit circuit each), whatever the draws.
 LEMMA_CHUNK_TRIALS = 256
 
 
@@ -352,17 +351,18 @@ _LEMMA_FAMILIES = (
 def _stacked_margins(instances: list[tuple], names: tuple, margins) -> np.ndarray:
     """The margins of each instance, one row per name, in instance order.
 
-    Instances whose fields have equal shapes are stacked field by field and
-    evaluated in one call, which makes one LAPACK or BLAS call per stack where
-    an instance alone would make one.
+    Instances whose fields have equal shapes are stacked field by field, as
+    many as fit in STACK_BYTES (at least one), and evaluated in one call,
+    which makes for each member the LAPACK or BLAS call it makes alone.
     """
     groups: dict[tuple, list[int]] = {}
     for k, instance in enumerate(instances):
         groups.setdefault(tuple(map(np.shape, instance)), []).append(k)
     out = np.empty((len(names), len(instances)))
     for group in groups.values():
-        for start in range(0, len(group), MAX_STACK):
-            ks = group[start:start + MAX_STACK]
+        most = max(1, STACK_BYTES // sum(np.asarray(f).nbytes for f in instances[group[0]]))
+        for start in range(0, len(group), most):
+            ks = group[start:start + most]
             fields = [np.array([instances[k][f] for k in ks]) for f in range(len(instances[ks[0]]))]
             out[:, ks] = np.reshape(margins(*fields), (len(names), len(ks)))
     return out

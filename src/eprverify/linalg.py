@@ -12,11 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-# The lemma suite evaluates its instances in stacks of at most this many, so
-# the memory of one call does not depend on how many are waiting.
-MAX_STACK = 8
-# The states of one stacked circuit call (pair trees, SWAP circuits) stay within
-# this many bytes: glibc maps a larger array fresh and faults in its every page.
+# The one stack bound: a stacked call's states (pair trees, SWAP circuits) or inputs (lemma
+# instances) stay within this many bytes, so its memory does not grow with what waits, and
+# glibc, which maps a larger array fresh and faults in its every page, is not asked to.
 STACK_BYTES = 2**17
 
 

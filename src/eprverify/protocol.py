@@ -80,8 +80,7 @@ class ToyVerifier:
     projects onto.  max_accept and witness are the top eigenvalue and an
     eigenvector of the acceptance operator (I (x) <0|) V† Pi_acc V (I (x) |0>)
     on P, known in closed form (make_toy_verifier): the maximum acceptance
-    probability and an optimal witness.  flip is I - 2 Pi_acc (x) |1><1| on
-    (P, A, S1), the pair tree's reflection controlled by S1.
+    probability and an optimal witness.
     """
 
     v: np.ndarray
@@ -90,7 +89,6 @@ class ToyVerifier:
     acc_projector: np.ndarray
     max_accept: float
     witness: np.ndarray
-    flip: np.ndarray
 
 
 def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVerifier:
@@ -118,8 +116,7 @@ def make_toy_verifier(p: float, p_qubits: int = 1, a_qubits: int = 1) -> ToyVeri
     if abs(top - p) > 1e-9:
         raise ValueError(f"construction drifted: max acceptance {top} vs target {p}")
     witness = np.eye(dp, dtype=complex)[-1]
-    flip = np.eye(2 ** (p_qubits + a_qubits + 1)) - 2.0 * tensor(acc, proj(np.array([0.0, 1.0])))
-    return ToyVerifier(v, p_qubits, a_qubits, acc, top, witness, flip)
+    return ToyVerifier(v, p_qubits, a_qubits, acc, top, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +412,10 @@ def _pair_tree(stack: np.ndarray, toy: ToyVerifier) -> list[_PairTree]:
 
     Each step has one owner, which takes the stack: the pinches
     (channels.apply_pinch), the SWAP closed form (swap_test_formula), the
-    decode, V, flip and V† (linalg.apply_local), the reductions
-    (linalg.partial_trace) and the teleportation read (teleport).  Every
-    contraction makes, member by member, the BLAS call that the member alone
-    makes, so each tree is bit for bit the one its matrix gives alone.
+    decode, V and V† (linalg.apply_local), the reflection (a sign), the
+    reductions (linalg.partial_trace) and the teleportation read (teleport).
+    Every contraction makes, member by member, the BLAS call that the member
+    alone makes, so each tree is bit for bit the one its matrix gives alone.
     """
     p, a = toy.p_qubits, toy.a_qubits
     (s1, s1p), (s2, s2p) = _pair_qubits(p, 0), _pair_qubits(p, 1)
@@ -437,7 +434,12 @@ def _pair_tree(stack: np.ndarray, toy: ToyVerifier) -> list[_PairTree]:
     n = p + 3 + a
     pa = [*range(p), *range(p + 3, n)]
     w = apply_local(w, toy.v, n, pa)
-    w = apply_local(w, toy.flip, n, [*pa, p])
+    # The reflection I - 2 Pi_acc (x) |1><1| controlled by S1, on each row and then each
+    # column of V's output: -1 where S1 (qubit p) and A's first qubit (p + 3) are both 1.
+    both = 2 ** (n - 1 - p) + 2 ** (n - 4 - p)
+    sign = np.where(np.arange(2**n) & both == both, -1.0, 1.0)
+    w *= sign[:, None]
+    w *= sign
     w = apply_local(w, dagger(toy.v), n, pa)
     # (S2', S1) is measured; A and S2 keep the bits the verifier reads.
     blocks = teleport(w, n, p + 2, p, [*range(p + 3, n), p + 1])
@@ -492,11 +494,11 @@ class ProtocolRun:
         """Branch masses from one tree on the pair-symmetrized state.
 
         The verifier draws the ordered pair uniformly, and every later step
-        (pinch, decode, V, flip, V†, post-selection and the Born rule) is
-        linear in the two-slot state.  So the mean of the l(l-1) pair trees'
-        masses is the masses of one tree on the mean of the ordered-pair
-        reductions.  This holds for any proof: the reductions need not be
-        equal, and nothing assumes they are.
+        (pinch, decode, V, reflection, V†, post-selection and the Born rule)
+        is linear in the two-slot state.  So the mean of the l(l-1) pair
+        trees' masses is the masses of one tree on the mean of the
+        ordered-pair reductions.  This holds for any proof: the reductions
+        need not be equal, and nothing assumes they are.
         """
         proof = self.proof
         [tree] = _pair_tree(symmetrize_pairs(proof.state, proof.p_qubits, proof.l)[None], self.toy)

@@ -95,7 +95,9 @@ def reference_pair_tree(dm: np.ndarray, toy) -> _PairTree:
     n = p + 3 + a
     pa = [*range(p), *range(p + 3, n)]
     w = apply_local(w, toy.v, n, pa)
-    w = apply_local(w, toy.flip, n, [*pa, p])
+    # The reflection I - 2 Pi_acc (x) |1><1| on (P, A, S1), as a dense matrix.
+    flip = np.eye(2 ** (p + a + 1)) - 2.0 * tensor(toy.acc_projector, proj(np.array([0.0, 1.0])))
+    w = apply_local(w, flip, n, [*pa, p])
     w = apply_local(w, dagger(toy.v), n, pa)
 
     bell_probs: list[float] = []

@@ -49,8 +49,7 @@ def haar_toy(seed: int, p_qubits: int, a_qubits: int) -> ToyVerifier:
     acc = tensor(np.eye(dp), one, np.eye(da // 2))
     on_zero = v[:, ::da]  # the columns with A = |0...0>
     values, vectors = np.linalg.eigh(dagger(on_zero) @ acc @ on_zero)
-    flip = np.eye(2 * dp * da) - 2.0 * tensor(acc, one)
-    return ToyVerifier(v, p_qubits, a_qubits, acc, float(values[-1]), vectors[:, -1], flip)
+    return ToyVerifier(v, p_qubits, a_qubits, acc, float(values[-1]), vectors[:, -1])
 
 
 def test_criterion_1_perfect_completeness():

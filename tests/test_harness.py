@@ -27,7 +27,7 @@ from eprverify.harness import (
     memory_estimate,
     run_experiment,
 )
-from eprverify.linalg import MAX_STACK, STACK_BYTES
+from eprverify.linalg import STACK_BYTES
 from eprverify.protocol import tree_stack
 from eprverify.rng import stream
 
@@ -904,12 +904,12 @@ def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkey
 
 def _memory_terms(p: int, a: int, l: int, trial_rows: int = 0) -> list[int]:
     """The terms of memory_estimate, in bytes: the proof vector and two
-    copies, the primed marginal, V and the flip with a cast and a conjugate
-    each, the pair reductions once, and for each tree of the largest stacked
-    call its first pinch, three copies of its state and the teleport read's
-    reduction; then the trial rows."""
+    copies, the primed marginal, V and two conjugates of it, the pair
+    reductions once, and for each tree of the largest stacked call its first
+    pinch, three copies of its state and the teleport read's reduction; then
+    the trial rows."""
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
-    return [16 * 3 * 2 ** (p + 2 * l), 16 * 4**l, 16 * 3 * (4 ** (p + a) + 4 ** (p + a + 1)),
+    return [16 * 3 * 2 ** (p + 2 * l), 16 * 4**l, 16 * 3 * 4 ** (p + a),
             16 * l * (l - 1) * 4 ** (p + 4),
             16 * trees * (4 ** (p + 4) + 3 * 4 ** (p + a + 3) + 4 ** (a + 3)),
             TRIAL_ROW_BYTES * trial_rows]
@@ -920,7 +920,7 @@ def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
     # and the tree states of its largest stacked call, min(tree_stack(p, a),
     # l(l-1)) of them at 4^(p+a+3) entries each, and one trial row more than
     # fits puts it over the budget.
-    for p, a, l, trees in ((1, 1, 3, 6), (1, 1, 4, MAX_STACK), (1, 2, 3, 2), (1, 7, 3, 1)):
+    for p, a, l, trees in ((1, 1, 3, 6), (1, 1, 4, tree_stack(1, 1)), (1, 2, 3, 2), (1, 7, 3, 1)):
         base = {"experiment": "soundness", "mode": "sampled", "l": l, "verifier": {"p": 0.2, "p_qubits": p, "a_qubits": a}}
         assert min(tree_stack(p, a), l * (l - 1)) == trees
         fixed = sum(_memory_terms(p, a, l, 1)) - TRIAL_ROW_BYTES
@@ -930,7 +930,7 @@ def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
         with pytest.raises(ConfigError, match=f"{most + 1} trial rows need"):
             ExperimentConfig.from_dict({**base, "trials": most + 1})
     # An exact run, with no trial rows, counts its pair reductions and one tree.
-    assert memory_estimate(1, 1, 4) == 16 * (3 * 2**9 + 4**4 + 3 * (4**2 + 4**3) + 12 * 4**5
+    assert memory_estimate(1, 1, 4) == 16 * (3 * 2**9 + 4**4 + 3 * 4**2 + 12 * 4**5
                                              + 4**5 + 3 * 4**5 + 4**4)
 
 
@@ -975,9 +975,9 @@ def test_memory_estimate_bounds_the_traced_peak(mode):
 
 
 def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_path, capsys, monkeypatch):
-    # p_qubits = 7, l = 6: the proof, V, the flip and the tree need about
-    # 0.29 GiB, but the 30 pair reductions a run holds, 4^11 entries each,
-    # need 1.9 GiB more.
+    # p_qubits = 7, l = 6: the proof, V and the tree need about 0.28 GiB,
+    # but the 30 pair reductions a run holds, 4^11 entries each, need 1.9 GiB
+    # more.
     def never(config):
         raise AssertionError("the over-budget config reached run_experiment")
 
@@ -987,7 +987,7 @@ def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_
     assert sum(_memory_terms(7, 1, 6)) - _memory_terms(7, 1, 6)[3] < 0.4 * MEMORY_BUDGET_BYTES
     assert main(["soundness", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "0 trial rows need an estimated 2.16 GiB" in err and "1 GiB budget" in err
+    assert "0 trial rows need an estimated 2.15 GiB" in err and "1 GiB budget" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1018,8 +1018,8 @@ def test_sampled_report_without_trial_outcomes_refuses_csv():
 
 
 def test_benchmark_sized_configs_are_well_under_memory_budget():
-    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 2.45 MB.
-    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) == 16 * (3 * 2**12 + 4**5 + 3 * (4**4 + 4**5) + 20 * 4**6
+    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 2.40 MB.
+    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) == 16 * (3 * 2**12 + 4**5 + 3 * 4**4 + 20 * 4**6
                                                                  + 4**6 + 3 * 4**7 + 4**5)
     assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 400
     assert memory_estimate(p_qubits=1, a_qubits=1, l=10) < MEMORY_BUDGET_BYTES

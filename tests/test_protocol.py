@@ -16,7 +16,6 @@ from eprverify.kernel import (
     symmetrize_pairs,
 )
 from eprverify.linalg import (
-    MAX_STACK,
     apply_local,
     dagger,
     is_unitary,
@@ -744,7 +743,8 @@ def test_sampled_run_builds_its_trees_in_one_stacked_call():
 def test_sampled_stacks_hold_at_most_max_stack_trees():
     toy = make_toy_verifier(0.3)
     run = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 5}, toy, l=4), toy)
-    assert _tree_calls(run, 2000) == [(MAX_STACK, 32, 32), (12 - MAX_STACK, 32, 32)]
+    most = tree_stack(1, 1)
+    assert _tree_calls(run, 2000) == [(most, 32, 32), (12 - most, 32, 32)]
 
 
 @pytest.mark.parametrize("p_qubits, a_qubits, calls", [
@@ -752,8 +752,8 @@ def test_sampled_stacks_hold_at_most_max_stack_trees():
 ])
 def test_sampled_stacks_of_larger_trees_hold_fewer(p_qubits, a_qubits, calls):
     # Each qubit past p_qubits = a_qubits = 1 quarters the stack, so a
-    # stack's tree states stay within those of MAX_STACK smallest trees.
-    assert tree_stack(1, 1) == MAX_STACK and tree_stack(1, 8) == 1
+    # stack's tree states stay within those of 8 smallest trees.
+    assert tree_stack(1, 1) == 8 and tree_stack(1, 8) == 1
     toy = make_toy_verifier(0.3, p_qubits=p_qubits, a_qubits=a_qubits)
     run = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 5}, toy, l=3), toy)
     assert _tree_calls(run, 2000) == calls
@@ -825,7 +825,8 @@ def test_one_trial_run_builds_every_tree_before_its_draw(monkeypatch):
     toy = make_toy_verifier(0.3)
     run = ProtocolRun(cheating_proof({"kind": "local_unitaries", "unitary_seed": 5}, toy, l=4), toy)
     calls = _counted_reductions(monkeypatch)
-    assert _tree_calls(run, 1) == [(MAX_STACK, 32, 32), (12 - MAX_STACK, 32, 32)]
+    most = tree_stack(1, 1)
+    assert _tree_calls(run, 1) == [(most, 32, 32), (12 - most, 32, 32)]
     assert calls == [(i, j) for i in range(4) for j in range(i + 1, 4)]
 
 
@@ -974,10 +975,10 @@ def _two_slot_members(rng, toy, kinds: list[str]) -> list[np.ndarray]:
 @settings(max_examples=40, deadline=None)
 @given(
     p_qubits=st.integers(1, 2),
-    a_qubits=st.integers(1, 2),
+    a_qubits=st.integers(1, 3),
     p=st.floats(0.05, 1.0),
     kinds=st.lists(st.sampled_from(["density", "pure_proof", "local_unitaries"]), min_size=1, max_size=4),
-    picks=st.lists(st.integers(0, 3), min_size=1, max_size=MAX_STACK),
+    picks=st.lists(st.integers(0, 3), min_size=1, max_size=tree_stack(1, 1)),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_pair_tree_is_bit_exact_with_the_reference_tree(p_qubits, a_qubits, p, kinds, picks, seed):

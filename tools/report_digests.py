@@ -10,10 +10,11 @@ configs of acceptance criterion 8 (tests/test_acceptance.py): the exact and
 100 000-trial sampled soundness runs and the two 2000-trial repeat configs,
 then a group of soundness configs at l = 4 and 5 whose sampled runs build
 their trees in more than one stack and reuse trees across stacks, then a
-group with three to five ancilla qubits, where V and the flip are the largest
-operators apply_local takes, then a group of swap-bench runs at the edges of
-its stacks and chunks, then a group of sampled soundness runs at the edges of
-the chunks of trials that ProtocolRun.sample draws together.  Each run's
+group with three to five ancilla qubits, where V is the largest operator
+apply_local takes, then a group of swap-bench runs at the edges of its
+stacks and chunks, then a group of sampled soundness runs at the edges of
+the chunks of trials that ProtocolRun.sample draws together, then a group
+of lemma runs across the edges of lemma stacks and chunks.  Each run's
 report is emitted as JSON and as CSV.  For each group, and in total, it
 prints the report count and one SHA-256 over those bytes, in run order.  Run
 it once on a checkout of the parent commit and once on the change: equal
@@ -86,6 +87,14 @@ def chunk_edge_configs() -> list[dict]:
             for strategy, l, a_qubits in cases for trials in (1, 4095, 4096, 4097, 8192, 8193) for seed in SEEDS]
 
 
+def lemma_stack_configs() -> list[dict]:
+    """lemmas at 1, 7, 8, 9, 17, 255, 256, 257 and 1000 trials, at seeds 1 and
+    7919: counts on both sides of 8, the lemma stack size before stacks were
+    sized by bytes, and of the chunk edge at harness.LEMMA_CHUNK_TRIALS = 256."""
+    return [{"experiment": "lemmas", "trials": trials, "seed": seed}
+            for trials in (1, 7, 8, 9, 17, 255, 256, 257, 1000) for seed in SEEDS]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/report_digests.py SRC_DIR", file=sys.stderr)
@@ -110,6 +119,7 @@ def main(argv: list[str]) -> int:
     groups["large-registers"] = large_register_configs()
     groups["swap-edges"] = swap_edge_configs()
     groups["chunk-edges"] = chunk_edge_configs()
+    groups["lemma-stacks"] = lemma_stack_configs()
     total, count = hashlib.sha256(), 0
     for name, configs in groups.items():
         digest = hashlib.sha256()

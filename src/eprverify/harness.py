@@ -74,10 +74,10 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     counted as often as a run holds copies of it at once (tracemalloc peaks): the
     proof vector, its transposed copy and that copy's conjugate (3 x 2^(p+2l));
     the primed halves' marginal (4^l); V and two conjugates of it (3 x 4^(p+a));
-    the l(l-1) pair reductions and each tree's first pinch (4^(p+4) each); each
-    tree's state with the ancilla and apply_local's two arrays of its size
-    (3 x 4^(p+a+3), at a = 1 also the second pinch's first term and its two) and
-    its teleport read's reduction (4^(a+3)), for one tree in an exact run and
+    the l(l-1) pair reductions and each tree's input, held through its decode
+    (4^(p+4) each); each tree's state with the ancilla and apply_local's two
+    arrays of its size (3 x 4^(p+a+3), at a = 1 also the decode's) and its
+    teleport read's reduction (4^(a+3)), for one tree in an exact run and
     min(tree_stack(p, a), l(l-1)) in a sampled run; and a sampled run's trials
     and CSV rows.  An exact run is the one with no trial rows.  Sizes too large
     for a float give inf.

@@ -410,27 +410,26 @@ def _pair_tree(stack: np.ndarray, toy: ToyVerifier) -> list[_PairTree]:
     d) of (P, S1, S1', S2, S2') density matrices: a list of trees, one a
     member.  Exact mode passes a stack of one.
 
-    Each step has one owner, which takes the stack: the pinches
-    (channels.apply_pinch), the SWAP closed form (swap_test_formula), the
-    decode, V and V† (linalg.apply_local), the reflection (a sign), the
-    reductions (linalg.partial_trace) and the teleportation read (teleport).
-    Every contraction makes, member by member, the BLAS call that the member
-    alone makes, so each tree is bit for bit the one its matrix gives alone.
+    Each step has one owner, which takes the stack: the reductions
+    (linalg.partial_trace), the pinches (channels.apply_pinch), the SWAP closed
+    form (swap_test_formula), the decode, V and V† (linalg.apply_local), the
+    reflection (a sign), the teleport read (teleport) and the partner mean.
+    Only the SWAP's 16 x 16 marginal is pinched: pair 1's pinch mixes in XX on
+    (S1, S1'), which the decode makes Z on S1', then traced out; pair 2's, X on
+    S2' and S2, swaps Bell outcome k with k ^ 2, so it takes each kept block,
+    and each other outcome's probability, to its mean with its partner's.  A
+    member's BLAS calls, and so its tree, are bit for bit those it gets alone.
     """
     p, a = toy.p_qubits, toy.a_qubits
     (s1, s1p), (s2, s2p) = _pair_qubits(p, 0), _pair_qubits(p, 1)
     n, count = p + 4, len(stack)
-    w = apply_pinch(stack, n, [s1, s1p])
-    del stack  # freed before the second pinch, where the tree's memory peaks
-    w = apply_pinch(w, n, [s2, s2p])
-    swap_pass = swap_test_formula(partial_trace(w, n, [s1, s1p, s2, s2p]))
+    marginal = apply_pinch(partial_trace(stack, n, [s1, s1p, s2, s2p]), 4, [0, 1])
+    swap_pass = swap_test_formula(apply_pinch(marginal, 4, [2, 3]))
 
-    w = apply_local(w, BELL_TO_COMPUTATIONAL, n, [s1, s1p])
+    w = apply_local(stack, BELL_TO_COMPUTATIONAL, n, [s1, s1p])
+    del stack  # freed after the decode, before the tree's memory peaks at V
     w = partial_trace(w, n, [*range(p), s1, s2, s2p])
-    # The ancilla's |0><0| joins as A after (P, S1, S2, S2').
-    ancilla = np.zeros((2**a, 2**a), dtype=complex)
-    ancilla[0, 0] = 1.0
-    w = tensor(w, ancilla)
+    w = tensor(w, proj(np.eye(2**a)[0]))  # the ancilla's |0><0| joins as A after (P, S1, S2, S2')
     n = p + 3 + a
     pa = [*range(p), *range(p + 3, n)]
     w = apply_local(w, toy.v, n, pa)
@@ -443,6 +442,7 @@ def _pair_tree(stack: np.ndarray, toy: ToyVerifier) -> list[_PairTree]:
     w = apply_local(w, dagger(toy.v), n, pa)
     # (S2', S1) is measured; A and S2 keep the bits the verifier reads.
     blocks = teleport(w, n, p + 2, p, [*range(p + 3, n), p + 1])
+    blocks = [(blocks[k] + blocks[k ^ 2]) / 2 for k in range(4)]
     return [_read_tree([block[m] for block in blocks], swap_pass[m]) for m in range(count)]
 
 
@@ -494,7 +494,7 @@ class ProtocolRun:
         """Branch masses from one tree on the pair-symmetrized state.
 
         The verifier draws the ordered pair uniformly, and every later step
-        (pinch, decode, V, reflection, V†, post-selection and the Born rule)
+        (pinches, decode, V, reflection, V†, teleport, partner mean, Born rule)
         is linear in the two-slot state.  So the mean of the l(l-1) pair
         trees' masses is the masses of one tree on the mean of the
         ordered-pair reductions.  This holds for any proof: the reductions

@@ -11,8 +11,9 @@ The one-matrix forms of the metrics and margin oracles, which the package's
 stack-aware forms must match bit for bit on each matrix of a stack, are here
 as well, and so is the per-case SWAP benchmark that swap-bench's chunked run
 must match byte for byte.  So is the pair tree a step at a time on one
-matrix, each step its own call on the fixed qubit positions, which the
-stacked tree must match bit for bit, alone and on stacks."""
+matrix, each step its own call on the fixed qubit positions and both pairs
+pinched as the protocol states it, which the package tree, pinching only the
+SWAP's marginal, must match within 1e-14."""
 
 import csv
 import io
@@ -248,7 +249,8 @@ def scalar_draw(rng: np.random.Generator, probs: list[float]) -> int:
 def scalar_sample(run: ProtocolRun, rng: np.random.Generator, trees: dict) -> tuple[str, tuple[int, int]]:
     """One sampled trial of run, drawn from rng a value at a time: its branch key
     and its 1-based ordered pair.  ProtocolRun.sample makes the same draws in
-    bulk.  trees caches the pair trees this form builds for itself."""
+    bulk.  trees caches the pair trees by 0-based ordered pair; a pair missing
+    from it gets the reference tree of its reduction."""
     l = run.proof.l
     i = int(rng.integers(l))
     j = int(rng.integers(l - 1))

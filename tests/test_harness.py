@@ -405,6 +405,8 @@ def test_sampled_csv_schema():
 # the fields say otherwise; each was recorded before the refactor it guards.
 # The two completeness JSON digests were recorded again when completeness
 # began to echo the honest strategy it runs; their CSV digests did not change.
+# The two exact-mode digests were recorded again when the pair tree stopped
+# pinching the whole two-slot state: no branch mass moved by more than 2.8e-16.
 # The sampled ones pin the per-trial stream contract (trial t draws from
 # stream(seed, t), the order of its draws, and the walk that maps them to a
 # branch); they hold only counts and count ratios, so BLAS rounding cannot move
@@ -422,8 +424,8 @@ STREAM_CONTRACT = [
      "82c2496a7388b92b7cf57eb44fcc35618501c3dd3f4cb889023cf106d109f341",
      "59333d065ce73fe2433444a6bc5f18af639168a13a12274b7a386b5f41b3f063"),
     ({"experiment": "completeness", "mode": "exact", "verifier": {"p": 0.6}, "l": 3, "seed": 34},
-     "d16112e0afb884fbe2035a4d13ba97cfaa75160822622f58bdbf010ef0d7588c",
-     "f5b51fbd5b521670e9677553143eb64dd07b6d817b89e0dd7db6c6e403ef162b"),
+     "a1d4a8129a707583a6a1d7ea094d936e2013b4e5234d64dc81c6dbb25906af4c",
+     "2910d165281a150187b623944861352a6667a3f664587c52176ca36f47ee9841"),
     ({"experiment": "completeness", "verifier": {"p": 0.8, "a_qubits": 2}, "l": 2, "seed": 35},
      "216b9a97f27adb156d25428e9c9505d5e48d7dea1dc2ce20c3d92b0c82d3d18a",
      "4e0951b95eddb37acae82db451f0c01310bbf85d888517fc5cd90a0d1a640c79"),
@@ -432,8 +434,8 @@ STREAM_CONTRACT = [
      "98e5f51838c50f073f9f54c264d170fee59db582896bba14374c333a9f94902b"),
     ({"mode": "exact", "verifier": {"p": 0.25, "p_qubits": 2}, "l": 3,
       "strategy": {"kind": "local_unitaries", "unitary_seed": 6}, "seed": 37},
-     "af1e9e29a4daf2797bafa0665670f465a180dcee05d8b7923b299a69c6896726",
-     "1b67415010a50de7fe97a79c65c34b0b22d6ba5d826593c2adb0acd200bc08e3"),
+     "31c1d55060b78ea900957a0a966ca172e8fd34cec4589b0d0b3beb582195f99a",
+     "dfa31e459bbcc07254c965893bc3bfc005cac5b07b399fda2ab03f772984ae88"),
     # One trial past a chunk of rng.CHUNK_TRIALS (4096), recorded before
     # sampled runs kept their outcomes as arrays.
     ({"verifier": {"p": 0.2}, "l": 2, "strategy": {"kind": "idle_epr"}, "seed": 41, "trials": 4097},
@@ -905,9 +907,9 @@ def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkey
 def _memory_terms(p: int, a: int, l: int, trial_rows: int = 0) -> list[int]:
     """The terms of memory_estimate, in bytes: the proof vector and two
     copies, the primed marginal, V and two conjugates of it, the pair
-    reductions once, and for each tree of the largest stacked call its first
-    pinch, three copies of its state and the teleport read's reduction; then
-    the trial rows."""
+    reductions once, and for each tree of the largest stacked call its input,
+    held through the decode, three copies of its state and the teleport read's
+    reduction; then the trial rows."""
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
     return [16 * 3 * 2 ** (p + 2 * l), 16 * 4**l, 16 * 3 * 4 ** (p + a),
             16 * l * (l - 1) * 4 ** (p + 4),
@@ -944,10 +946,9 @@ MEMORY_ALLOWANCE_BYTES = 512 * 1024
 def test_memory_estimate_bounds_the_traced_peak(mode):
     # Each shape's largest term differs: the tree states at a_qubits = 4-5,
     # the proof vector at l = 8, the pair reductions at p_qubits = 2, l = 5.
-    # At p_qubits = 4, a_qubits = 1 a sampled run peaks in its second pinch,
-    # beside its pair reductions: the first pinch's result, the second's
-    # first term and apply_local's two arrays, four arrays as large as a tree
-    # state.
+    # At p_qubits = 4, a_qubits = 1 a tree's state is as large as its input,
+    # and a sampled run peaks in the decode, V and V† alike, beside its pair
+    # reductions.
     # local_unitaries makes every reduction distinct, a sampled run's worst case.
     def config(p, a, l):
         return ExperimentConfig.from_dict({

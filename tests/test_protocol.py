@@ -55,6 +55,7 @@ from dense_reference import (
     bell_branch,
     edge_uniforms,
     per_case_swap_test,
+    permute_qubits,
     pinch_pair,
     pure_fidelity,
     reference_pair_tree,
@@ -666,17 +667,18 @@ def test_redraw_fallback_takes_the_stream_draws(monkeypatch, l):
 def test_bulk_sample_matches_scalar_reference_on_edge_draws(monkeypatch, strategy):
     toy = make_toy_verifier(0.3, a_qubits=2)
     run = ProtocolRun(cheating_proof(strategy, toy, l=3), toy)
-    draws = []
+    draws, trees = [], {}
     for i in range(3):
         for drawn_j in range(2):
             j = drawn_j + (drawn_j >= i)
+            # The expected outcomes are read off the tree that placed the edges.
             [tree] = _pair_tree(select_ordered_pair(run.proof.state, 1, 3, i, j)[None], toy)
+            trees[i, j] = tree
             u1s = [0.0, *edge_uniforms(tree.bell_probs), *edge_uniforms([tree.swap_pass, 1.0 - tree.swap_pass])]
             u2s = [u for dist in tree.bit_dists.values() for u in edge_uniforms(dist)]
             draws += [(i, drawn_j, coin, u1, u2) for coin in (0, 1) for u1 in u1s for u2 in u2s]
     columns = tuple(np.array(column) for column in zip(*draws))
     monkeypatch.setattr(rngmod, "trial_draws", lambda seed, start, n, l: tuple(c[start:start + n] for c in columns))
-    trees = {}
     expected = [scalar_sample(run, FixedDraws(d[:3], d[3:]), trees) for d in draws]
     assert sample_tuples(run, 0, len(draws)) == expected
 
@@ -981,18 +983,118 @@ def _two_slot_members(rng, toy, kinds: list[str]) -> list[np.ndarray]:
     picks=st.lists(st.integers(0, 3), min_size=1, max_size=tree_stack(1, 1)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_stacked_pair_tree_is_bit_exact_with_the_reference_tree(p_qubits, a_qubits, p, kinds, picks, seed):
+def test_stacked_pair_tree_is_bit_exact_alone_and_matches_the_reference_tree(p_qubits, a_qubits, p, kinds, picks,
+                                                                               seed):
     toy = make_toy_verifier(p, p_qubits, a_qubits)
     members = _two_slot_members(np.random.default_rng(seed), toy, kinds)
     # A stack of 1-8 members, some of them repeated.
     stack = np.array([members[k % len(members)] for k in picks])
-    expected = [reference_pair_tree(m, toy) for m in stack]
     trees = _pair_tree(stack, toy)
     assert isinstance(trees, list) and len(trees) == len(stack)
-    assert repr(trees) == repr(expected)
-    # A stack of one, as exact() makes it, gives a list of one tree.
-    alone = _pair_tree(stack[:1], toy)
-    assert isinstance(alone, list) and repr(alone) == repr(expected[:1])
+    # Each member's tree is bit for bit the one a stack of one, as exact()
+    # makes it, gives.
+    alone = [_pair_tree(m[None], toy) for m in stack]
+    assert all(isinstance(one, list) and len(one) == 1 for one in alone)
+    assert repr(trees) == repr([tree for [tree] in alone])
+    # The reference tree pinches the whole state, pair by pair, as the protocol
+    # states it; the package tree pinches only the SWAP's marginal.
+    for tree, m in zip(trees, stack):
+        expected = reference_pair_tree(m, toy)
+        assert abs(tree.swap_pass - expected.swap_pass) <= 1e-14
+        assert np.max(np.abs(np.subtract(tree.bell_probs, expected.bell_probs))) <= 1e-14
+        assert set(tree.bit_dists) == set(expected.bit_dists)
+        for k, dist in expected.bit_dists.items():
+            assert np.max(np.abs(np.subtract(tree.bit_dists[k], dist))) <= 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(p_qubits=st.integers(1, 2), a_qubits=st.integers(1, 3), count=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_pair_tree_pinches_only_the_swap_marginal(p_qubits, a_qubits, count, seed):
+    # The three identities that let the pair tree pinch only the SWAP's
+    # marginal, each on a random stack.
+    rng = np.random.default_rng(seed)
+    p, n = p_qubits, p_qubits + 4
+    pairs = [p, p + 1, p + 2, p + 3]  # (S1, S1', S2, S2')
+    stack = np.array([random_density(rng, 2**n) for _ in range(count)])
+
+    # Pair 1's pinch mixes in XX on (S1, S1'), which the decode makes Z on S1';
+    # tracing S1' out reads neither.
+    def decoded(t):
+        return partial_trace(apply_local(t, BELL_TO_COMPUTATIONAL, n, pairs[:2]), n, [*range(p), p, p + 2, p + 3])
+
+    assert np.max(np.abs(decoded(apply_pinch(stack, n, pairs[:2])) - decoded(stack))) <= 1e-14
+
+    # Pair 2's pinch mixes in X on S2' and S2: Bell outcome k of (S2', S1)
+    # becomes k ^ 2, and X on S2 undoes psi+'s correction, so each kept block
+    # is its mean with its partner's.  A rejected outcome's block takes X on
+    # S2 as well, which leaves its probability, all the tree reads of it, the
+    # partner mean.  Every step between the pinch and the read acts on other
+    # qubits, so this is checked on the teleport's input, (P, S1, S2, S2', A).
+    m = p + 3 + a_qubits
+    w = np.array([random_density(rng, 2**m) for _ in range(count)])
+    pinched = teleport(apply_pinch(w, m, [p + 1, p + 2]), m, p + 2, p, [*range(p + 3, m), p + 1])
+    blocks = teleport(w, m, p + 2, p, [*range(p + 3, m), p + 1])
+    for k in range(4):
+        mean = (blocks[k] + blocks[k ^ 2]) / 2
+        if k in KEPT:
+            assert np.max(np.abs(pinched[k] - mean)) <= 1e-14
+        trace = np.trace(pinched[k] - mean, axis1=-2, axis2=-1)
+        assert np.max(np.abs(trace)) <= 1e-14
+
+    # The SWAP reads only the (S1, S1', S2, S2') marginal, so pinching that
+    # marginal is pinching the whole stack.
+    whole = apply_pinch(apply_pinch(stack, n, pairs[:2]), n, pairs[2:])
+    marginal = apply_pinch(apply_pinch(partial_trace(stack, n, pairs), 4, [0, 1]), 4, [2, 3])
+    assert np.max(np.abs(swap_test_formula(partial_trace(whole, n, pairs)) - swap_test_formula(marginal))) <= 1e-14
+
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def _correlated_proof(toy, l: int, rng) -> ProtocolState:
+    """idle_epr with one Haar unitary on P and every Si together, so the pairs
+    are correlated through the prover's halves."""
+    p = toy.p_qubits
+    prover = [*range(p), *(p + 2 * i for i in range(l))]
+    amps = apply_local(cheating_proof({"kind": "idle_epr"}, toy, l).state, random_unitary(rng, 2 ** (p + l)),
+                       p + 2 * l, prover)
+    return ProtocolState(amps, p, l)
+
+
+def _masses(state, toy, l: int) -> np.ndarray:
+    branches = ProtocolRun(ProtocolState(state, toy.p_qubits, l), toy).exact().branches
+    return np.array([branches[k] for k in BRANCH_KEYS])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    shape=st.sampled_from([(1, 1, 2), (1, 1, 3), (2, 1, 3), (1, 2, 3), (1, 1, 4)]),
+    p=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_masses_keep_the_pair_symmetries(shape, p, seed):
+    # Permuting the pairs, XX on a pair and pinching every pair leave the
+    # exact branch masses of a correlated proof as they are.
+    p_qubits, a_qubits, l = shape
+    toy = make_toy_verifier(p, p_qubits, a_qubits)
+    state, n = _correlated_proof(toy, l, np.random.default_rng(seed)).state, p_qubits + 2 * l
+    masses = _masses(state, toy, l)
+    cyclic = permute_qubits(state, n, [*range(p_qubits), *range(p_qubits + 2, n), p_qubits, p_qubits + 1])
+    xx = apply_local(state, tensor(PAULI_X, PAULI_X), n, [p_qubits, p_qubits + 1])
+    pinched = proj(state)
+    for i in range(l):
+        pinched = apply_pinch(pinched, n, [p_qubits + 2 * i, p_qubits + 2 * i + 1])
+    for moved in (cyclic, xx, pinched):
+        assert np.max(np.abs(_masses(moved, toy, l) - masses)) <= 1e-14
+
+
+def test_x_on_one_verifier_half_moves_the_exact_masses():
+    # X on S1' alone is no symmetry: it moves a pair out of the kept Bell
+    # sectors.
+    toy = make_toy_verifier(0.3)
+    state = _correlated_proof(toy, 3, np.random.default_rng(5)).state
+    moved = apply_local(state, PAULI_X, 7, [2])
+    assert np.max(np.abs(_masses(moved, toy, 3) - _masses(state, toy, 3))) > 1e-3
 
 
 def test_protocol_run_never_forms_the_proof_density(monkeypatch):

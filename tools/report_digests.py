@@ -15,8 +15,12 @@ apply_local takes, then a group of swap-bench runs at the edges of its
 stacks and chunks, then a group of sampled soundness runs at the edges of
 the chunks of trials that ProtocolRun.sample draws together, then a group
 of lemma runs across the edges of lemma stacks and chunks.  Each run's
-report is emitted as JSON and as CSV.  For each group, and in total, it
-prints the report count and one SHA-256 over those bytes, in run order.  Run
+report is emitted as JSON and as CSV.  For each group it prints the report
+count and one SHA-256 over those bytes, in run order; a group's completeness
+and soundness runs print on a line of their mode, GROUP/exact or
+GROUP/sampled.  Exact reports hold floats, which a change of rounding moves
+in the last bit; sampled reports hold counts, which it moves only when a
+draw falls within rounding of an outcome's edge.  Run
 it once on a checkout of the parent commit and once on the change: equal
 lines mean equal reports.  It takes about 6 s on a 2-core x86-64 VM, and is
 no part of the test suite.
@@ -120,18 +124,18 @@ def main(argv: list[str]) -> int:
     groups["swap-edges"] = swap_edge_configs()
     groups["chunk-edges"] = chunk_edge_configs()
     groups["lemma-stacks"] = lemma_stack_configs()
-    total, count = hashlib.sha256(), 0
     for name, configs in groups.items():
-        digest = hashlib.sha256()
+        lines: dict[str, list] = {}  # line name to [digest, report count], in first-run order
         for config in configs:
-            report = run_experiment(ExperimentConfig.from_dict(config))
+            config = ExperimentConfig.from_dict(config)
+            protocol = config.experiment in ("completeness", "soundness")
+            line = lines.setdefault(f"{name}/{config.mode}" if protocol else name, [hashlib.sha256(), 0])
+            report = run_experiment(config)
             for fmt in ("json", "csv"):
-                data = emit_report(report, fmt)
-                digest.update(data)
-                total.update(data)
-        print(f"{name} {2 * len(configs)} reports sha256 {digest.hexdigest()}")
-        count += 2 * len(configs)
-    print(f"total {count} reports sha256 {total.hexdigest()}")
+                line[0].update(emit_report(report, fmt))
+            line[1] += 2
+        for line, (digest, count) in lines.items():
+            print(f"{line} {count} reports sha256 {digest.hexdigest()}")
     return 0
 
 

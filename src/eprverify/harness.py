@@ -74,13 +74,13 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     counted as often as a run holds copies of it at once (tracemalloc peaks): the
     proof vector, its transposed copy and that copy's conjugate (3 x 2^(p+2l));
     the primed halves' marginal (4^l); V and two conjugates of it (3 x 4^(p+a));
-    the l(l-1) pair reductions and each tree's input, held through its decode
-    (4^(p+4) each); each tree's state with the ancilla and apply_local's two
-    arrays of its size (3 x 4^(p+a+3), at a = 1 also the decode's) and its
-    teleport read's reduction (4^(a+3)), for one tree in an exact run and
-    min(tree_stack(p, a), l(l-1)) in a sampled run; and a sampled run's trials
-    and CSV rows.  An exact run is the one with no trial rows.  Sizes too large
-    for a float give inf.
+    the l(l-1) pair reductions and each tree's input (4^(p+4) each); the
+    coin-0 map G and its conjugate (2 x 2^(2p+a+6)); each tree's two
+    S2-diagonal blocks (2 x 4^(p+3)) and their products with G (2 x
+    2^(2p+a+6)), for one tree in an exact run and min(tree_stack(p, a),
+    l(l-1)) in a sampled run; and a sampled run's trials and CSV rows.  An
+    exact run is the one with no trial rows.  Sizes too large for a float give
+    inf.
     """
     def entries(log2: int) -> float:
         return 2.0**log2 if log2 < 1000 else math.inf
@@ -88,8 +88,8 @@ def memory_estimate(p_qubits: int, a_qubits: int, l: int, trial_rows: int = 0) -
     p, a = p_qubits, a_qubits
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
     reductions = (l * (l - 1) if l < 2**500 else math.inf) + trees
-    total = (3 * entries(p + 2 * l) + entries(2 * l) + 3 * entries(2 * (p + a))
-             + reductions * entries(2 * (p + 4)) + trees * (3 * entries(2 * (p + a + 3)) + entries(2 * (a + 3))))
+    total = (3 * entries(p + 2 * l) + entries(2 * l) + 3 * entries(2 * (p + a)) + reductions * entries(2 * (p + 4))
+             + entries(2 * p + a + 7) + trees * (entries(2 * p + 7) + entries(2 * p + a + 7)))
     rows = trial_rows if trial_rows < 2**1000 else math.inf
     return 16 * total + TRIAL_ROW_BYTES * rows
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .channels import apply_pinch, choi_state
+from .channels import PI_MINUS, PI_PLUS, choi_state
 from .kernel import (
     BELL_LABELS,
     BELL_STATES,
@@ -60,6 +60,10 @@ REJECT_KEYS = tuple(key for key, (_, _, verdict) in BRANCHES.items() if verdict 
 # The kept Bell outcomes, as indices in BELL_LABELS order; psi+ needs an X correction.
 _PSI_PLUS = BELL_LABELS.index("psi+")
 _KEPT = (BELL_LABELS.index("phi+"), _PSI_PLUS)
+# Q, through which the SWAP reads the pinched pairs; and coin 0's decode of (S1, S1') to
+# (d1, e1) with its Bell read of (S2', d1) as k, as [d1, k, e1, (S1, S1'), S2'].
+_SWAP_PINCH = tensor(PI_PLUS, PI_PLUS) + tensor(PI_MINUS, PI_MINUS)
+_DECODE_READ = np.einsum("des,kwd->dkesw", BELL_TO_COMPUTATIONAL.reshape(2, 2, 4), BELL_STATES.conj().reshape(4, 2, 2))
 
 
 class HalfEigenpairError(ValueError):
@@ -405,59 +409,54 @@ class _PairTree:
     swap_pass: float
 
 
+def _coin0_map(toy: ToyVerifier) -> np.ndarray:
+    """Coin 0 as one isometry G, 2^(p+a+3) x 2^(p+3), from (P, S1, S1', S2') to
+    (k, A, P', e1): decode (S1, S1') to (d1, e1), V on (P, A) from A = |0>, -1
+    where d1 and A's first qubit are 1, V†, then read (S2', d1) as Bell outcome
+    k.  G[k, a, y, e; x, s, w] = sum_d W[d, y, a, x] DEC[d, e, s] BELL*[k, w, d]
+    with a = A, y = P', e = e1, x = P, s = (S1, S1'), w = S2', d = d1, DEC the
+    decode, BELL* the read, W[0] = V†V(I (x) |0>_A), W[1] = V† diag(+-1) V(I (x) |0>_A)."""
+    dp, da = 2**toy.p_qubits, 2**toy.a_qubits
+    v0 = toy.v.reshape(dp * da, dp, da)[..., 0]
+    sign = np.where(np.arange(dp * da) % da < da // 2, 1.0, -1.0)
+    w = (dagger(toy.v) @ np.array([v0, sign[:, None] * v0])).reshape(2, dp, da, dp)
+    return np.einsum("dyax,dkesw->kayexsw", w, _DECODE_READ).reshape(8 * da * dp, 8 * dp)
+
+
 def _pair_tree(stack: np.ndarray, toy: ToyVerifier) -> list[_PairTree]:
     """Outcome distributions of both coins' branches on each of a stack (k, d,
-    d) of (P, S1, S1', S2, S2') density matrices: a list of trees, one a
-    member.  Exact mode passes a stack of one.
-
-    Each step has one owner, which takes the stack: the reductions
-    (linalg.partial_trace), the pinches (channels.apply_pinch), the SWAP closed
-    form (swap_test_formula), the decode, V and V† (linalg.apply_local), the
-    reflection (a sign), the teleport read (teleport) and the partner mean.
-    Only the SWAP's 16 x 16 marginal is pinched: pair 1's pinch mixes in XX on
-    (S1, S1'), which the decode makes Z on S1', then traced out; pair 2's, X on
-    S2' and S2, swaps Bell outcome k with k ^ 2, so it takes each kept block,
-    and each other outcome's probability, to its mean with its partner's.  A
-    member's BLAS calls, and so its tree, are bit for bit those it gets alone.
-    """
+    d) of (P, S1, S1', S2, S2') density matrices, one tree a member; exact mode
+    passes a stack of one.  No state is built.  Coin 1 reads Tr(Pinch1
+    Pinch2(rho) S) as Tr(rho Q S) on the (S1, S1', S2, S2') marginal, since S
+    (P_a (x) P_b) = (P_b (x) P_a) S.  Coin 0 reads outcome k with bits (A, t)
+    as diag(G rho_t G†) summed over P' and e1: G = _coin0_map(toy), rows (k, A,
+    P', e1) and columns (P, S1, S1', S2'), rho_t the block S2 = t (a spectator).
+    psi+ flips t (its X correction).  Pair 1's pinch is Z on e1 after the
+    decode; pair 2's (X on S2', S2) swaps k with k ^ 2, so each outcome takes
+    the mean of its own and its partner's.  With only matmuls and last-axis
+    reductions, a member's tree is bit for bit the one it gets alone."""
     p, a = toy.p_qubits, toy.a_qubits
-    (s1, s1p), (s2, s2p) = _pair_qubits(p, 0), _pair_qubits(p, 1)
-    n, count = p + 4, len(stack)
-    marginal = apply_pinch(partial_trace(stack, n, [s1, s1p, s2, s2p]), 4, [0, 1])
-    swap_pass = swap_test_formula(apply_pinch(marginal, 4, [2, 3]))
-
-    w = apply_local(stack, BELL_TO_COMPUTATIONAL, n, [s1, s1p])
-    del stack  # freed after the decode, before the tree's memory peaks at V
-    w = partial_trace(w, n, [*range(p), s1, s2, s2p])
-    w = tensor(w, proj(np.eye(2**a)[0]))  # the ancilla's |0><0| joins as A after (P, S1, S2, S2')
-    n = p + 3 + a
-    pa = [*range(p), *range(p + 3, n)]
-    w = apply_local(w, toy.v, n, pa)
-    # The reflection I - 2 Pi_acc (x) |1><1| controlled by S1, on each row and then each
-    # column of V's output: -1 where S1 (qubit p) and A's first qubit (p + 3) are both 1.
-    both = 2 ** (n - 1 - p) + 2 ** (n - 4 - p)
-    sign = np.where(np.arange(2**n) & both == both, -1.0, 1.0)
-    w *= sign[:, None]
-    w *= sign
-    w = apply_local(w, dagger(toy.v), n, pa)
-    # (S2', S1) is measured; A and S2 keep the bits the verifier reads.
-    blocks = teleport(w, n, p + 2, p, [*range(p + 3, n), p + 1])
-    blocks = [(blocks[k] + blocks[k ^ 2]) / 2 for k in range(4)]
-    return [_read_tree([block[m] for block in blocks], swap_pass[m]) for m in range(count)]
+    count, d, da = len(stack), 2 ** (p + 3), 2**a
+    swap_pass = swap_test_formula(partial_trace(stack, p + 4, [p, p + 1, p + 2, p + 3]) @ _SWAP_PINCH)
+    g = _coin0_map(toy)
+    # Rows and columns (P, S1, S1'), S2, S2'; the S2-diagonal blocks, t second.
+    rho = stack.reshape(count, d // 2, 2, 2, d // 2, 2, 2).diagonal(0, 2, 5)
+    amps = g @ rho.transpose(0, 5, 1, 2, 3, 4).reshape(count, 2, d, d)
+    amps *= g.conj()  # each entry of diag(G rho_t G†) is its row's sum
+    probs = amps.sum(-1).real.reshape(count, 2, 4 * da, -1).sum(-1)
+    # Each outcome k's (A, S2) bits, A most significant.
+    dists = probs.reshape(count, 2, 4, da).transpose(0, 2, 3, 1).reshape(count, 4, 2 * da)
+    dists[:, _PSI_PLUS] = dists[:, _PSI_PLUS, np.arange(2 * da) ^ 1]
+    dists = (dists + dists[:, np.arange(4) ^ 2]) / 2
+    return [_read_tree(dists[m], swap_pass[m]) for m in range(count)]
 
 
-def _read_tree(blocks: list[np.ndarray], swap_pass) -> _PairTree:
-    """A tree's outcome probabilities from its teleport blocks: each outcome's
-    block diagonal is the distribution of the (A, S2) bits."""
-    bell_probs: list[float] = []
-    bit_dists: dict[int, list[float]] = {}
-    for k, block in enumerate(blocks):
-        diag = block.diagonal().real
-        p_bell = float(diag.sum())
-        bell_probs.append(p_bell if p_bell >= PROB_FLOOR else 0.0)
-        if k in _KEPT and p_bell >= PROB_FLOOR:
-            bit_dists[k] = [float(p) if p >= PROB_FLOOR else 0.0 for p in diag / p_bell]
-    return _PairTree(bell_probs, bit_dists, float(swap_pass))
+def _read_tree(dists: np.ndarray, swap_pass) -> _PairTree:
+    """A tree from each Bell outcome's probabilities of the (A, S2) bits, one row an outcome."""
+    bell_probs = [float(dist.sum()) for dist in dists]
+    bit_dists = {k: [float(q) if q >= PROB_FLOOR else 0.0 for q in dists[k] / bell_probs[k]]
+                 for k in _KEPT if bell_probs[k] >= PROB_FLOOR}
+    return _PairTree([q if q >= PROB_FLOOR else 0.0 for q in bell_probs], bit_dists, float(swap_pass))
 
 
 def tree_stack(p_qubits: int, a_qubits: int) -> int:
@@ -481,7 +480,7 @@ class ProtocolRun:
     reduction and the toy, bit for bit the same alone or in a stack, so
     neither sharing nor stacking changes a report byte.
 
-    Each step of a tree has one owner: see _pair_tree.
+    What a tree computes, and how: see _pair_tree.
     """
 
     def __init__(self, proof: ProtocolState, toy: ToyVerifier):
@@ -494,8 +493,8 @@ class ProtocolRun:
         """Branch masses from one tree on the pair-symmetrized state.
 
         The verifier draws the ordered pair uniformly, and every later step
-        (pinches, decode, V, reflection, V†, teleport, partner mean, Born rule)
-        is linear in the two-slot state.  So the mean of the l(l-1) pair
+        (Tr(rho Q S), diag(G rho_t G†) and its sums, the psi+ flip, the
+        partner mean) is linear in the two-slot state.  So the mean of the l(l-1) pair
         trees' masses is the masses of one tree on the mean of the
         ordered-pair reductions.  This holds for any proof: the reductions
         need not be equal, and nothing assumes they are.

@@ -12,8 +12,8 @@ stack-aware forms must match bit for bit on each matrix of a stack, are here
 as well, and so is the per-case SWAP benchmark that swap-bench's chunked run
 must match byte for byte.  So is the pair tree a step at a time on one
 matrix, each step its own call on the fixed qubit positions and both pairs
-pinched as the protocol states it, which the package tree, pinching only the
-SWAP's marginal, must match within 1e-14."""
+pinched as the protocol states it, which the package tree, reading coin 0
+through one map and the SWAP through Q, must match within 1e-14."""
 
 import csv
 import io

@@ -407,6 +407,9 @@ def test_sampled_csv_schema():
 # began to echo the honest strategy it runs; their CSV digests did not change.
 # The two exact-mode digests were recorded again when the pair tree stopped
 # pinching the whole two-slot state: no branch mass moved by more than 2.8e-16.
+# The last exact-mode digests (p_qubits = 2, local_unitaries) were recorded
+# again when coin 0 became one map G read as diag(G rho G†): two branch masses
+# moved, by at most 2.8e-17.
 # The sampled ones pin the per-trial stream contract (trial t draws from
 # stream(seed, t), the order of its draws, and the walk that maps them to a
 # branch); they hold only counts and count ratios, so BLAS rounding cannot move
@@ -434,8 +437,8 @@ STREAM_CONTRACT = [
      "98e5f51838c50f073f9f54c264d170fee59db582896bba14374c333a9f94902b"),
     ({"mode": "exact", "verifier": {"p": 0.25, "p_qubits": 2}, "l": 3,
       "strategy": {"kind": "local_unitaries", "unitary_seed": 6}, "seed": 37},
-     "31c1d55060b78ea900957a0a966ca172e8fd34cec4589b0d0b3beb582195f99a",
-     "dfa31e459bbcc07254c965893bc3bfc005cac5b07b399fda2ab03f772984ae88"),
+     "6df457d5c03a3ffd55a8c3b1f4946d1312aa2cc3e12b3d0ab52e0ebb47ce3d71",
+     "3953c69b8e4def14ff544ed7e9f9cce8975dcc3cbdd02eada48e33d5ca9c87ae"),
     # One trial past a chunk of rng.CHUNK_TRIALS (4096), recorded before
     # sampled runs kept their outcomes as arrays.
     ({"verifier": {"p": 0.2}, "l": 2, "strategy": {"kind": "idle_epr"}, "seed": 41, "trials": 4097},
@@ -907,21 +910,21 @@ def test_cli_sampled_trials_over_memory_budget_exit_one(tmp_path, capsys, monkey
 def _memory_terms(p: int, a: int, l: int, trial_rows: int = 0) -> list[int]:
     """The terms of memory_estimate, in bytes: the proof vector and two
     copies, the primed marginal, V and two conjugates of it, the pair
-    reductions once, and for each tree of the largest stacked call its input,
-    held through the decode, three copies of its state and the teleport read's
-    reduction; then the trial rows."""
+    reductions once, the coin-0 map G and its conjugate, and for each tree of
+    the largest stacked call its input, its two S2-diagonal blocks and their
+    products with G; then the trial rows."""
     trees = min(tree_stack(p, a), l * (l - 1)) if trial_rows else 1
     return [16 * 3 * 2 ** (p + 2 * l), 16 * 4**l, 16 * 3 * 4 ** (p + a),
-            16 * l * (l - 1) * 4 ** (p + 4),
-            16 * trees * (4 ** (p + 4) + 3 * 4 ** (p + a + 3) + 4 ** (a + 3)),
+            16 * l * (l - 1) * 4 ** (p + 4), 16 * 2 ** (2 * p + a + 7),
+            16 * trees * (4 ** (p + 4) + 2 ** (2 * p + 7) + 2 ** (2 * p + a + 7)),
             TRIAL_ROW_BYTES * trial_rows]
 
 
 def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
     # A sampled run counts its l(l-1) pair reductions, 4^(p+4) entries each,
-    # and the tree states of its largest stacked call, min(tree_stack(p, a),
-    # l(l-1)) of them at 4^(p+a+3) entries each, and one trial row more than
-    # fits puts it over the budget.
+    # and the trees of its largest stacked call, min(tree_stack(p, a),
+    # l(l-1)) of them at 4^(p+4) + 2^(2p+7) + 2^(2p+a+7) entries each, and one
+    # trial row more than fits puts it over the budget.
     for p, a, l, trees in ((1, 1, 3, 6), (1, 1, 4, tree_stack(1, 1)), (1, 2, 3, 2), (1, 7, 3, 1)):
         base = {"experiment": "soundness", "mode": "sampled", "l": l, "verifier": {"p": 0.2, "p_qubits": p, "a_qubits": a}}
         assert min(tree_stack(p, a), l * (l - 1)) == trees
@@ -932,8 +935,8 @@ def test_sampled_memory_budget_boundary_counts_a_stack_of_trees():
         with pytest.raises(ConfigError, match=f"{most + 1} trial rows need"):
             ExperimentConfig.from_dict({**base, "trials": most + 1})
     # An exact run, with no trial rows, counts its pair reductions and one tree.
-    assert memory_estimate(1, 1, 4) == 16 * (3 * 2**9 + 4**4 + 3 * 4**2 + 12 * 4**5
-                                             + 4**5 + 3 * 4**5 + 4**4)
+    assert memory_estimate(1, 1, 4) == 16 * (3 * 2**9 + 4**4 + 3 * 4**2 + 2**10 + 12 * 4**5
+                                             + 4**5 + 2**9 + 2**10)
 
 
 # tracemalloc's peak over a run's estimate that no term of the estimate
@@ -944,11 +947,11 @@ MEMORY_ALLOWANCE_BYTES = 512 * 1024
 
 @pytest.mark.parametrize("mode", ["exact", "sampled"])
 def test_memory_estimate_bounds_the_traced_peak(mode):
-    # Each shape's largest term differs: the tree states at a_qubits = 4-5,
-    # the proof vector at l = 8, the pair reductions at p_qubits = 2, l = 5.
-    # At p_qubits = 4, a_qubits = 1 a tree's state is as large as its input,
-    # and a sampled run peaks in the decode, V and V† alike, beside its pair
-    # reductions.
+    # Each shape's largest term differs: the tree's products with G at
+    # a_qubits = 4-5 (over 1 MiB at p_qubits = 3), the proof vector at l = 8,
+    # the pair reductions at p_qubits = 2, l = 5.  At p_qubits = 4, a_qubits
+    # = 1 a tree's product with G is as large as its input, and a sampled run
+    # peaks there, beside its pair reductions.
     # local_unitaries makes every reduction distinct, a sampled run's worst case.
     def config(p, a, l):
         return ExperimentConfig.from_dict({
@@ -959,7 +962,7 @@ def test_memory_estimate_bounds_the_traced_peak(mode):
     # First-use allocations (numpy's lazy imports and caches) are made before any reading.
     emit_report(run_experiment(config(1, 1, 2)), "csv")
     rows = 2000 if mode == "sampled" else 0
-    for p, a, l in ((1, 5, 2), (2, 4, 2), (1, 4, 3), (1, 1, 8), (2, 2, 5), (1, 2, 6), (4, 1, 4), (1, 1, 2)):
+    for p, a, l in ((1, 5, 2), (2, 4, 2), (3, 4, 2), (1, 4, 3), (1, 1, 8), (2, 2, 5), (1, 2, 6), (4, 1, 4), (1, 1, 2)):
         gc.collect()
         tracemalloc.start()
         try:
@@ -976,7 +979,7 @@ def test_memory_estimate_bounds_the_traced_peak(mode):
 
 
 def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_path, capsys, monkeypatch):
-    # p_qubits = 7, l = 6: the proof, V and the tree need about 0.28 GiB,
+    # p_qubits = 7, l = 6: the proof, V and the tree need about 0.25 GiB,
     # but the 30 pair reductions a run holds, 4^11 entries each, need 1.9 GiB
     # more.
     def never(config):
@@ -988,7 +991,7 @@ def test_cli_exact_run_over_memory_budget_from_its_pair_reductions_exit_one(tmp_
     assert sum(_memory_terms(7, 1, 6)) - _memory_terms(7, 1, 6)[3] < 0.4 * MEMORY_BUDGET_BYTES
     assert main(["soundness", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "0 trial rows need an estimated 2.15 GiB" in err and "1 GiB budget" in err
+    assert "0 trial rows need an estimated 2.12 GiB" in err and "1 GiB budget" in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1019,9 +1022,9 @@ def test_sampled_report_without_trial_outcomes_refuses_csv():
 
 
 def test_benchmark_sized_configs_are_well_under_memory_budget():
-    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 2.40 MB.
-    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) == 16 * (3 * 2**12 + 4**5 + 3 * 4**4 + 20 * 4**6
-                                                                 + 4**6 + 3 * 4**7 + 4**5)
+    # The largest exact-sweep cell: its 20 pair reductions are 1.3 MB of the 1.90 MB.
+    assert memory_estimate(p_qubits=2, a_qubits=2, l=5) == 16 * (3 * 2**12 + 4**5 + 3 * 4**4 + 2**13 + 20 * 4**6
+                                                                 + 4**6 + 2**11 + 2**13)
     assert memory_estimate(p_qubits=2, a_qubits=2, l=5) < MEMORY_BUDGET_BYTES / 400
     assert memory_estimate(p_qubits=1, a_qubits=1, l=10) < MEMORY_BUDGET_BYTES
     assert memory_estimate(p_qubits=1, a_qubits=1, l=2, trial_rows=100_000) < MEMORY_BUDGET_BYTES / 50

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from eprverify.channels import apply_pinch, choi_state
+from eprverify import channels
+from eprverify.channels import PI_MINUS, PI_PLUS, apply_pinch, choi_state
 from eprverify.kernel import (
     BELL_LABELS,
     BELL_STATES,
@@ -45,6 +46,7 @@ from eprverify.protocol import (
     teleport,
     tree_stack,
     verifier_marginal_distance,
+    _coin0_map,
     _pair_tree,
 )
 from eprverify.rng import stream
@@ -63,6 +65,7 @@ from dense_reference import (
     scalar_sample,
 )
 from monolithic_oracle import verifier_branch_masses
+from test_acceptance import haar_toy
 
 RNG = np.random.default_rng(424242)
 
@@ -997,7 +1000,7 @@ def test_stacked_pair_tree_is_bit_exact_alone_and_matches_the_reference_tree(p_q
     assert all(isinstance(one, list) and len(one) == 1 for one in alone)
     assert repr(trees) == repr([tree for [tree] in alone])
     # The reference tree pinches the whole state, pair by pair, as the protocol
-    # states it; the package tree pinches only the SWAP's marginal.
+    # states it; the package tree builds no state and pinches nothing.
     for tree, m in zip(trees, stack):
         expected = reference_pair_tree(m, toy)
         assert abs(tree.swap_pass - expected.swap_pass) <= 1e-14
@@ -1046,6 +1049,48 @@ def test_pair_tree_pinches_only_the_swap_marginal(p_qubits, a_qubits, count, see
     whole = apply_pinch(apply_pinch(stack, n, pairs[:2]), n, pairs[2:])
     marginal = apply_pinch(apply_pinch(partial_trace(stack, n, pairs), 4, [0, 1]), 4, [2, 3])
     assert np.max(np.abs(swap_test_formula(partial_trace(whole, n, pairs)) - swap_test_formula(marginal))) <= 1e-14
+
+
+@pytest.mark.parametrize("p_qubits", [1, 2, 3])
+@pytest.mark.parametrize("a_qubits", [1, 2, 3])
+def test_coin0_map_is_an_isometry(p_qubits, a_qubits):
+    # G is the decode, V, the reflection, V† and the Bell read, each an
+    # isometry, so G†G = I on (P, S1, S1', S2'), for the closed-form toy and a
+    # Haar-random V alike.
+    for toy in (make_toy_verifier(0.3, p_qubits, a_qubits), haar_toy(7 * p_qubits + a_qubits, p_qubits, a_qubits)):
+        g = _coin0_map(toy)
+        assert g.shape == (2 ** (p_qubits + a_qubits + 3), 2 ** (p_qubits + 3))
+        assert np.max(np.abs(dagger(g) @ g - np.eye(2 ** (p_qubits + 3)))) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pure=st.booleans())
+def test_swap_of_the_pinched_pairs_is_the_swap_through_q(seed, pure):
+    # Tr(Pinch1 Pinch2(rho) S) = Tr(rho Q S), Q = PI_PLUS (x) PI_PLUS + PI_MINUS
+    # (x) PI_MINUS, since S (P_a (x) P_b) = (P_b (x) P_a) S; Q commutes with S.
+    rng = np.random.default_rng(seed)
+    rho = proj(random_pure(rng, 16)) if pure else random_density(rng, 16)
+    swap = np.eye(16)[[4 * (i % 4) + i // 4 for i in range(16)]]
+    q = tensor(PI_PLUS, PI_PLUS) + tensor(PI_MINUS, PI_MINUS)
+    assert np.array_equal(q, protocol._SWAP_PINCH)
+    assert np.max(np.abs(q @ swap - swap @ q)) <= 1e-15
+    pinched = apply_pinch(apply_pinch(rho, 4, [0, 1]), 4, [2, 3])
+    assert abs(np.trace(pinched @ swap) - np.trace(rho @ q @ swap)) <= 1e-15
+
+
+def test_pair_tree_applies_no_local_operator(monkeypatch):
+    # The tree builds no state: no apply_local, so no apply_pinch either.
+    def never(*args):
+        raise AssertionError("the pair tree applied a local operator")
+
+    rng = np.random.default_rng(11)
+    stacks = {shape: np.array([random_density(rng, 2 ** (shape[0] + 4)) for _ in range(3)])
+              for shape in ((1, 1), (2, 2), (1, 3))}
+    expected = {shape: _pair_tree(stack, make_toy_verifier(0.6, *shape)) for shape, stack in stacks.items()}
+    for module in (protocol, channels):
+        monkeypatch.setattr(module, "apply_local", never)
+    for shape, stack in stacks.items():
+        assert repr(_pair_tree(stack, make_toy_verifier(0.6, *shape))) == repr(expected[shape])
 
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -50,6 +50,6 @@ def test_traced_jobs_emit_the_untraced_bytes_and_touch_every_layer():
     called = {name.split(".")[0] for name, stats in tracer.stats.items() if stats[0]}
     assert called == set(tracing.LAYERS)
     # A sampled run builds its trees inside its one sample call, so the
-    # tracer charges their pinches to it.
-    assert tracer.stage_calls["protocol.ProtocolRun.sample", "pinch"] > 0
+    # tracer charges the coin-0 map's V† (linalg.dagger) to it.
+    assert tracer.stage_calls["protocol.ProtocolRun.sample", "verifier"] > 0
     assert _reports() == untraced

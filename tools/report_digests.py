@@ -10,8 +10,8 @@ configs of acceptance criterion 8 (tests/test_acceptance.py): the exact and
 100 000-trial sampled soundness runs and the two 2000-trial repeat configs,
 then a group of soundness configs at l = 4 and 5 whose sampled runs build
 their trees in more than one stack and reuse trees across stacks, then a
-group with three to five ancilla qubits, where V is the largest operator
-apply_local takes, then a group of swap-bench runs at the edges of its
+group with three to five ancilla qubits, where V and the coin-0 map are
+largest, then a group of swap-bench runs at the edges of its
 stacks and chunks, then a group of sampled soundness runs at the edges of
 the chunks of trials that ProtocolRun.sample draws together, then a group
 of lemma runs across the edges of lemma stacks and chunks.  Each run's
@@ -63,8 +63,9 @@ def tree_stack_configs() -> list[dict]:
 
 
 def large_register_configs() -> list[dict]:
-    """Soundness configs with an 8- or 9-qubit tree state, honest at p = 0.7
-    and local_unitaries at p = 0.3, each exact and sampled with 500 trials."""
+    """Soundness configs whose coin-0 map has 8 or 9 output qubits (p + a +
+    3), honest at p = 0.7 and local_unitaries at p = 0.3, each exact and
+    sampled with 500 trials."""
     cases = [({"kind": "honest"}, 0.7), ({"kind": "local_unitaries", "unitary_seed": 5}, 0.3)]
     return [{"experiment": "soundness", "l": l, "strategy": strategy, "seed": 1, "mode": mode, "trials": 500,
              "verifier": {"p": p, "p_qubits": p_qubits, "a_qubits": a_qubits}}
